@@ -1,15 +1,10 @@
 """Steady-state analysis and optimization of time-dependent shipment fees."""
 
 from .chain import (
-    AgeIncome,
     PolicyEvaluator,
     Scenario,
     StationaryDistribution,
-    TruncatedKernel,
-    age_incomes,
-    build_kernel,
     find_bound,
-    stationary,
     steady_state,
     transition,
 )
@@ -20,7 +15,6 @@ from .distributions import (
     beta_shape_parameters,
     discretized_beta,
     poisson_pmf,
-    surplus_pmf,
 )
 from .errors import (
     CapacityInfeasibleError,
@@ -28,14 +22,7 @@ from .errors import (
     ParameterError,
     UndefinedMeasureError,
 )
-from .measures import (
-    PerformanceReport,
-    evaluate_policy,
-    expected_backorders,
-    mean_delay,
-    rejection_probability,
-    variable_profit,
-)
+from .measures import PerformanceReport, evaluate_policy, mean_delay
 from .optimize import (
     DominanceRecord,
     Optimum,
@@ -60,7 +47,6 @@ from .policies import (
 )
 
 __all__ = [
-    "AgeIncome",
     "CapacityInfeasibleError",
     "CapacitySpec",
     "ChoiceModel",
@@ -79,10 +65,7 @@ __all__ = [
     "SimpleTspParams",
     "SimulationReport",
     "StationaryDistribution",
-    "TruncatedKernel",
     "UndefinedMeasureError",
-    "age_incomes",
-    "build_kernel",
     "build_policy",
     "canonicalize",
     "cutoff_form",
@@ -92,7 +75,6 @@ __all__ = [
     "dominance_experiment",
     "evaluate_policy",
     "exhaustive_fee_vector_search",
-    "expected_backorders",
     "find_bound",
     "is_monotone",
     "is_weakly_monotone",
@@ -100,16 +82,12 @@ __all__ = [
     "optimize_family",
     "poisson_pmf",
     "profile_to_fees",
-    "rejection_probability",
     "revenue_max_fee",
     "simulate",
     "split_rates",
-    "stationary",
     "steady_state",
-    "surplus_pmf",
     "take_rate",
     "transition",
-    "variable_profit",
 ]
 
 __version__ = "0.1.0"

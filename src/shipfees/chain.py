@@ -7,27 +7,26 @@ processing is oldest-first, so only x_c and x_s matter.  The state space is
 truncated at a total-workload bound chosen so the stationary probability of
 rejecting orders is negligible.
 
-Two evaluation paths are provided and cross-validated:
+The evaluator rests on two facts of the model:
 
-* the generic one: :func:`build_kernel` materializes per-age sparse kernels
-  over the triangular state enumeration and :func:`stationary` power-iterates
-  the cycle map;
-* the structural one: :func:`steady_state` exploits that at age 0 the joint
-  state is diagonal (the deadline reset makes x_c = x_s) with the
-  policy-independent total-workload marginal as its distribution, and that a
-  within-cycle step factorizes into a diagonal (express - capacity) shift, a
-  deterministic relocation of heavy overflow to the truncation boundary, and
-  a regular-order convolution along columns.  One policy evaluation is then
-  T - 1 cheap dense-array pushes, which is what makes exhaustive fee-grid
-  searches tractable.
+* express plus regular arrivals always total Poisson(lam), whatever the fee,
+  so the total workload x_s is a policy-free 1-D chain clamped at the bound.
+  Its stationary law (one GTH solve) is the x_s marginal at every age, and
+  it alone fixes the truncation bound and every rejection measure;
+* at age 0 the joint state is diagonal (the deadline reset makes x_c = x_s)
+  with that law on the diagonal, and a within-cycle step factorizes into a
+  diagonal (express - capacity) shift, a deterministic relocation of heavy
+  overflow to the truncation boundary, and a regular-order convolution
+  along columns.  One policy evaluation is then T - 1 dense-array pushes,
+  which is what makes exhaustive fee-grid searches tractable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .choice import ChoiceModel, split_rates
 from .distributions import CapacitySpec, Pmf, discretized_beta, poisson_pmf
@@ -35,7 +34,7 @@ from .errors import CapacityInfeasibleError, NumericsError, ParameterError
 from .policies import FeeStructure
 
 # Poisson supports are truncated at this residual tail mass (folded onto the
-# last support point), keeping every kernel row exactly stochastic.
+# last support point), keeping every transition exactly mass-conserving.
 TAIL_EPS = 1e-12
 
 
@@ -53,6 +52,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.period_length < 2:
             raise ParameterError("period_length must be at least 2")
+        for name in ("lam", "penalty", "rejection_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.lam < 0.0:
             raise ParameterError("arrival rate must be nonnegative")
         if self.penalty < 0.0:
@@ -97,32 +99,6 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class AgeIncome:
-    """Arrival split at one age: express/regular pmfs and the posted fee."""
-
-    fee: float
-    express_rate: float
-    express: Pmf
-    regular: Pmf
-
-
-def age_incomes(scenario: Scenario, policy: FeeStructure) -> tuple[AgeIncome, ...]:
-    """Per-age truncated express/regular order pmfs under a policy."""
-    if policy.period_length != scenario.period_length:
-        raise ParameterError(
-            f"policy covers {policy.period_length} ages, scenario has "
-            f"{scenario.period_length}"
-        )
-    out = []
-    for fee in policy.fees:
-        e_rate, r_rate = split_rates(scenario.choice, scenario.lam, fee)
-        out.append(
-            AgeIncome(fee, e_rate, poisson_pmf(e_rate, TAIL_EPS), poisson_pmf(r_rate, TAIL_EPS))
-        )
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # State enumeration: states (x_c, x_s) with 0 <= x_c <= x_s <= bound, ordered
 # by total workload then deadline count.
@@ -130,11 +106,6 @@ def age_incomes(scenario: Scenario, policy: FeeStructure) -> tuple[AgeIncome, ..
 
 def state_count(bound: int) -> int:
     return (bound + 1) * (bound + 2) // 2
-
-
-def state_index(x_c, x_s):
-    """Flat index of state (x_c, x_s); accepts scalars or arrays."""
-    return x_s * (x_s + 1) // 2 + x_c
 
 
 def state_pairs(bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +188,7 @@ def _workload_matrix(v: np.ndarray, origin: int, bound: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structural fast path.
+# Structural evaluator.
 
 
 class _AgeStep:
@@ -241,20 +212,11 @@ class _AgeStep:
         self.r = regular.mass
         self.emax = express.support_max
         self._u_tails = _suffix_tails(self.u)
-        # total one-step workload shift v = e + r - b, reused for rejection
-        # probabilities and the deadline reset
-        self.v = np.convolve(self.u, self.r)
-        self._v_tails = _suffix_tails(self.v)
 
     def u_tail(self, m: int) -> float:
         """P(u > m)."""
         idx = min(max(m + self.nb + 1, 0), self.u.size)
         return float(self._u_tails[idx])
-
-    def v_tail(self, m: int) -> float:
-        """P(v > m)."""
-        idx = min(max(m + self.nb + 1, 0), self.v.size)
-        return float(self._v_tails[idx])
 
     def push(self, J: np.ndarray) -> np.ndarray:
         N = self.bound + 1
@@ -289,18 +251,6 @@ class _AgeStep:
         out[0, :] = core[: nb + 1, :].sum(axis=0)
         out[1:, :] = core[nb + 1 :, :]
         return out
-
-    def deadline_push(self, J: np.ndarray) -> np.ndarray:
-        """Deadline transition: x_c resets to x_s, which moves by v (clamped)."""
-        m = J.sum(axis=0)
-        N = self.bound + 1
-        vals = np.arange(self.v.size) - self.nb
-        m2 = np.zeros(N)
-        for x in range(N):
-            if m[x] == 0.0:
-                continue
-            np.add.at(m2, np.clip(x + vals, 0, self.bound), m[x] * self.v)
-        return np.diag(m2)
 
 
 def _backorder_matrix(
@@ -376,9 +326,11 @@ class PolicyEvaluator:
 
     Caches the per-fee transition operators and deadline matrices, and walks
     fee vectors in sorted order so that policies sharing a fee prefix share
-    the corresponding pushes.  The age-0 state is diag(m) with m the
-    stationary total-workload marginal, which is policy independent: express
-    plus regular arrivals always total Poisson(lam) regardless of the fee.
+    the corresponding pushes.  ``workload`` is the stationary law of the
+    total workload x_s, which is the same at every age and for every policy:
+    express plus regular arrivals always total Poisson(lam) regardless of
+    the fee.  It is the age-0 state, diag(workload), and the only input of
+    the rejection measures.
     """
 
     def __init__(self, scenario: Scenario, bound: int):
@@ -389,13 +341,17 @@ class PolicyEvaluator:
         self._steps: dict[float, _AgeStep] = {}
         self._gmats: dict[tuple[float, bool], np.ndarray] = {}
         self._rates: dict[float, float] = {}
+        self._express_pmfs: dict[float, Pmf] = {}
         demand = poisson_pmf(scenario.lam, TAIL_EPS)
-        v = np.convolve(demand.mass, scenario.capacity.mass[::-1])
-        nb = scenario.capacity.support_max
+        # one-period workload shift V = demand - capacity; _shift[nb] = P(V = 0)
+        self._nb = scenario.capacity.support_max
+        self._shift = np.convolve(demand.mass, scenario.capacity.mass[::-1])
         if bound == 0:
             self.workload = np.array([1.0])
         else:
-            self.workload = _gth_stationary(_workload_matrix(v, nb, bound))
+            self.workload = _gth_stationary(
+                _workload_matrix(self._shift, self._nb, bound)
+            )
         self._root = np.diag(self.workload)
 
     # -- caches ------------------------------------------------------------
@@ -406,12 +362,16 @@ class PolicyEvaluator:
             self._rates[fee] = e_rate
         return self._rates[fee]
 
+    def _express(self, fee: float) -> Pmf:
+        if fee not in self._express_pmfs:
+            self._express_pmfs[fee] = poisson_pmf(self._rate(fee), TAIL_EPS)
+        return self._express_pmfs[fee]
+
     def _step(self, fee: float) -> _AgeStep:
         if fee not in self._steps:
-            e_rate = self._rate(fee)
             self._steps[fee] = _AgeStep(
-                poisson_pmf(e_rate, TAIL_EPS),
-                poisson_pmf(self.scenario.lam - e_rate, TAIL_EPS),
+                self._express(fee),
+                poisson_pmf(self.scenario.lam - self._rate(fee), TAIL_EPS),
                 self.scenario.capacity,
                 self.bound,
             )
@@ -420,14 +380,46 @@ class PolicyEvaluator:
     def _gmat(self, fee: float, adjusted: bool = True) -> np.ndarray:
         key = (fee, adjusted)
         if key not in self._gmats:
-            e_rate = self._rate(fee)
             self._gmats[key] = _backorder_matrix(
-                poisson_pmf(e_rate, TAIL_EPS),
-                self.scenario.capacity,
-                self.bound,
-                adjusted,
+                self._express(fee), self.scenario.capacity, self.bound, adjusted
             )
         return self._gmats[key]
+
+    # -- rejection measures (policy free) ------------------------------------
+
+    def rejection_probability(self) -> float:
+        """Stationary per-period probability that the bound rejects an order."""
+        tails = _suffix_tails(self._shift)
+        headroom = self.bound - np.arange(self.bound + 1)
+        idx = np.minimum(headroom + self._nb + 1, self._shift.size)
+        return float(self.workload @ tails[idx])
+
+    def expected_rejected_per_cycle(self) -> float:
+        """Expected number of rejected orders per operating cycle."""
+        vals = np.arange(self._shift.size) - self._nb
+        headroom = self.bound - np.arange(self.bound + 1)
+        excess = np.maximum(vals[None, :] - headroom[:, None], 0.0) @ self._shift
+        return self.scenario.period_length * float(self.workload @ excess)
+
+    def express_loss(self, fee: float) -> float:
+        """Expected express orders rejected in one period posting this fee.
+
+        Regular orders are rejected first, so the express loss at workload
+        x_s is min(E, (x_s + E - B - bound)^+), independent of the regular
+        count.
+        """
+        e = self._express(fee).mass
+        cap = self.scenario.capacity.mass
+        e_vals = np.arange(e.size)[:, None]
+        excess = (
+            np.arange(self.bound + 1)[:, None, None]
+            + e_vals
+            - np.arange(cap.size)
+            - self.bound
+        )
+        lost = np.minimum(e_vals, np.maximum(excess, 0))
+        per_state = np.sum(lost * np.outer(e, cap), axis=(1, 2))
+        return float(self.workload @ per_state)
 
     # -- evaluation --------------------------------------------------------
 
@@ -504,190 +496,29 @@ def steady_state(
     return PolicyEvaluator(scenario, bound).distribution(policy.fees)
 
 
-# ---------------------------------------------------------------------------
-# Generic kernel path.
-
-
-@dataclass(frozen=True)
-class TruncatedKernel:
-    """Per-age sparse transition kernels over the triangular enumeration.
-
-    rejection_mass_per_age[tau][i] is the probability that the next step from
-    state i at age tau overflows the bound (some order is rejected);
-    expected_rejected_per_age[tau][i] is the expected number of rejected
-    orders on that step.
-    """
-
-    bound: int
-    per_age: tuple[sparse.csr_matrix, ...]
-    rejection_mass_per_age: tuple[np.ndarray, ...]
-    expected_rejected_per_age: tuple[np.ndarray, ...]
-
-    @property
-    def period_length(self) -> int:
-        return len(self.per_age)
-
-
-def build_kernel(
-    scenario: Scenario, policy: FeeStructure, bound: int
-) -> TruncatedKernel:
-    """Materialize the truncated per-age kernels for one policy.
-
-    Rows enumerate (x_c, x_s) with x_c <= x_s <= bound; every row sums to one
-    exactly because arrival pmfs are tail-folded before use.
-    """
-    if bound < 1:
-        raise ParameterError("bound must be at least 1")
-    incomes = age_incomes(scenario, policy)
-    cap = scenario.capacity
-    nb = cap.support_max
-    S = state_count(bound)
-    T = scenario.period_length
-    kernels = []
-    overflow = []
-    rejected = []
-    for tau in range(T):
-        inc = incomes[tau]
-        u = np.convolve(inc.express.mass, cap.mass[::-1])
-        u_vals = np.arange(u.size) - nb
-        u_tails = _suffix_tails(u)
-        r = inc.regular.mass
-        r_vals = np.arange(r.size)
-        v = np.convolve(u, r)
-        v_vals = np.arange(v.size) - nb
-        v_tails = _suffix_tails(v)
-        rows_acc, cols_acc, data_acc = [], [], []
-        over = np.empty(S)
-        rej = np.empty(S)
-        for s in range(bound + 1):
-            src = state_index(np.arange(s + 1), s)
-            headroom = bound - s
-            idx_tail = min(headroom + nb + 1, v.size)
-            over[src] = v_tails[idx_tail]
-            rej[src] = np.maximum(v_vals - headroom, 0.0) @ v
-            if tau == T - 1:
-                dest_tot = np.clip(s + v_vals, 0, bound)
-                dest = state_index(dest_tot, dest_tot)
-                rows_acc.append(np.repeat(src, v.size))
-                cols_acc.append(np.tile(dest, s + 1))
-                data_acc.append(np.tile(v, s + 1))
-                continue
-            keep = u_vals <= headroom
-            ub, wb = u_vals[keep], u[keep]
-            cols3 = np.clip(s + ub[:, None] + r_vals[None, :], 0, bound)
-            rows2 = np.maximum(np.arange(s + 1)[:, None] + ub[None, :], 0)
-            dest = state_index(
-                rows2[:, :, None], np.broadcast_to(cols3, (s + 1, ub.size, r.size))
-            )
-            w3 = np.broadcast_to(
-                (wb[:, None] * r[None, :])[None, :, :], dest.shape
-            )
-            rows_acc.append(np.repeat(src, ub.size * r.size))
-            cols_acc.append(dest.ravel())
-            data_acc.append(w3.ravel().copy())
-            t_heavy = u_tails[min(headroom + nb + 1, u.size)]
-            if t_heavy > 0.0:
-                dest_h = state_index(np.arange(s + 1) + headroom, bound)
-                rows_acc.append(src)
-                cols_acc.append(dest_h)
-                data_acc.append(np.full(s + 1, t_heavy))
-        mat = sparse.coo_matrix(
-            (
-                np.concatenate(data_acc),
-                (np.concatenate(rows_acc), np.concatenate(cols_acc)),
-            ),
-            shape=(S, S),
-        ).tocsr()
-        mat.sum_duplicates()
-        kernels.append(mat)
-        overflow.append(over)
-        rejected.append(rej)
-    return TruncatedKernel(bound, tuple(kernels), tuple(overflow), tuple(rejected))
-
-
-def stationary(
-    kernel: TruncatedKernel,
-    initial: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_cycles: int = 10**6,
-) -> StationaryDistribution:
-    """Stationary per-age distribution by power iteration on the cycle map.
-
-    Iterates the age-0 vector through one full cycle per step until the L1
-    change drops below tol; a 0.5 damping factor kicks in only if the
-    residual starts oscillating.  Raises on non-convergence.
-    """
-    S = kernel.per_age[0].shape[0]
-    transposed = [P.T.tocsr() for P in kernel.per_age]
-    if initial is None:
-        v = np.full(S, 1.0 / S)
-    else:
-        v = np.asarray(initial, dtype=float).copy()
-        if v.shape != (S,) or np.any(v < 0.0) or v.sum() <= 0.0:
-            raise ParameterError("initial vector must be a nonnegative pmf")
-        v /= v.sum()
-    prev_diff = np.inf
-    damp = False
-    for _ in range(max_cycles):
-        w = v
-        for Pt in transposed:
-            w = Pt @ w
-        w = w / w.sum()
-        diff = float(np.abs(w - v).sum())
-        if diff <= tol:
-            v = w
-            break
-        if diff > prev_diff and not damp:
-            damp = True
-        v = 0.5 * (v + w) if damp else w
-        prev_diff = diff
-    else:
-        raise NumericsError(
-            f"power iteration did not reach tol={tol:g} in {max_cycles} cycles "
-            f"(residual {diff:.3g})"
-        )
-    per_age = [v]
-    cur = v
-    for Pt in transposed[:-1]:
-        cur = Pt @ cur
-        cur = cur / cur.sum()
-        per_age.append(cur)
-    return StationaryDistribution(kernel.bound, tuple(per_age))
 
 
 # ---------------------------------------------------------------------------
 # Truncation bound search.
 
 
-def _cycle_rejection(scenario: Scenario, policy: FeeStructure, bound: int) -> float:
-    """Stationary per-period probability of rejecting at least one order."""
-    ev = PolicyEvaluator(scenario, bound)
-    joints = ev.joints(policy.fees)
-    total = 0.0
-    for tau, J in enumerate(joints):
-        step = ev._step(policy.fees[tau])
-        m = J.sum(axis=0)
-        idx = np.minimum(bound - np.arange(bound + 1) + step.nb + 1, step.v.size)
-        total += float(m @ step._v_tails[idx])
-    return total / scenario.period_length
-
-
-def find_bound(
-    scenario: Scenario, policy: FeeStructure, hard_cap: int = 2000
-) -> int:
+def find_bound(scenario: Scenario, hard_cap: int = 2000) -> int:
     """Smallest workload bound keeping the rejection probability acceptable.
 
-    Exponential bracketing followed by bisection; monotonicity of the
-    rejection probability in the bound is assumed, checked against all
-    probes, and on violation the search falls back to a linear scan upward.
-    Raises CapacityInfeasibleError if even hard_cap is not enough.
+    Rejection depends on the policy-free workload law only, so the bound
+    serves every policy of the scenario; each probe is one evaluator set-up
+    (a 1-D solve).  Exponential bracketing followed by bisection;
+    monotonicity of the rejection probability in the bound is assumed,
+    checked against all probes, and on violation the search falls back to a
+    linear scan upward.  Raises CapacityInfeasibleError if even hard_cap is
+    not enough.
     """
     threshold = scenario.rejection_threshold
     probes: dict[int, float] = {}
 
     def rej(b: int) -> float:
         if b not in probes:
-            probes[b] = _cycle_rejection(scenario, policy, b)
+            probes[b] = PolicyEvaluator(scenario, b).rejection_probability()
         return probes[b]
 
     def monotone() -> bool:

@@ -23,6 +23,9 @@ class ChoiceModel:
     u_max: float
 
     def __post_init__(self) -> None:
+        for name in ("regular_price", "u_min", "u_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.regular_price < 0.0:
             raise ParameterError("regular_price must be nonnegative")
         if not 0.0 <= self.u_min <= self.u_max:

@@ -12,12 +12,14 @@ Subcommands:
 Scenarios come from a JSON config (--config) or a bundled preset
 (--preset); reproduction commands run every preset when neither is given.
 JSON uses Python float repr (shortest round-trip, at most 17 significant
-digits), so emitted reports re-parse bit-exactly.  CSV uses '.' decimals,
+digits), so emitted reports re-parse bit-exactly; non-finite values (an
+undefined mean delay, the runner-up gap of a one-candidate grid) are written
+as null, so the output is strict JSON.  CSV uses '.' decimals,
 comma delimiters, and a header row.  "Benefit" columns are relative profit
 deviations 100*(a-b)/|b|; the absolute value keeps the sign meaningful for
 loss-making baselines.  Exit codes: 0 success, 1 validation failure, 2
-numerical failure.  Environment: SHIPFEES_THREADS caps BLAS threads when
---threads is not given; SHIPFEES_OUT_DIR anchors relative --out paths.
+numerical failure.  Environment: SHIPFEES_OUT_DIR anchors relative --out
+paths.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import numpy as np
 from .chain import (
     PolicyEvaluator,
     Scenario,
-    _cycle_rejection,
-    build_kernel,
+    _workload_matrix,
     find_bound,
     steady_state,
 )
@@ -211,10 +212,10 @@ class Experiment:
             return self.grid
         return SearchGrid.default(self.scenario.period_length)
 
-    def shared_bound(self, policy: FeeStructure) -> int:
+    def shared_bound(self) -> int:
         if self.bound is not None:
             return self.bound
-        return find_bound(self.scenario, policy)
+        return find_bound(self.scenario)
 
     def policy(self) -> FeeStructure:
         block = _block(self.raw, "", "policy")
@@ -306,8 +307,19 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _strict(obj):
+    """Copy of a JSON payload with non-finite floats replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(_strict(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -388,14 +400,8 @@ def cmd_optimize(args) -> int:
     block = _block(exp.raw, "", "optimize", required=False) or {}
     family = block.get("family", "TSP")
     grid = exp.search_grid()
-    probe = build_policy(
-        "CSP",
-        revenue_max_fee(exp.scenario.choice),
-        exp.scenario.period_length,
-        exp.scenario.choice.u_max,
-    )
     opt = optimize_family(
-        exp.scenario, family, grid, bound=exp.shared_bound(probe)
+        exp.scenario, family, grid, bound=exp.shared_bound()
     )
     payload = {
         "family": opt.family,
@@ -470,7 +476,7 @@ def _table2_rows(exp: Experiment) -> list[dict]:
     grid = exp.search_grid()
     f_rm = revenue_max_fee(sc.choice)
     csp_policy = build_policy("CSP", f_rm, T, u_max)
-    bound = exp.shared_bound(csp_policy)
+    bound = exp.shared_bound()
     csp = evaluate_policy(sc, csp_policy, bound=bound)
     cf = optimize_family(
         sc, "TSP_CF_star", SearchGrid((f_rm,), grid.cutoff_range), bound=bound
@@ -551,9 +557,7 @@ def _table3_rows(exp: Experiment) -> list[dict]:
     sc = exp.scenario
     T = sc.period_length
     grid = exp.search_grid()
-    bound = exp.shared_bound(
-        build_policy("CSP", revenue_max_fee(sc.choice), T, sc.choice.u_max)
-    )
+    bound = exp.shared_bound()
     cutoffs = [tc for tc in (T - 1, T - 2, T - 3) if tc >= 1]
     opts = [
         optimize_family(
@@ -609,9 +613,7 @@ def _sweep_rows(exp: Experiment) -> list[list]:
     grid = exp.search_grid()
     fees = grid.fee_values
     tc = T - 1
-    bound = exp.shared_bound(
-        build_policy("CSP", revenue_max_fee(sc.choice), T, u_max)
-    )
+    bound = exp.shared_bound()
     evaluator = PolicyEvaluator(sc, bound)
 
     triples = [
@@ -669,6 +671,7 @@ def cmd_sweep_figures(args) -> int:
 def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
     choice = ChoiceModel(4.0, 0.0, 4.0)
     sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
+    bound = find_bound(sc)
     worst = 0.0
     for _ in range(50):
         cutoff = int(rng.integers(0, sc.period_length))
@@ -677,7 +680,6 @@ def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
         )
         canon = canonicalize(cutoff, partial, sc.period_length, choice.u_max)
         cut = cutoff_form(cutoff, partial, sc.period_length)
-        bound = find_bound(sc, canon)
         a = evaluate_policy(sc, canon, bound=bound).as_dict()
         b = evaluate_policy(sc, cut, bound=bound).as_dict()
         for key, av in a.items():
@@ -756,20 +758,27 @@ def _verify_monotone_grid(
 def _verify_kernel(lines: list[str]) -> bool:
     choice = ChoiceModel(4.0, 0.0, 4.0)
     sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
-    policy = build_policy("CSP", 2.0, 4, choice.u_max)
-    bound = find_bound(sc, policy)
-    kernel = build_kernel(sc, policy, bound)
-    worst = max(
-        float(np.max(np.abs(mat.sum(axis=1) - 1.0))) for mat in kernel.per_age
+    bound = find_bound(sc)
+    ev = PolicyEvaluator(sc, bound)
+    W = _workload_matrix(ev._shift, ev._nb, bound)
+    worst_row = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
+    pols = [
+        build_policy("CSP", 2.0, 4, choice.u_max),
+        build_policy("TSP", SimpleTspParams(1.0, 3.0, 1, 2), 4, choice.u_max),
+        FeeStructure(4, (0.0, 4.0, 2.5, math.inf)),
+    ]
+    worst_mass = max(
+        abs(float(J.sum()) - 1.0) for p in pols for J in ev.joints(p.fees)
     )
-    minimal = _cycle_rejection(sc, policy, bound) <= sc.rejection_threshold and (
-        bound == 0
-        or _cycle_rejection(sc, policy, bound - 1) > sc.rejection_threshold
+    thr = sc.rejection_threshold
+    minimal = ev.rejection_probability() <= thr and (
+        bound == 1 or PolicyEvaluator(sc, bound - 1).rejection_probability() > thr
     )
-    ok = worst <= 1e-12 and minimal
+    ok = worst_row <= 1e-12 and worst_mass <= 1e-12 and minimal
     lines.append(
-        f"{'PASS' if ok else 'FAIL'} kernel-truncation: max |row sum - 1| = "
-        f"{worst:.3e} (tol 1e-12); bound {bound} minimal: {minimal}"
+        f"{'PASS' if ok else 'FAIL'} kernel-truncation: max |workload row sum - 1| "
+        f"= {worst_row:.3e}, max |push mass - 1| = {worst_mass:.3e} (tol 1e-12); "
+        f"bound {bound} minimal: {minimal}"
     )
     return ok
 
@@ -801,7 +810,7 @@ def _verify_oracle(seed: int, lines: list[str]) -> bool:
     choice = ChoiceModel(4.0, 0.0, 4.0)
     sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
     policy = build_policy("CSP", 2.0, 4, choice.u_max)
-    bound = find_bound(sc, policy)
+    bound = find_bound(sc)
     exact = evaluate_policy(sc, policy, bound=bound)
     rec = simulate(
         sc, policy, SimConfig(cycles=51_000, warmup_cycles=1000, seed=seed,
@@ -839,38 +848,12 @@ def cmd_verify(args) -> int:
 # Entry point.
 
 
-def _apply_threads(flag_value: int | None) -> None:
-    n = flag_value
-    if n is None:
-        env = os.environ.get("SHIPFEES_THREADS")
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ParameterError(
-                    f"SHIPFEES_THREADS: expected an integer, got {env!r}"
-                ) from exc
-    if n is None:
-        return
-    if n < 1:
-        raise ParameterError("--threads: must be a positive integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to an experiment config JSON")
     common.add_argument("--preset", help=f"bundled preset: {', '.join(PRESETS)}")
     common.add_argument("--out", help="output path (stdout when omitted)")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--threads", type=int, help="cap BLAS thread pools")
     common.add_argument("--seed", type=int, help="override the random seed")
     common.add_argument(
         "--rejection-threshold",
@@ -906,7 +889,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     args.all_presets_default = False
     try:
-        _apply_threads(args.threads)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

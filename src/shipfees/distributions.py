@@ -2,9 +2,8 @@
 
 Everything downstream (the periodic chain, the exact measures, the Monte
 Carlo oracle) consumes finite pmfs on {0, ..., n}.  This module provides the
-pmf value type plus the three constructions the model needs: tail-folded
-truncated Poisson pmfs, a moment-matched Beta capacity discretization, and
-the one-step surplus distribution (base + income - capacity)^+.
+pmf value type plus the two constructions the model needs: tail-folded
+truncated Poisson pmfs and a moment-matched Beta capacity discretization.
 """
 
 from __future__ import annotations
@@ -158,16 +157,3 @@ def discretized_beta(spec: CapacitySpec) -> Pmf:
     masses = np.diff(special.betainc(alpha, beta, edges))
     masses = np.clip(masses, 0.0, None)
     return Pmf(masses / masses.sum())
-
-
-def surplus_pmf(base: int, income: Pmf, capacity: Pmf) -> Pmf:
-    """Distribution of (base + income - capacity)^+ for independent draws."""
-    if base < 0:
-        raise ParameterError("base must be nonnegative")
-    out = np.zeros(base + income.support_max + 1)
-    for c, pc in enumerate(capacity.mass):
-        if pc == 0.0:
-            continue
-        vals = base + np.arange(income.support_max + 1) - c
-        np.add.at(out, np.maximum(vals, 0), pc * income.mass)
-    return Pmf(out / out.sum())

@@ -16,14 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import chain
-from .chain import (
-    PolicyEvaluator,
-    Scenario,
-    StationaryDistribution,
-    age_incomes,
-    find_bound,
-)
+from .chain import PolicyEvaluator, Scenario, find_bound
 from .errors import ParameterError, UndefinedMeasureError
 from .policies import FeeStructure
 
@@ -58,73 +51,6 @@ class PerformanceReport:
         return out
 
 
-def expected_backorders(
-    pi: StationaryDistribution,
-    scenario: Scenario,
-    policy: FeeStructure,
-    adjusted: bool = True,
-) -> float:
-    """E[M]: expected orders missing their deadline, per cycle."""
-    incomes = age_incomes(scenario, policy)
-    G = chain._backorder_matrix(
-        incomes[-1].express, scenario.capacity, pi.bound, adjusted
-    )
-    J = pi.joint(scenario.period_length - 1)
-    return float(np.sum(J * G))
-
-
-def variable_profit(
-    pi: StationaryDistribution, scenario: Scenario, policy: FeeStructure
-) -> float:
-    """Expected express revenue minus backorder penalty cost, per cycle."""
-    revenue = 0.0
-    for inc in age_incomes(scenario, policy):
-        if inc.express_rate > 0.0:
-            revenue += inc.fee * inc.express_rate
-    return revenue - scenario.penalty * expected_backorders(pi, scenario, policy)
-
-
-def rejection_probability(
-    pi: StationaryDistribution, scenario: Scenario, policy: FeeStructure
-) -> float:
-    """Stationary per-period probability that the bound rejects an order."""
-    incomes = age_incomes(scenario, policy)
-    bound = pi.bound
-    cap = scenario.capacity
-    nb = cap.support_max
-    total = 0.0
-    for tau, inc in enumerate(incomes):
-        v = np.convolve(
-            np.convolve(inc.express.mass, inc.regular.mass), cap.mass[::-1]
-        )
-        tails = chain._suffix_tails(v)
-        m = pi.workload_marginal(tau)
-        idx = np.minimum(bound - np.arange(bound + 1) + nb + 1, v.size)
-        total += float(m @ tails[idx])
-    return total / scenario.period_length
-
-
-def expected_rejected_per_cycle(
-    pi: StationaryDistribution, scenario: Scenario, policy: FeeStructure
-) -> float:
-    """Expected number of rejected orders per operating cycle."""
-    incomes = age_incomes(scenario, policy)
-    bound = pi.bound
-    cap = scenario.capacity
-    nb = cap.support_max
-    total = 0.0
-    for tau, inc in enumerate(incomes):
-        v = np.convolve(
-            np.convolve(inc.express.mass, inc.regular.mass), cap.mass[::-1]
-        )
-        v_vals = np.arange(v.size) - nb
-        m = pi.workload_marginal(tau)
-        headroom = bound - np.arange(bound + 1)
-        excess = np.maximum(v_vals[None, :] - headroom[:, None], 0.0) @ v
-        total += float(m @ excess)
-    return total
-
-
 def mean_delay(expected_backorders: float, lam: float) -> float:
     """Average lateness per arriving order, in operating cycles."""
     if lam <= 0.0:
@@ -134,38 +60,6 @@ def mean_delay(expected_backorders: float, lam: float) -> float:
     return expected_backorders / lam
 
 
-def _express_losses(
-    pi: StationaryDistribution, scenario: Scenario, policy: FeeStructure
-) -> list[float]:
-    """Expected express orders rejected at each age.
-
-    Regular orders are rejected first, so the express loss at workload x_s is
-    min(E, (x_s + E - B - bound)^+), independent of the regular count.
-    """
-    incomes = age_incomes(scenario, policy)
-    cap = scenario.capacity.mass
-    bound = pi.bound
-    b_vals = np.arange(cap.size)
-    losses = []
-    for tau, inc in enumerate(incomes):
-        e = inc.express.mass
-        if e.size == 1:
-            losses.append(0.0)
-            continue
-        e_vals = np.arange(e.size)
-        weights = np.outer(e, cap)
-        m = pi.workload_marginal(tau)
-        total = 0.0
-        for s in range(bound + 1):
-            if m[s] == 0.0:
-                continue
-            excess = np.maximum(s + e_vals[:, None] - b_vals[None, :] - bound, 0.0)
-            lost = np.minimum(e_vals[:, None], excess)
-            total += m[s] * float(np.sum(weights * lost))
-        losses.append(float(total))
-    return losses
-
-
 def evaluate_policy(
     scenario: Scenario,
     policy: FeeStructure,
@@ -173,22 +67,17 @@ def evaluate_policy(
 ) -> PerformanceReport:
     """Full stationary report for one policy; finds the bound if not given."""
     if bound is None:
-        bound = find_bound(scenario, policy)
+        bound = find_bound(scenario)
     ev = PolicyEvaluator(scenario, bound)
-    pi = ev.distribution(policy.fees)
-    incomes = age_incomes(scenario, policy)
-
-    backorders_adj = expected_backorders(pi, scenario, policy, adjusted=True)
-    backorders_raw = expected_backorders(pi, scenario, policy, adjusted=False)
-    rates = tuple(inc.express_rate for inc in incomes)
-    revenue = sum(
-        inc.fee * inc.express_rate for inc in incomes if inc.express_rate > 0.0
-    )
-    losses = _express_losses(pi, scenario, policy)
-    rates_adj = tuple(max(r - l, 0.0) for r, l in zip(rates, losses))
-    revenue_adj = sum(
-        inc.fee * r for inc, r in zip(incomes, rates_adj) if r > 0.0
-    )
+    fees = policy.fees
+    J = ev.joints(fees)[-1]
+    backorders_adj = float(np.sum(J * ev._gmat(fees[-1], adjusted=True)))
+    backorders_raw = float(np.sum(J * ev._gmat(fees[-1], adjusted=False)))
+    rates = tuple(ev._rate(fee) for fee in fees)
+    revenue = ev.revenue(fees)
+    losses = {fee: ev.express_loss(fee) for fee in set(fees)}
+    rates_adj = tuple(max(r - losses[fee], 0.0) for fee, r in zip(fees, rates))
+    revenue_adj = sum(fee * r for fee, r in zip(fees, rates_adj) if r > 0.0)
     delay = (
         backorders_adj / scenario.lam if scenario.lam > 0.0 else math.nan
     )
@@ -201,10 +90,8 @@ def evaluate_policy(
         * scenario.choice.regular_price,
         revenue=revenue,
         revenue_adjusted=revenue_adj,
-        rejection_probability=rejection_probability(pi, scenario, policy),
-        expected_rejected_per_cycle=expected_rejected_per_cycle(
-            pi, scenario, policy
-        ),
+        rejection_probability=ev.rejection_probability(),
+        expected_rejected_per_cycle=ev.expected_rejected_per_cycle(),
         mean_delay=delay,
         per_age_express_rate=rates,
         per_age_express_rate_adjusted=rates_adj,

@@ -162,7 +162,7 @@ def optimize_family(
     grid = _validated_grid(scenario, grid)
     params_list, policies, keys = _candidates(scenario, family, grid)
     if bound is None:
-        bound = find_bound(scenario, policies[0])
+        bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
     profits, _ = evaluator.profits_batch([p.fees for p in policies])
     pmax = float(np.max(profits))
@@ -207,7 +207,7 @@ def exhaustive_fee_vector_search(
         )
     vectors = list(itertools.product(grid.fee_values, repeat=T))
     if bound is None:
-        bound = find_bound(scenario, FeeStructure(T, vectors[0]))
+        bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
     profits, _ = evaluator.profits_batch(vectors)
     pmax = float(np.max(profits))
@@ -259,7 +259,7 @@ def dominance_experiment(
             "profiles must accumulate equal total express demand"
         )
     if bound is None:
-        bound = find_bound(scenario, policy)
+        bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
     backorders = evaluator.backorders(policy.fees)
     backorders_prime = evaluator.backorders(policy_prime.fees)

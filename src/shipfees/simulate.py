@@ -92,7 +92,7 @@ def simulate(
         raise ParameterError("policy and scenario cycle lengths differ")
     bound = config.bound
     if bound is None:
-        bound = find_bound(scenario, policy)
+        bound = find_bound(scenario)
     T = scenario.period_length
     measured = config.cycles - config.warmup_cycles
     streams = min(config.streams, measured)

@@ -1,0 +1,206 @@
+"""Generic sparse-kernel oracle for the truncated periodic chain.
+
+A second, independent representation of the dynamics: ``build_kernel``
+materializes the per-age transition kernels over the triangular state
+enumeration (the last age folds in the deadline reset) and ``stationary``
+power-iterates the cycle map.  The package evaluates policies with the
+structural pushes of ``shipfees.chain`` instead; the tests compare the two,
+and both against the dense enumeration in ``bruteforce.py``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import sparse
+
+from shipfees.chain import (
+    TAIL_EPS,
+    Scenario,
+    StationaryDistribution,
+    _suffix_tails,
+    state_count,
+)
+from shipfees.choice import split_rates
+from shipfees.distributions import Pmf, poisson_pmf
+from shipfees.errors import NumericsError, ParameterError
+from shipfees.policies import FeeStructure
+
+
+@dataclass(frozen=True)
+class AgeIncome:
+    """Arrival split at one age: express/regular pmfs and the posted fee."""
+
+    fee: float
+    express_rate: float
+    express: Pmf
+    regular: Pmf
+
+
+def age_incomes(scenario: Scenario, policy: FeeStructure) -> tuple[AgeIncome, ...]:
+    """Per-age truncated express/regular order pmfs under a policy."""
+    if policy.period_length != scenario.period_length:
+        raise ParameterError(
+            f"policy covers {policy.period_length} ages, scenario has "
+            f"{scenario.period_length}"
+        )
+    out = []
+    for fee in policy.fees:
+        e_rate, r_rate = split_rates(scenario.choice, scenario.lam, fee)
+        out.append(
+            AgeIncome(fee, e_rate, poisson_pmf(e_rate, TAIL_EPS), poisson_pmf(r_rate, TAIL_EPS))
+        )
+    return tuple(out)
+
+
+def state_index(x_c, x_s):
+    """Flat index of state (x_c, x_s); accepts scalars or arrays."""
+    return x_s * (x_s + 1) // 2 + x_c
+
+
+@dataclass(frozen=True)
+class TruncatedKernel:
+    """Per-age sparse transition kernels over the triangular enumeration.
+
+    rejection_mass_per_age[tau][i] is the probability that the next step from
+    state i at age tau overflows the bound (some order is rejected);
+    expected_rejected_per_age[tau][i] is the expected number of rejected
+    orders on that step.
+    """
+
+    bound: int
+    per_age: tuple[sparse.csr_matrix, ...]
+    rejection_mass_per_age: tuple[np.ndarray, ...]
+    expected_rejected_per_age: tuple[np.ndarray, ...]
+
+    @property
+    def period_length(self) -> int:
+        return len(self.per_age)
+
+
+def build_kernel(
+    scenario: Scenario, policy: FeeStructure, bound: int
+) -> TruncatedKernel:
+    """Materialize the truncated per-age kernels for one policy.
+
+    Rows enumerate (x_c, x_s) with x_c <= x_s <= bound; every row sums to one
+    exactly because arrival pmfs are tail-folded before use.
+    """
+    if bound < 1:
+        raise ParameterError("bound must be at least 1")
+    incomes = age_incomes(scenario, policy)
+    cap = scenario.capacity
+    nb = cap.support_max
+    S = state_count(bound)
+    T = scenario.period_length
+    kernels = []
+    overflow = []
+    rejected = []
+    for tau in range(T):
+        inc = incomes[tau]
+        u = np.convolve(inc.express.mass, cap.mass[::-1])
+        u_vals = np.arange(u.size) - nb
+        u_tails = _suffix_tails(u)
+        r = inc.regular.mass
+        r_vals = np.arange(r.size)
+        v = np.convolve(u, r)
+        v_vals = np.arange(v.size) - nb
+        v_tails = _suffix_tails(v)
+        rows_acc, cols_acc, data_acc = [], [], []
+        over = np.empty(S)
+        rej = np.empty(S)
+        for s in range(bound + 1):
+            src = state_index(np.arange(s + 1), s)
+            headroom = bound - s
+            idx_tail = min(headroom + nb + 1, v.size)
+            over[src] = v_tails[idx_tail]
+            rej[src] = np.maximum(v_vals - headroom, 0.0) @ v
+            if tau == T - 1:
+                dest_tot = np.clip(s + v_vals, 0, bound)
+                dest = state_index(dest_tot, dest_tot)
+                rows_acc.append(np.repeat(src, v.size))
+                cols_acc.append(np.tile(dest, s + 1))
+                data_acc.append(np.tile(v, s + 1))
+                continue
+            keep = u_vals <= headroom
+            ub, wb = u_vals[keep], u[keep]
+            cols3 = np.clip(s + ub[:, None] + r_vals[None, :], 0, bound)
+            rows2 = np.maximum(np.arange(s + 1)[:, None] + ub[None, :], 0)
+            dest = state_index(
+                rows2[:, :, None], np.broadcast_to(cols3, (s + 1, ub.size, r.size))
+            )
+            w3 = np.broadcast_to(
+                (wb[:, None] * r[None, :])[None, :, :], dest.shape
+            )
+            rows_acc.append(np.repeat(src, ub.size * r.size))
+            cols_acc.append(dest.ravel())
+            data_acc.append(w3.ravel().copy())
+            t_heavy = u_tails[min(headroom + nb + 1, u.size)]
+            if t_heavy > 0.0:
+                dest_h = state_index(np.arange(s + 1) + headroom, bound)
+                rows_acc.append(src)
+                cols_acc.append(dest_h)
+                data_acc.append(np.full(s + 1, t_heavy))
+        mat = sparse.coo_matrix(
+            (
+                np.concatenate(data_acc),
+                (np.concatenate(rows_acc), np.concatenate(cols_acc)),
+            ),
+            shape=(S, S),
+        ).tocsr()
+        mat.sum_duplicates()
+        kernels.append(mat)
+        overflow.append(over)
+        rejected.append(rej)
+    return TruncatedKernel(bound, tuple(kernels), tuple(overflow), tuple(rejected))
+
+
+def stationary(
+    kernel: TruncatedKernel,
+    initial: np.ndarray | None = None,
+    tol: float = 1e-12,
+    max_cycles: int = 10**6,
+) -> StationaryDistribution:
+    """Stationary per-age distribution by power iteration on the cycle map.
+
+    Iterates the age-0 vector through one full cycle per step until the L1
+    change drops below tol; a 0.5 damping factor kicks in only if the
+    residual starts oscillating.  Raises on non-convergence.
+    """
+    S = kernel.per_age[0].shape[0]
+    transposed = [P.T.tocsr() for P in kernel.per_age]
+    if initial is None:
+        v = np.full(S, 1.0 / S)
+    else:
+        v = np.asarray(initial, dtype=float).copy()
+        if v.shape != (S,) or np.any(v < 0.0) or v.sum() <= 0.0:
+            raise ParameterError("initial vector must be a nonnegative pmf")
+        v /= v.sum()
+    prev_diff = np.inf
+    damp = False
+    for _ in range(max_cycles):
+        w = v
+        for Pt in transposed:
+            w = Pt @ w
+        w = w / w.sum()
+        diff = float(np.abs(w - v).sum())
+        if diff <= tol:
+            v = w
+            break
+        if diff > prev_diff and not damp:
+            damp = True
+        v = 0.5 * (v + w) if damp else w
+        prev_diff = diff
+    else:
+        raise NumericsError(
+            f"power iteration did not reach tol={tol:g} in {max_cycles} cycles "
+            f"(residual {diff:.3g})"
+        )
+    per_age = [v]
+    cur = v
+    for Pt in transposed[:-1]:
+        cur = Pt @ cur
+        cur = cur / cur.sum()
+        per_age.append(cur)
+    return StationaryDistribution(kernel.bound, tuple(per_age))

@@ -16,10 +16,10 @@ import pytest
 from shipfees import (
     ChoiceModel,
     Pmf,
+    PolicyEvaluator,
     Scenario,
     SearchGrid,
     SimConfig,
-    build_kernel,
     build_policy,
     canonicalize,
     cutoff_form,
@@ -29,11 +29,12 @@ from shipfees import (
     find_bound,
     is_weakly_monotone,
     optimize_family,
-    rejection_probability,
     simulate,
     steady_state,
 )
 from shipfees.policies import FeeStructure
+
+from kernel_oracle import build_kernel
 
 CHOICE = ChoiceModel(regular_price=4.0, u_min=0.0, u_max=4.0)
 T = 8
@@ -329,7 +330,7 @@ def test_criterion_6_demand_dominance():
     worst = -np.inf
     for period in (2, 3, 4):
         sc = Scenario(period, 1.5, capacity, CHOICE, 8.0)
-        bound = find_bound(sc, build_policy("CSP", 2.0, period, CHOICE.u_max))
+        bound = find_bound(sc)
         for _ in range(34 if period == 2 else 33):
             fees = rng.uniform(0.0, 4.0, period)
             front = FeeStructure(period, tuple(float(f) for f in sorted(fees)))
@@ -381,12 +382,9 @@ def test_criterion_8_truncation_correctness(scenarios):
                 assert dev <= 1e-12, f"{name}: row sum off by {dev:.2e}"
                 worst_row = max(worst_row, dev)
 
-        csp = build_policy("CSP", 2.0, T, CHOICE.u_max)
-        found = find_bound(sc, csp)
-        j_at = rejection_probability(steady_state(sc, csp, found), sc, csp)
-        j_below = rejection_probability(
-            steady_state(sc, csp, found - 1), sc, csp
-        )
+        found = find_bound(sc)
+        j_at = PolicyEvaluator(sc, found).rejection_probability()
+        j_below = PolicyEvaluator(sc, found - 1).rejection_probability()
         assert j_at <= sc.rejection_threshold < j_below, (
             f"{name}: bound {found} not minimal "
             f"(J={j_at:.4f}, J(bound-1)={j_below:.4f})"

@@ -1,5 +1,7 @@
 """Truncated periodic chain: transitions, kernels, bounds, stationarity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import shipfees as sf
 from shipfees.chain import state_count, state_pairs
 
 import bruteforce as bf
+import kernel_oracle as ko
 
 
 class TestTransition:
@@ -42,7 +45,7 @@ class TestKernel:
 
     def test_rows_match_brute_matrices(self, micro_scenario):
         pol = sf.FeeStructure(2, (1.5, 2.5))
-        kernel = sf.build_kernel(micro_scenario, pol, self.BOUND)
+        kernel = ko.build_kernel(micro_scenario, pol, self.BOUND)
         mats = bf.cycle_matrices(micro_scenario, pol, self.BOUND)
         for age in range(2):
             dev = np.max(np.abs(kernel.per_age[age].toarray() - mats[age]))
@@ -54,14 +57,14 @@ class TestKernel:
             (make_scenario(0.85, 8.0), sf.build_policy("CSP", 2.0, 8, 4.0), 12),
         ]
         for scenario, pol, bound in cases:
-            kernel = sf.build_kernel(scenario, pol, bound)
+            kernel = ko.build_kernel(scenario, pol, bound)
             for mat in kernel.per_age:
                 sums = np.asarray(mat.sum(axis=1)).ravel()
                 assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_state_enumeration_size(self, micro_scenario):
         pol = sf.FeeStructure(2, (1.5, 2.5))
-        kernel = sf.build_kernel(micro_scenario, pol, self.BOUND)
+        kernel = ko.build_kernel(micro_scenario, pol, self.BOUND)
         n = (self.BOUND + 1) * (self.BOUND + 2) // 2
         assert state_count(self.BOUND) == n
         assert kernel.per_age[0].shape == (n, n)
@@ -70,14 +73,14 @@ class TestKernel:
 
     def test_bound_below_one_rejected(self, micro_scenario):
         with pytest.raises(sf.ParameterError):
-            sf.build_kernel(micro_scenario, sf.FeeStructure(2, (1.5, 2.5)), 0)
+            ko.build_kernel(micro_scenario, sf.FeeStructure(2, (1.5, 2.5)), 0)
 
 
 @pytest.fixture(scope="module")
 def solved(micro_scenario):
     pol = sf.FeeStructure(2, (1.5, 2.5))
-    kernel = sf.build_kernel(micro_scenario, pol, 8)
-    return pol, kernel, sf.stationary(kernel)
+    kernel = ko.build_kernel(micro_scenario, pol, 8)
+    return pol, kernel, ko.stationary(kernel)
 
 
 class TestStationary:
@@ -101,7 +104,7 @@ class TestStationary:
         n = state_count(self.BOUND)
         corner = np.zeros(n)
         corner[-1] = 1.0
-        alt = sf.stationary(kernel, initial=corner)
+        alt = ko.stationary(kernel, initial=corner)
         for age in range(2):
             assert np.max(np.abs(alt.per_age[age] - pi.per_age[age])) < 1e-9
 
@@ -116,6 +119,12 @@ class TestStationary:
             for i, (xc, xs) in enumerate(states):
                 brute[xc, xs] = per_age[age][i]
             assert np.max(np.abs(joint - brute)) < 1e-9
+
+    def test_structural_evaluator_matches_kernel(self, micro_scenario, solved):
+        pol, _, pi = solved
+        ours = sf.steady_state(micro_scenario, pol, self.BOUND)
+        for age in range(2):
+            assert np.max(np.abs(ours.per_age[age] - pi.per_age[age])) < 1e-10
 
     def test_due_now_marginal_resets_at_age_zero(self, solved):
         _, _, pi = solved
@@ -139,26 +148,25 @@ class TestStationary:
 class TestFindBound:
     def test_idle_system(self, choice):
         scenario = sf.Scenario(2, 1e-8, sf.Pmf.point_mass(2), choice, 8.0)
-        assert sf.find_bound(scenario, sf.FeeStructure(2, (2.0, 2.0))) == 1
+        assert sf.find_bound(scenario) == 1
 
     def test_vacuous_threshold(self, choice):
         capacity = sf.Pmf(np.array([0.05, 0.05, 0.9]))
         scenario = sf.Scenario(
             2, 1.5, capacity, choice, 8.0, rejection_threshold=1.0
         )
-        assert sf.find_bound(scenario, sf.FeeStructure(2, (2.0, 2.0))) == 1
+        assert sf.find_bound(scenario) == 1
 
     @pytest.mark.parametrize(
         "rho,expected", [(0.85, 27), (0.90, 35), (0.95, 51)]
     )
     def test_frozen_regression(self, make_scenario, rho, expected):
-        pol = sf.build_policy("CSP", 2.0, 8, 4.0)
-        assert sf.find_bound(make_scenario(rho, 8.0), pol) == expected
+        assert sf.find_bound(make_scenario(rho, 8.0)) == expected
 
     def test_output_is_minimal(self, make_scenario):
         scenario = make_scenario(0.85, 8.0)
         pol = sf.build_policy("CSP", 2.0, 8, 4.0)
-        bound = sf.find_bound(scenario, pol)
+        bound = sf.find_bound(scenario)
         at = sf.evaluate_policy(scenario, pol, bound=bound).rejection_probability
         below = sf.evaluate_policy(
             scenario, pol, bound=bound - 1
@@ -169,7 +177,61 @@ class TestFindBound:
         capacity = sf.Pmf(np.array([0.05, 0.05, 0.9]))
         scenario = sf.Scenario(2, 1.75, capacity, choice, 8.0)
         with pytest.raises(sf.CapacityInfeasibleError):
-            sf.find_bound(scenario, sf.FeeStructure(2, (2.0, 2.0)), hard_cap=2)
+            sf.find_bound(scenario, hard_cap=2)
+
+
+class TestWorkloadLaw:
+    """The policy-free workload vector is the x_s law at every age."""
+
+    @staticmethod
+    def random_fees(rng, scenario):
+        lo, hi = scenario.choice.u_min, scenario.choice.u_max
+        fees = [float(f) for f in rng.uniform(lo, hi, scenario.period_length)]
+        for t in rng.choice(scenario.period_length, size=2, replace=False):
+            fees[t] = float(rng.choice([lo, hi, math.inf]))
+        return tuple(fees)
+
+    def test_every_age_marginal_is_the_workload(self, micro_scenario, make_scenario):
+        rng = np.random.default_rng(29)
+        for scenario, bound in ((micro_scenario, 8), (make_scenario(0.95, 8.0), 51)):
+            ev = sf.PolicyEvaluator(scenario, bound)
+            for fees in [self.random_fees(rng, scenario) for _ in range(8)] + [
+                (scenario.choice.u_min,) * scenario.period_length,
+                (math.inf,) * scenario.period_length,
+            ]:
+                for J in ev.joints(fees):
+                    dev = np.max(np.abs(J.sum(axis=0) - ev.workload))
+                    assert dev <= 1e-12, (fees, dev)
+
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_found_bound_is_minimal_for_brute_force(self, choice, period):
+        capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
+        scenario = sf.Scenario(period, 1.5, capacity, choice, 8.0)
+        bound = sf.find_bound(scenario)
+        threshold = scenario.rejection_threshold
+        rng = np.random.default_rng(period)
+        for fees in ((2.0,) * period, self.random_fees(rng, scenario)):
+            pol = sf.FeeStructure(period, fees)
+            at = bf.brute_report(scenario, pol, bound)["rejection_probability"]
+            below = bf.brute_report(scenario, pol, bound - 1)["rejection_probability"]
+            assert at <= threshold < below, (fees, at, below)
+
+
+class TestScenario:
+    @pytest.mark.parametrize("field", ["lam", "penalty", "rejection_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, micro_scenario, field, value):
+        kwargs = {
+            "period_length": 2,
+            "lam": 1.5,
+            "capacity": micro_scenario.capacity,
+            "choice": micro_scenario.choice,
+            "penalty": 8.0,
+            "rejection_threshold": 0.023,
+        }
+        kwargs[field] = value
+        with pytest.raises(sf.ParameterError, match=field):
+            sf.Scenario(**kwargs)
 
 
 class TestPolicyEvaluator:

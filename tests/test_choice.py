@@ -56,3 +56,11 @@ def test_model_validation():
         sf.ChoiceModel(4.0, -0.5, 2.0)
     with pytest.raises(sf.ParameterError):
         sf.ChoiceModel(-1.0, 0.0, 4.0)
+
+
+@pytest.mark.parametrize("field", ["regular_price", "u_min", "u_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite(field, value):
+    kwargs = {"regular_price": 4.0, "u_min": 0.0, "u_max": 4.0, field: value}
+    with pytest.raises(sf.ParameterError, match=field):
+        sf.ChoiceModel(**kwargs)

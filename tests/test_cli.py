@@ -8,6 +8,7 @@ diagnostics, and the exact emission formats.
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,64 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, "evaluate")
         assert code == 1
         assert "--config" in err and "--preset" in err
+
+
+def strict_json(text):
+    """Parse JSON, failing on NaN/Infinity literals."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_nan_penalty_is_a_parameter_error(self, capsys, tmp_path, command):
+        cfg = load_preset("rho085_c8")
+        cfg["penalty"] = math.nan
+        cfg["grid"]["fee_values"] = [2.0, 3.0]
+        cfg["policy"] = {"family": "CSP", "fee": 2.0}
+        path = tmp_path / "nan_penalty.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "penalty" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+class TestStrictJson:
+    def test_single_candidate_runner_up_gap_is_null(self, capsys, tmp_path):
+        cfg = load_preset("rho085_c8")
+        cfg["grid"] = {"fee_values": [2.0], "cutoff_range": [7, 7]}
+        cfg["optimize"] = {"family": "TSP_CF_star"}
+        path = tmp_path / "one_candidate.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(
+            capsys, "optimize", "--config", str(path), "--format", "json"
+        )
+        assert code == 0
+        res = strict_json(out)
+        assert res["evaluations"] == 1
+        assert res["runner_up_gap"] is None
+
+    def test_idle_mean_delay_is_null(self, capsys, tmp_path):
+        cfg = {
+            "scenario": {"T": 2, "lambda": 0.0, "capacity_pmf": [0.0, 0.0, 1.0]},
+            "choice": {"regular_price": 4.0, "u_min": 0.0, "u_max": 4.0},
+            "penalty": 8.0,
+            "policy": {"family": "CSP", "fee": 2.0},
+        }
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(
+            capsys, "evaluate", "--config", str(path), "--format", "json"
+        )
+        assert code == 0
+        report = strict_json(out)
+        assert report["mean_delay"] is None
+        assert report["expected_backorders"] == 0.0
 
 
 class TestEvaluate:

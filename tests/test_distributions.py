@@ -1,4 +1,4 @@
-"""Truncated Poisson, discretized Beta capacity, and surplus convolutions."""
+"""Truncated Poisson and discretized Beta capacity pmfs."""
 
 import math
 
@@ -73,31 +73,3 @@ class TestDiscretizedBeta:
             for m in (4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
         ]
         assert all(a < b for a, b in zip(achieved, achieved[1:]))
-
-
-class TestSurplus:
-    def test_deterministic_arithmetic(self):
-        out = sf.surplus_pmf(3, sf.Pmf.point_mass(2), sf.Pmf.point_mass(4))
-        assert out.mass[1] == 1.0
-        assert out.mass.sum() == 1.0
-
-    def test_nonpositive_collapses_to_zero(self):
-        cap = sf.discretized_beta(CapacitySpec(20, 10.0, 0.5))
-        out = sf.surplus_pmf(0, sf.Pmf.point_mass(0), cap)
-        assert out.mass[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_poisson_income_head(self):
-        out = sf.surplus_pmf(2, sf.poisson_pmf(1.0), sf.Pmf.point_mass(2))
-        assert out.mass[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_mean_matches_enumeration(self):
-        income = sf.poisson_pmf(2.2)
-        cap = sf.discretized_beta(CapacitySpec(6, 3.0, 0.4))
-        out = sf.surplus_pmf(4, income, cap)
-        brute = sum(
-            qi * qc * max(4 + i - c, 0)
-            for i, qi in enumerate(income.mass)
-            for c, qc in enumerate(cap.mass)
-        )
-        assert out.mean() == pytest.approx(brute, abs=1e-12)
-        assert out.mass.sum() == pytest.approx(1.0, abs=1e-12)

@@ -54,14 +54,13 @@ class TestRejection:
         assert report.expected_rejected_per_cycle < 1e-12
 
     def test_found_bound_meets_threshold(self, micro_scenario):
-        bound = sf.find_bound(micro_scenario, MICRO_POLICY)
+        bound = sf.find_bound(micro_scenario)
         report = sf.evaluate_policy(micro_scenario, MICRO_POLICY, bound=bound)
         assert report.rejection_probability <= 0.023
 
     def test_bound_zero_is_single_step_overflow(self, micro_scenario):
         # with no room, J is the chance one period's demand exceeds capacity
-        pi = sf.StationaryDistribution(0, (np.ones(1), np.ones(1)))
-        got = sf.rejection_probability(pi, micro_scenario, MICRO_POLICY)
+        got = sf.PolicyEvaluator(micro_scenario, 0).rejection_probability()
         expect = 0.0
         for fee in MICRO_POLICY.fees:
             lam_e = micro_scenario.lam * bf.express_share(micro_scenario.choice, fee)

@@ -104,4 +104,4 @@ class TestAgreement:
     def test_auto_bound_matches_find_bound(self, micro_scenario):
         cfg = sf.SimConfig(cycles=2000, warmup_cycles=500, seed=3, streams=8)
         out = sf.simulate(micro_scenario, MICRO_POLICY, cfg)
-        assert out.report.bound == sf.find_bound(micro_scenario, MICRO_POLICY)
+        assert out.report.bound == sf.find_bound(micro_scenario)
