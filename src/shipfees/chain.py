@@ -14,17 +14,25 @@ The evaluator rests on two facts of the model:
   Its stationary law (one GTH solve) is the x_s marginal at every age, and
   it alone fixes the truncation bound and every rejection measure;
 * at age 0 the joint state is diagonal (the deadline reset makes x_c = x_s)
-  with that law on the diagonal, and a within-cycle step factorizes into a
-  diagonal (express - capacity) shift, a deterministic relocation of heavy
-  overflow to the truncation boundary, and a regular-order convolution
-  along columns.  One policy evaluation is then T - 1 dense-array pushes,
-  which is what makes exhaustive fee-grid searches tractable.
+  with that law on the diagonal, and what one period does depends on the
+  posted fee only.  ``_AgeStep`` owns it: the express law, the pmf of
+  u = express - capacity, the regular-order kernel and the deadline
+  backorder matrices.  A step factorizes into a diagonal u shift, a
+  deterministic relocation of heavy overflow to the truncation boundary,
+  and a regular-order shift along columns.  One policy evaluation is then
+  T - 1 dense-array pushes, which is what makes exhaustive fee-grid
+  searches tractable.
+
+Both clamped shifts, the workload chain's x' = clamp(x + demand - capacity,
+0, bound) and a step's x_s' = clamp(x_s + regular, 0, bound), are built by
+one kernel, ``_shift_matrix``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,14 +185,19 @@ def _suffix_tails(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _workload_matrix(v: np.ndarray, origin: int, bound: int) -> np.ndarray:
-    """Kernel of x' = clamp(x + V, 0, bound) for a pmf v with v[origin] = P(V=0)."""
-    N = bound + 1
-    vals = np.arange(v.size) - origin
-    W = np.zeros((N, N))
-    for x in range(N):
-        np.add.at(W[x], np.clip(x + vals, 0, bound), v)
-    return W
+def _shift_matrix(
+    p: np.ndarray, origin: int, rows: np.ndarray, bound: int
+) -> np.ndarray:
+    """Kernel K[i, y] = P(clamp(rows[i] + V, 0, bound) = y), p[origin] = P(V = 0)."""
+    dest = np.clip(rows[:, None] + (np.arange(p.size) - origin), 0, bound)
+    K = np.zeros((rows.size, bound + 1))
+    np.add.at(K, (np.arange(rows.size)[:, None], dest), np.broadcast_to(p, dest.shape))
+    return K
+
+
+def _overshoot(p: np.ndarray, origin: int, headroom: np.ndarray) -> np.ndarray:
+    """E[(V - h)^+] for each h in headroom, p[origin] = P(V = 0)."""
+    return np.maximum(np.arange(p.size) - origin - headroom[:, None], 0) @ p
 
 
 # ---------------------------------------------------------------------------
@@ -192,31 +205,37 @@ def _workload_matrix(v: np.ndarray, origin: int, bound: int) -> np.ndarray:
 
 
 class _AgeStep:
-    """Within-cycle transition operator at one age, acting on joint arrays.
+    """What one period posting one fee does to the joint pmf J[x_c, x_s].
 
-    The joint pmf J[x_c, x_s] (upper triangular) evolves by conditioning on
-    u = express - capacity and the regular count r, which are independent:
+    J (upper triangular) evolves by conditioning on u = express - capacity
+    and the regular count r, which are independent:
 
     * mass with u <= bound - x_s shifts diagonally by u;
     * heavier express surpluses overflow: rejections push the state exactly
       onto (x_c + bound - x_s, bound), independent of the realized u;
-    * r then shifts the column index, folding at the bound (regular orders
-      are rejected first, so rows are unaffected);
-    * negative indices finally fold to zero (idle capacity is lost).
+    * r then shifts the column index by the clamped-shift kernel ``R``
+      (regular orders are rejected first, so rows are unaffected);
+    * negative rows finally fold to zero (idle capacity is lost).
+
+    The step also holds the fee's express rate and pmf, read by the revenue
+    and express-loss measures, and the deadline backorder matrices, built
+    from the same u on first use.
     """
 
-    def __init__(self, express: Pmf, regular: Pmf, capacity: Pmf, bound: int):
+    def __init__(self, scenario: Scenario, fee: float, bound: int):
         self.bound = bound
-        self.nb = capacity.support_max
-        self.u = np.convolve(express.mass, capacity.mass[::-1])
-        self.r = regular.mass
-        self.emax = express.support_max
+        self.nb = scenario.capacity.support_max
+        self.rate, regular_rate = split_rates(scenario.choice, scenario.lam, fee)
+        self.express = poisson_pmf(self.rate, TAIL_EPS)
+        self.u = np.convolve(self.express.mass, scenario.capacity.mass[::-1])
         self._u_tails = _suffix_tails(self.u)
-
-    def u_tail(self, m: int) -> float:
-        """P(u > m)."""
-        idx = min(max(m + self.nb + 1, 0), self.u.size)
-        return float(self._u_tails[idx])
+        # rows: the column index x_s in -nb..bound once u has shifted it
+        self.R = _shift_matrix(
+            poisson_pmf(regular_rate, TAIL_EPS).mass,
+            0,
+            np.arange(-self.nb, bound + 1),
+            bound,
+        )
 
     def push(self, J: np.ndarray) -> np.ndarray:
         N = self.bound + 1
@@ -233,63 +252,34 @@ class _AgeStep:
             if k <= 0:
                 continue
             A[nb + uv : nb + uv + k, nb + uv : nb + uv + k] += w * J[:k, :k]
-        for s in range(max(X - self.emax + 1, 0), N):
-            t = self.u_tail(X - s)
+        for s in range(max(X - self.express.support_max + 1, 0), N):
+            t = self._u_tails[min(X - s + nb + 1, u.size)]  # P(u > X - s)
             if t == 0.0:
                 continue
             A[nb + X - s : nb + X + 1, nb + X] += t * J[: s + 1, s]
-        r = self.r
-        B2 = np.zeros((N + nb, N + nb + r.size - 1))
-        for j in range(r.size):
-            if r[j] == 0.0:
-                continue
-            B2[:, j : j + N + nb] += r[j] * A
-        core = B2[:, nb : nb + N]
-        core[:, 0] += B2[:, :nb].sum(axis=1)
-        core[:, N - 1] += B2[:, nb + N :].sum(axis=1)
+        core = A @ self.R
         out = np.empty((N, N))
         out[0, :] = core[: nb + 1, :].sum(axis=0)
         out[1:, :] = core[nb + 1 :, :]
         return out
 
+    @cached_property
+    def backorders_raw(self) -> np.ndarray:
+        """G[x_c, x_s] = E[(x_c + u)^+] at the deadline age, rejections ignored."""
+        N = self.bound + 1
+        per_row = _overshoot(self.u, self.nb, -np.arange(N))
+        return np.broadcast_to(per_row[:, None], (N, N))
 
-def _backorder_matrix(
-    express: Pmf, capacity: Pmf, bound: int, adjusted: bool = True
-) -> np.ndarray:
-    """G[x_c, x_s] = E[(x_c + E' - B)^+] at the deadline age, per state.
+    @cached_property
+    def backorders_adjusted(self) -> np.ndarray:
+        """raw G minus E[(u - (bound - x_s))^+].
 
-    With the adjusted convention, express arrivals beyond the truncation
-    headroom bound - x_s are rejected, which pins the surplus to
-    x_c + bound - x_s on that event.  The raw convention ignores rejections
-    (column-independent).
-    """
-    N = bound + 1
-    nb = capacity.support_max
-    u = np.convolve(express.mass, capacity.mass[::-1])
-    tails = _suffix_tails(u)
-    xc = np.arange(N, dtype=float)[:, None]
-    G = np.zeros((N, N))
-    for i in range(u.size):
-        w = u[i]
-        if w == 0.0:
-            continue
-        uv = i - nb
-        pos = np.maximum(xc + uv, 0.0)
-        if adjusted and uv > 0:
-            # clamp: a negative stop would wrap and hit the wrong columns
-            stop = max(N - uv, 0)
-            if stop:
-                G[:, :stop] += w * pos
-        else:
-            G += w * pos
-    if adjusted:
-        for s in range(max(bound - (u.size - 1 - nb) + 1, 0), N):
-            m = bound - s
-            t = tails[min(m + nb + 1, u.size)]
-            if t == 0.0:
-                continue
-            G[:, s] += t * (xc[:, 0] + m)
-    return G
+        Express arrivals beyond the headroom bound - x_s are rejected, which
+        pins the surplus to x_c + bound - x_s on that event.  Subtracting
+        keeps adjusted <= raw exact, with equality when no express arrives.
+        """
+        headroom = self.bound - np.arange(self.bound + 1)
+        return self.backorders_raw - _overshoot(self.u, self.nb, headroom)
 
 
 @dataclass(frozen=True)
@@ -324,13 +314,13 @@ class StationaryDistribution:
 class PolicyEvaluator:
     """Steady-state evaluation of many policies at a shared truncation bound.
 
-    Caches the per-fee transition operators and deadline matrices, and walks
-    fee vectors in sorted order so that policies sharing a fee prefix share
-    the corresponding pushes.  ``workload`` is the stationary law of the
-    total workload x_s, which is the same at every age and for every policy:
-    express plus regular arrivals always total Poisson(lam) regardless of
-    the fee.  It is the age-0 state, diag(workload), and the only input of
-    the rejection measures.
+    Holds one ``_AgeStep`` per fee, and walks fee vectors in sorted order so
+    that policies sharing a fee prefix share the corresponding pushes.
+    ``workload`` is the stationary law of the total workload x_s, which is
+    the same at every age and for every policy: express plus regular
+    arrivals always total Poisson(lam) regardless of the fee.  It is the
+    age-0 state, diag(workload), and the only input of the rejection
+    measures.
     """
 
     def __init__(self, scenario: Scenario, bound: int):
@@ -339,51 +329,19 @@ class PolicyEvaluator:
         self.scenario = scenario
         self.bound = bound
         self._steps: dict[float, _AgeStep] = {}
-        self._gmats: dict[tuple[float, bool], np.ndarray] = {}
-        self._rates: dict[float, float] = {}
-        self._express_pmfs: dict[float, Pmf] = {}
         demand = poisson_pmf(scenario.lam, TAIL_EPS)
         # one-period workload shift V = demand - capacity; _shift[nb] = P(V = 0)
         self._nb = scenario.capacity.support_max
         self._shift = np.convolve(demand.mass, scenario.capacity.mass[::-1])
-        if bound == 0:
-            self.workload = np.array([1.0])
-        else:
-            self.workload = _gth_stationary(
-                _workload_matrix(self._shift, self._nb, bound)
-            )
+        self.workload = _gth_stationary(
+            _shift_matrix(self._shift, self._nb, np.arange(bound + 1), bound)
+        )
         self._root = np.diag(self.workload)
-
-    # -- caches ------------------------------------------------------------
-
-    def _rate(self, fee: float) -> float:
-        if fee not in self._rates:
-            e_rate, _ = split_rates(self.scenario.choice, self.scenario.lam, fee)
-            self._rates[fee] = e_rate
-        return self._rates[fee]
-
-    def _express(self, fee: float) -> Pmf:
-        if fee not in self._express_pmfs:
-            self._express_pmfs[fee] = poisson_pmf(self._rate(fee), TAIL_EPS)
-        return self._express_pmfs[fee]
 
     def _step(self, fee: float) -> _AgeStep:
         if fee not in self._steps:
-            self._steps[fee] = _AgeStep(
-                self._express(fee),
-                poisson_pmf(self.scenario.lam - self._rate(fee), TAIL_EPS),
-                self.scenario.capacity,
-                self.bound,
-            )
+            self._steps[fee] = _AgeStep(self.scenario, fee, self.bound)
         return self._steps[fee]
-
-    def _gmat(self, fee: float, adjusted: bool = True) -> np.ndarray:
-        key = (fee, adjusted)
-        if key not in self._gmats:
-            self._gmats[key] = _backorder_matrix(
-                self._express(fee), self.scenario.capacity, self.bound, adjusted
-            )
-        return self._gmats[key]
 
     # -- rejection measures (policy free) ------------------------------------
 
@@ -396,9 +354,8 @@ class PolicyEvaluator:
 
     def expected_rejected_per_cycle(self) -> float:
         """Expected number of rejected orders per operating cycle."""
-        vals = np.arange(self._shift.size) - self._nb
         headroom = self.bound - np.arange(self.bound + 1)
-        excess = np.maximum(vals[None, :] - headroom[:, None], 0.0) @ self._shift
+        excess = _overshoot(self._shift, self._nb, headroom)
         return self.scenario.period_length * float(self.workload @ excess)
 
     def express_loss(self, fee: float) -> float:
@@ -408,7 +365,7 @@ class PolicyEvaluator:
         x_s is min(E, (x_s + E - B - bound)^+), independent of the regular
         count.
         """
-        e = self._express(fee).mass
+        e = self._step(fee).express.mass
         cap = self.scenario.capacity.mass
         e_vals = np.arange(e.size)[:, None]
         excess = (
@@ -427,7 +384,7 @@ class PolicyEvaluator:
         """Expected express revenue per cycle at idealized thinned rates."""
         total = 0.0
         for fee in fees:
-            rate = self._rate(fee)
+            rate = self._step(fee).rate
             if rate > 0.0:
                 total += fee * rate
         return total
@@ -442,13 +399,10 @@ class PolicyEvaluator:
         return out
 
     def backorders(self, fees: tuple[float, ...], adjusted: bool = True) -> float:
-        J = self._root
-        for fee in fees[:-1]:
-            J = self._step(fee).push(J)
-        return float(np.sum(J * self._gmat(fees[-1], adjusted)))
-
-    def profit(self, fees: tuple[float, ...]) -> float:
-        return self.revenue(fees) - self.scenario.penalty * self.backorders(fees)
+        """E[M] of one policy under either truncation convention."""
+        last = self._step(fees[-1])
+        G = last.backorders_adjusted if adjusted else last.backorders_raw
+        return float(np.sum(self.joints(fees)[-1] * G))
 
     def profits_batch(
         self, fee_vectors: list[tuple[float, ...]]
@@ -479,7 +433,8 @@ class PolicyEvaluator:
                 stack.append(self._step(fees[d]).push(stack[-1]))
                 depth_fees.append(fees[d])
                 d += 1
-            em = float(np.sum(stack[last] * self._gmat(fees[last])))
+            G = self._step(fees[last]).backorders_adjusted
+            em = float(np.sum(stack[last] * G))
             backorders[i] = em
             profits[i] = self.revenue(fees) - self.scenario.penalty * em
         return profits, backorders
@@ -494,8 +449,6 @@ def steady_state(
 ) -> StationaryDistribution:
     """Stationary per-age distribution via the structural evaluator."""
     return PolicyEvaluator(scenario, bound).distribution(policy.fees)
-
-
 
 
 # ---------------------------------------------------------------------------

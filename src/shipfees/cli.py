@@ -38,7 +38,7 @@ import numpy as np
 from .chain import (
     PolicyEvaluator,
     Scenario,
-    _workload_matrix,
+    _shift_matrix,
     find_bound,
     steady_state,
 )
@@ -112,6 +112,16 @@ def _int(block: dict, path: str, key: str, default=None) -> int:
     return val
 
 
+def _entries(vals: list, path: str, integer: bool = False) -> list:
+    """Check each array entry the way _num/_int check a field."""
+    kind = int if integer else (int, float)
+    for i, val in enumerate(vals):
+        if isinstance(val, bool) or not isinstance(val, kind):
+            what = "an integer" if integer else "a number"
+            raise ParameterError(f"{path}[{i}]: expected {what}, got {val!r}")
+    return vals
+
+
 def _load_json(text: str, origin: str) -> dict:
     try:
         cfg = json.loads(text)
@@ -164,7 +174,9 @@ class Experiment:
                 raise ParameterError(
                     "scenario.capacity_pmf: expected a nonempty array"
                 )
-            capacity = Pmf(np.asarray(arr, dtype=float))
+            capacity = Pmf(
+                np.asarray(_entries(arr, "scenario.capacity_pmf"), dtype=float)
+            )
             self.scenario = Scenario(
                 T, lam, capacity, choice, penalty, rejection_threshold
             )
@@ -205,7 +217,10 @@ class Experiment:
             rng = grid_block.get("cutoff_range", [1, T - 1])
             if not isinstance(rng, list) or len(rng) != 2:
                 raise ParameterError("grid.cutoff_range: expected [low, high]")
-            self.grid = SearchGrid(tuple(fees), (int(rng[0]), int(rng[1])))
+            self.grid = SearchGrid(
+                tuple(_entries(fees, "grid.fee_values")),
+                tuple(_entries(rng, "grid.cutoff_range", integer=True)),
+            )
 
     def search_grid(self) -> SearchGrid:
         if self.grid is not None:
@@ -760,8 +775,6 @@ def _verify_kernel(lines: list[str]) -> bool:
     sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
     bound = find_bound(sc)
     ev = PolicyEvaluator(sc, bound)
-    W = _workload_matrix(ev._shift, ev._nb, bound)
-    worst_row = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
     pols = [
         build_policy("CSP", 2.0, 4, choice.u_max),
         build_policy("TSP", SimpleTspParams(1.0, 3.0, 1, 2), 4, choice.u_max),
@@ -770,15 +783,19 @@ def _verify_kernel(lines: list[str]) -> bool:
     worst_mass = max(
         abs(float(J.sum()) - 1.0) for p in pols for J in ev.joints(p.fees)
     )
+    # the workload chain's kernel and every stepped fee's regular-order kernel
+    kernels = [_shift_matrix(ev._shift, ev._nb, np.arange(bound + 1), bound)]
+    kernels += [step.R for step in ev._steps.values()]
+    worst_row = max(float(np.max(np.abs(K.sum(axis=1) - 1.0))) for K in kernels)
     thr = sc.rejection_threshold
     minimal = ev.rejection_probability() <= thr and (
         bound == 1 or PolicyEvaluator(sc, bound - 1).rejection_probability() > thr
     )
     ok = worst_row <= 1e-12 and worst_mass <= 1e-12 and minimal
     lines.append(
-        f"{'PASS' if ok else 'FAIL'} kernel-truncation: max |workload row sum - 1| "
-        f"= {worst_row:.3e}, max |push mass - 1| = {worst_mass:.3e} (tol 1e-12); "
-        f"bound {bound} minimal: {minimal}"
+        f"{'PASS' if ok else 'FAIL'} kernel-truncation: max |row sum - 1| over "
+        f"{len(kernels)} shift kernels = {worst_row:.3e}, max |push mass - 1| = "
+        f"{worst_mass:.3e} (tol 1e-12); bound {bound} minimal: {minimal}"
     )
     return ok
 

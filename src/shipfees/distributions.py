@@ -24,7 +24,7 @@ class Pmf:
     """Probability mass function on {0, ..., support_max}.
 
     The mass array is copied and frozen on construction; entries must be
-    in [0, 1] and sum to one within ``MASS_TOL``.
+    finite, in [0, 1], and sum to one within ``MASS_TOL``.
     """
 
     mass: np.ndarray
@@ -33,8 +33,9 @@ class Pmf:
         arr = np.asarray(self.mass, dtype=float).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("pmf must be a nonempty 1-D array")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ParameterError("pmf entries must lie in [0, 1]")
+        # NaN fails every comparison, so test membership, not violation
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            raise ParameterError("pmf entries must be finite and lie in [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ParameterError(f"pmf mass sums to {total!r}, not 1 within {MASS_TOL}")

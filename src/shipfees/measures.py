@@ -71,9 +71,10 @@ def evaluate_policy(
     ev = PolicyEvaluator(scenario, bound)
     fees = policy.fees
     J = ev.joints(fees)[-1]
-    backorders_adj = float(np.sum(J * ev._gmat(fees[-1], adjusted=True)))
-    backorders_raw = float(np.sum(J * ev._gmat(fees[-1], adjusted=False)))
-    rates = tuple(ev._rate(fee) for fee in fees)
+    last = ev._step(fees[-1])
+    backorders_adj = float(np.sum(J * last.backorders_adjusted))
+    backorders_raw = float(np.sum(J * last.backorders_raw))
+    rates = tuple(ev._step(fee).rate for fee in fees)
     revenue = ev.revenue(fees)
     losses = {fee: ev.express_loss(fee) for fee in set(fees)}
     rates_adj = tuple(max(r - losses[fee], 0.0) for fee, r in zip(fees, rates))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import shipfees as sf
-from shipfees.chain import state_count, state_pairs
+from shipfees.chain import _shift_matrix, state_count, state_pairs
 
 import bruteforce as bf
 import kernel_oracle as ko
@@ -251,3 +251,85 @@ class TestPolicyEvaluator:
             )
             assert profit == pytest.approx(report.variable_profit, abs=1e-12)
             assert m == pytest.approx(report.expected_backorders, abs=1e-12)
+
+
+class TestShiftMatrix:
+    @staticmethod
+    def loop_kernel(p, origin, rows, bound):
+        K = np.zeros((len(rows), bound + 1))
+        for i, x in enumerate(rows):
+            for k, mass in enumerate(p):
+                K[i, min(max(x + k - origin, 0), bound)] += mass
+        return K
+
+    @pytest.mark.parametrize(
+        "p, origin",
+        [
+            (np.array([0.2, 0.0, 0.5, 0.0, 0.3]), 0),
+            (np.array([0.1, 0.0, 0.0, 0.6, 0.3]), 3),
+            (np.array([0.25, 0.25, 0.0, 0.5]), 1),
+            (np.array([1.0]), 0),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [0, 1, 6])
+    def test_matches_direct_loop(self, p, origin, bound):
+        rows = np.arange(-4, bound + 1)
+        K = _shift_matrix(p, origin, rows, bound)
+        np.testing.assert_allclose(
+            K, self.loop_kernel(p, origin, rows, bound), rtol=0, atol=1e-15
+        )
+        assert np.max(np.abs(K.sum(axis=1) - 1.0)) <= 1e-12
+
+
+class TestAgeStepBackorders:
+    """The deadline backorder matrices of each fee's step."""
+
+    BOUNDS = (0, 3, 8)
+
+    def fees(self, choice):
+        return (choice.u_min, 1.3, 2.5, choice.u_max, math.inf)
+
+    def test_match_definition(self, micro_scenario):
+        """raw = E[(x_c + u)^+], adjusted = E[(x_c + min(u, bound - x_s))^+]."""
+        cap = micro_scenario.capacity.mass
+        for bound in self.BOUNDS:
+            ev = sf.PolicyEvaluator(micro_scenario, bound)
+            for fee in self.fees(micro_scenario.choice):
+                step = ev._step(fee)
+                e = step.express.mass
+                raw = np.zeros((bound + 1, bound + 1))
+                adj = np.zeros((bound + 1, bound + 1))
+                for xc in range(bound + 1):
+                    for xs in range(bound + 1):
+                        for i, pe in enumerate(e):
+                            for b, pb in enumerate(cap):
+                                u = i - b
+                                raw[xc, xs] += pe * pb * max(xc + u, 0)
+                                adj[xc, xs] += pe * pb * max(xc + min(u, bound - xs), 0)
+                np.testing.assert_allclose(step.backorders_raw, raw, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    step.backorders_adjusted, adj, rtol=0, atol=1e-12
+                )
+
+    def test_adjusted_below_raw(self, micro_scenario, make_scenario):
+        for scenario, bound in ((micro_scenario, 8), (make_scenario(0.95, 8.0), 51)):
+            ev = sf.PolicyEvaluator(scenario, bound)
+            choice = scenario.choice
+            for fee in self.fees(choice):
+                step = ev._step(fee)
+                assert np.all(step.backorders_adjusted <= step.backorders_raw)
+                if fee >= choice.u_max:
+                    assert np.array_equal(step.backorders_adjusted, step.backorders_raw)
+
+    def test_report_backorders_below_raw_exactly(self, choice):
+        """No tolerance: E[M] <= raw E[M] on the what-if grid of rho x scv."""
+        rng = np.random.default_rng(41)
+        for rho in (0.85, 0.90, 0.95):
+            for scv in (0.25, 0.5, 1.0):
+                sc = sf.Scenario.from_utilization(8, 5.0, rho, scv, 20, choice, 8.0)
+                for _ in range(3):
+                    fees = TestWorkloadLaw.random_fees(rng, sc)
+                    rep = sf.evaluate_policy(sc, sf.FeeStructure(8, fees))
+                    assert rep.expected_backorders <= rep.expected_backorders_raw, (
+                        rho, scv, fees
+                    )

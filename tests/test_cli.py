@@ -120,6 +120,49 @@ class TestNonFiniteInput:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("null", "scenario.capacity_pmf[1]: expected a number"), ("NaN", "finite")],
+    )
+    def test_non_finite_capacity_pmf(self, capsys, tmp_path, entry, message):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        del cfg["scenario"]["utilization"], cfg["scenario"]["scv"]
+        del cfg["scenario"]["capacity_support_max"]
+        cfg["scenario"]["capacity_pmf"] = ["@", 0.5]
+        path = tmp_path / "pmf.json"
+        # json.dumps cannot write a bare NaN entry, so splice it in as text
+        path.write_text(json.dumps(cfg).replace('"@"', f"0.5, {entry}"))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert "utilization" not in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+class TestGridBlock:
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [
+            ("fee_values", ["a"], "grid.fee_values[0]"),
+            ("fee_values", [1.0, None], "grid.fee_values[1]"),
+            ("cutoff_range", ["x", 7], "grid.cutoff_range[0]"),
+            ("cutoff_range", [1.9, 7], "grid.cutoff_range[0]"),
+            ("cutoff_range", [1, True], "grid.cutoff_range[1]"),
+        ],
+    )
+    def test_bad_entries_name_their_path(self, capsys, tmp_path, key, value, path):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["grid"][key] = value
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "optimize", "--config", str(cfg_path))
+        assert code == 1
+        assert err.startswith(f"error: {path}:")
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestStrictJson:
     def test_single_candidate_runner_up_gap_is_null(self, capsys, tmp_path):
         cfg = load_preset("rho085_c8")

@@ -11,6 +11,13 @@ from shipfees.distributions import CapacitySpec
 from bruteforce import poisson_masses
 
 
+class TestPmf:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(sf.ParameterError, match="finite"):
+            sf.Pmf(np.array([0.5, bad, 0.5]))
+
+
 class TestPoisson:
     def test_rate_zero_is_point_mass(self):
         assert sf.poisson_pmf(0.0).mass.tolist() == [1.0]
