@@ -17,22 +17,23 @@ The evaluator rests on two facts of the model:
   with that law on the diagonal, and what one period does depends on the
   posted fee only.  ``_AgeStep`` owns it: the express law, the pmf of
   u = express - capacity, the regular-order kernel and the deadline
-  backorder matrices.  A step factorizes into a diagonal u shift, a
-  deterministic relocation of heavy overflow to the truncation boundary,
-  and a regular-order shift along columns.  One policy evaluation is then
-  T - 1 dense-array pushes, which is what makes exhaustive fee-grid
-  searches tractable.
+  backorder matrices.  In headroom coordinates h = bound - x_s,
+  d = x_s - x_c, the u part of a step is h' = max(h - u, 0) for every d
+  (the clamp at 0 is the rejection of heavy express overflow); regular
+  orders then shift x_s.  A push is two matrix products and a policy is
+  T - 1 pushes, which makes exhaustive fee-grid searches tractable.
 
-Both clamped shifts, the workload chain's x' = clamp(x + demand - capacity,
-0, bound) and a step's x_s' = clamp(x_s + regular, 0, bound), are built by
-one kernel, ``_shift_matrix``.
+One kernel, ``_shift_matrix``, builds every clamped shift: the workload
+chain's x' = clamp(x + demand - capacity, 0, bound), a step's headroom
+shift h' = clamp(h - u, 0, bound + nb) and its regular-order shift
+x_s' = clamp(x_s + regular, 0, bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,10 +190,11 @@ def _shift_matrix(
     p: np.ndarray, origin: int, rows: np.ndarray, bound: int
 ) -> np.ndarray:
     """Kernel K[i, y] = P(clamp(rows[i] + V, 0, bound) = y), p[origin] = P(V = 0)."""
+    width = bound + 1
     dest = np.clip(rows[:, None] + (np.arange(p.size) - origin), 0, bound)
-    K = np.zeros((rows.size, bound + 1))
-    np.add.at(K, (np.arange(rows.size)[:, None], dest), np.broadcast_to(p, dest.shape))
-    return K
+    flat = np.arange(rows.size)[:, None] * width + dest
+    K = np.bincount(flat.ravel(), np.tile(p, rows.size), minlength=rows.size * width)
+    return K.reshape(rows.size, width)
 
 
 def _overshoot(p: np.ndarray, origin: int, headroom: np.ndarray) -> np.ndarray:
@@ -204,18 +206,41 @@ def _overshoot(p: np.ndarray, origin: int, headroom: np.ndarray) -> np.ndarray:
 # Structural evaluator.
 
 
+@lru_cache(maxsize=16)
+def _headroom_index(bound: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices from J[x_c, x_s] to S[d, h] and from T[d, h'] to A.
+
+    d = x_s - x_c, h = bound - x_s.  J[from_J] fills S[to_S] (x_c >= 0);
+    T[d, h'], h' in 0..bound + nb, adds into A[max(x_c', 0), x_s' + nb] with
+    x_s' = bound - h', x_c' = x_s' - d; rows < 0 fold onto row 0 (< -nb: no mass).
+    """
+    N = bound + 1
+    d, h = np.nonzero(np.add.outer(np.arange(N), np.arange(N)) <= bound)
+    from_J = (bound - h - d) * N + bound - h
+    to_S = d * N + h
+    d, h = np.indices((N, N + nb)).reshape(2, -1)
+    to_A = np.maximum(bound - h - d, 0) * (N + nb) + bound - h + nb
+    for arr in (from_J, to_S, to_A):  # shared by every step at (bound, nb)
+        arr.flags.writeable = False
+    return from_J, to_S, to_A
+
+
 class _AgeStep:
     """What one period posting one fee does to the joint pmf J[x_c, x_s].
 
     J (upper triangular) evolves by conditioning on u = express - capacity
-    and the regular count r, which are independent:
+    and the regular count r, which are independent.  In headroom
+    coordinates h = bound - x_s and d = x_s - x_c:
 
-    * mass with u <= bound - x_s shifts diagonally by u;
-    * heavier express surpluses overflow: rejections push the state exactly
-      onto (x_c + bound - x_s, bound), independent of the realized u;
+    * u moves h to max(h - u, 0) and leaves d alone.  For u <= h this is
+      the diagonal shift of (x_c, x_s) by u; for u > h the express surplus
+      overflows and rejections pin the state at (x_c + h, bound), which is
+      h' = 0 at the same d.  The map is one clamped-shift kernel ``H``
+      (h' in 0..bound + nb) applied to every row of S[d, h];
     * r then shifts the column index by the clamped-shift kernel ``R``
       (regular orders are rejected first, so rows are unaffected);
-    * negative rows finally fold to zero (idle capacity is lost).
+    * negative rows fold to zero (idle capacity is lost), in the scatter
+      back from headroom coordinates, before ``R``.
 
     The step also holds the fee's express rate and pmf, read by the revenue
     and express-loss measures, and the deadline backorder matrices, built
@@ -228,7 +253,6 @@ class _AgeStep:
         self.rate, regular_rate = split_rates(scenario.choice, scenario.lam, fee)
         self.express = poisson_pmf(self.rate, TAIL_EPS)
         self.u = np.convolve(self.express.mass, scenario.capacity.mass[::-1])
-        self._u_tails = _suffix_tails(self.u)
         # rows: the column index x_s in -nb..bound once u has shifted it
         self.R = _shift_matrix(
             poisson_pmf(regular_rate, TAIL_EPS).mass,
@@ -237,31 +261,22 @@ class _AgeStep:
             bound,
         )
 
+    @cached_property
+    def H(self) -> np.ndarray:
+        """H[h, h'] = P(max(h - u, 0) = h') for headroom h in 0..bound."""
+        rows = np.arange(self.bound + 1)
+        origin = self.u.size - 1 - self.nb  # index of P(-u = 0) in u[::-1]
+        return _shift_matrix(self.u[::-1], origin, rows, self.bound + self.nb)
+
     def push(self, J: np.ndarray) -> np.ndarray:
         N = self.bound + 1
-        X = self.bound
-        nb = self.nb
-        A = np.zeros((N + nb, N + nb))
-        u = self.u
-        for i in range(u.size):
-            w = u[i]
-            if w == 0.0:
-                continue
-            uv = i - nb
-            k = N if uv <= 0 else N - uv
-            if k <= 0:
-                continue
-            A[nb + uv : nb + uv + k, nb + uv : nb + uv + k] += w * J[:k, :k]
-        for s in range(max(X - self.express.support_max + 1, 0), N):
-            t = self._u_tails[min(X - s + nb + 1, u.size)]  # P(u > X - s)
-            if t == 0.0:
-                continue
-            A[nb + X - s : nb + X + 1, nb + X] += t * J[: s + 1, s]
-        core = A @ self.R
-        out = np.empty((N, N))
-        out[0, :] = core[: nb + 1, :].sum(axis=0)
-        out[1:, :] = core[nb + 1 :, :]
-        return out
+        width = N + self.nb
+        from_J, to_S, to_A = _headroom_index(self.bound, self.nb)
+        S = np.zeros(N * N)
+        S[to_S] = J.ravel()[from_J]
+        T = S.reshape(N, N) @ self.H
+        A = np.bincount(to_A, T.ravel(), minlength=N * width)
+        return A.reshape(N, width) @ self.R
 
     @cached_property
     def backorders_raw(self) -> np.ndarray:

@@ -783,9 +783,10 @@ def _verify_kernel(lines: list[str]) -> bool:
     worst_mass = max(
         abs(float(J.sum()) - 1.0) for p in pols for J in ev.joints(p.fees)
     )
-    # the workload chain's kernel and every stepped fee's regular-order kernel
+    # the workload chain's kernel and every stepped fee's headroom and
+    # regular-order kernels
     kernels = [_shift_matrix(ev._shift, ev._nb, np.arange(bound + 1), bound)]
-    kernels += [step.R for step in ev._steps.values()]
+    kernels += [K for step in ev._steps.values() for K in (step.H, step.R)]
     worst_row = max(float(np.max(np.abs(K.sum(axis=1) - 1.0))) for K in kernels)
     thr = sc.rejection_threshold
     minimal = ev.rejection_probability() <= thr and (

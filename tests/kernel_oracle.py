@@ -5,7 +5,9 @@ materializes the per-age transition kernels over the triangular state
 enumeration (the last age folds in the deadline reset) and ``stationary``
 power-iterates the cycle map.  The package evaluates policies with the
 structural pushes of ``shipfees.chain`` instead; the tests compare the two,
-and both against the dense enumeration in ``bruteforce.py``.
+and both against the dense enumeration in ``bruteforce.py``.  ``loop_push``
+is the structural push written as loops over u = express - capacity, the
+reference for the package's matrix-product push.
 """
 
 from __future__ import annotations
@@ -204,3 +206,38 @@ def stationary(
         cur = cur / cur.sum()
         per_age.append(cur)
     return StationaryDistribution(kernel.bound, tuple(per_age))
+
+
+def loop_push(step, J: np.ndarray) -> np.ndarray:
+    """One age push of J[x_c, x_s] by Python loops over u = express - capacity.
+
+    The package's push before it became two matrix products, kept as the
+    reference: a slice-add per value of u for the diagonal shift, one per
+    overflowing column for the relocation onto (x_c + bound - x_s, bound),
+    then the step's regular-order kernel ``R`` and the fold of negative rows.
+    """
+    N = step.bound + 1
+    X = step.bound
+    nb = step.nb
+    A = np.zeros((N + nb, N + nb))
+    u = step.u
+    u_tails = _suffix_tails(u)
+    for i in range(u.size):
+        w = u[i]
+        if w == 0.0:
+            continue
+        uv = i - nb
+        k = N if uv <= 0 else N - uv
+        if k <= 0:
+            continue
+        A[nb + uv : nb + uv + k, nb + uv : nb + uv + k] += w * J[:k, :k]
+    for s in range(max(X - step.express.support_max + 1, 0), N):
+        t = u_tails[min(X - s + nb + 1, u.size)]  # P(u > X - s)
+        if t == 0.0:
+            continue
+        A[nb + X - s : nb + X + 1, nb + X] += t * J[: s + 1, s]
+    core = A @ step.R
+    out = np.empty((N, N))
+    out[0, :] = core[: nb + 1, :].sum(axis=0)
+    out[1:, :] = core[nb + 1 :, :]
+    return out

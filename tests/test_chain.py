@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import shipfees as sf
 from shipfees.chain import _shift_matrix, state_count, state_pairs
@@ -333,3 +334,63 @@ class TestAgeStepBackorders:
                     assert rep.expected_backorders <= rep.expected_backorders_raw, (
                         rho, scv, fees
                     )
+
+
+class TestPush:
+    """The two-product push against its loop form and the dense brute force."""
+
+    @staticmethod
+    def lattice_fees(choice):
+        grid = [round(0.2 * k, 1) for k in range(1, 20)]
+        return [0.0, *grid, choice.u_max, math.inf]
+
+    @pytest.mark.parametrize("rho, bound", [(0.85, 28), (0.90, 50), (0.95, 85)])
+    def test_matches_loop_push(self, make_scenario, rho, bound):
+        scenario = make_scenario(rho, 8.0)
+        ev = sf.PolicyEvaluator(scenario, bound)
+        for fee in self.lattice_fees(scenario.choice):
+            step = ev._step(fee)
+            J = ev._root
+            for depth in range(7):
+                ref = ko.loop_push(step, J)
+                J = step.push(J)
+                dev = np.max(np.abs(J - ref))
+                assert dev <= 1e-14, (fee, depth, dev)
+                assert abs(J.sum() - 1.0) <= 1e-12, (fee, depth)
+
+    @settings(max_examples=60, deadline=None)
+    @example(weights=[0, 0, 0, 0, 1], load=0.7, bound=0, fee=0.0)
+    @example(weights=[0, 2, 0, 1], load=0.95, bound=2, fee=4.5)
+    @example(weights=[1, 0, 0, 3], load=0.0, bound=3, fee=math.inf)
+    @example(weights=[1, 2, 3, 0, 1], load=0.95, bound=6, fee=4.0)
+    @given(
+        weights=st.lists(st.integers(0, 3), min_size=1, max_size=7).filter(
+            lambda w: sum(k * x for k, x in enumerate(w)) > 0
+        ),
+        load=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        bound=st.integers(0, 6),
+        fee=st.one_of(
+            st.sampled_from([0.0, 4.0, 4.5, math.inf]),
+            st.floats(0.0, 4.0, allow_nan=False),
+        ),
+    )
+    def test_matches_brute_age_matrix(self, choice, weights, load, bound, fee):
+        """Every state's push is its row of the dense one-period matrix.
+
+        Capacity pmfs may have gaps, a point mass, zero mass at 0 and a
+        support above the bound; load 0 gives lambda = 0.
+        """
+        capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
+        scenario = sf.Scenario(2, load * capacity.mean(), capacity, choice, 8.0)
+        mat = bf.age_matrix(scenario, fee, bound, deadline=False)
+        step = sf.PolicyEvaluator(scenario, bound)._step(fee)
+        states = bf.states_list(bound)
+        for i, (xc, xs) in enumerate(states):
+            J = np.zeros((bound + 1, bound + 1))
+            J[xc, xs] = 1.0
+            out = step.push(J)
+            ref = np.zeros_like(J)
+            for j, (yc, ys) in enumerate(states):
+                ref[yc, ys] = mat[i, j]
+            assert np.max(np.abs(out - ref)) < 1e-12, (xc, xs)
+            assert abs(out.sum() - 1.0) <= 1e-12, (xc, xs)
