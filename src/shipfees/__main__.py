@@ -1,0 +1,6 @@
+"""``python -m shipfees``: the ``shipfees`` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

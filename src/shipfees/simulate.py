@@ -7,7 +7,22 @@ is divided into independent replication streams of a counter-based
 generator spawned from one seed; each stream warms up on its own, so
 stream means are independent and the normal-approximation halfwidth over
 streams is valid even though consecutive cycles within a stream are not.
-Identical seeds give bit-identical reports.
+
+Reproducibility contract: identical seeds give bit-identical reports.
+
+- Draw order.  Cycles are drawn in chunks of ``CHUNK_CYCLES`` = 1024 per
+  stream; per chunk each stream, in stream order, draws its express counts
+  E, then its regular counts R, then its capacities B for the whole chunk.
+- One sequential state.  The total workload x_s is the only quantity
+  carried from period to period: its reflected walk
+  x_s' = clamp(x_s + E + R - B, 0, bound) is the one loop over time.  The
+  overflow, the adjusted express counts, the due backlog x_c (a walk
+  restarted at every cycle's opening x_s) and the tallies are computed from
+  that path, vectorized over (cycle, stream).
+- Time-ordered sums.  Counts are exact integer sums.  The two revenue sums
+  are floats and are reduced per stream in time order, one period after
+  the other (a running accumulate, never a pairwise sum), so they equal a
+  period-by-period loop bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ class SimConfig:
     cycles counts warm-up plus measured cycles; the measured remainder is
     split evenly across streams (leftovers dropped).  bound defaults to the
     same search the exact evaluator uses, so empirical and exact runs see
-    identical dynamics.
+    identical dynamics.  Every field is an integer (bound may be None).
     """
 
     cycles: int
@@ -44,6 +59,12 @@ class SimConfig:
     streams: int = 200
 
     def __post_init__(self) -> None:
+        for name in ("cycles", "warmup_cycles", "seed", "streams", "bound"):
+            value = getattr(self, name)
+            if name == "bound" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.warmup_cycles < 0:
             raise ParameterError("warmup_cycles must be nonnegative")
         if self.cycles <= self.warmup_cycles:
@@ -87,6 +108,11 @@ def simulate(
     post-processing due count is the cycle's backorder tally and the next
     cycle owes everything still unprocessed.  Revenue uses the raw express
     draws; the adjusted express counts are tracked alongside.
+
+    The draws follow the module's contract (per stream and 1024-cycle
+    chunk: E, then R, then B); only x_s is stepped period by period, and
+    the revenue sums are reduced in time order, so a seed fixes the report
+    bit for bit.
     """
     if policy.period_length != scenario.period_length:
         raise ParameterError("policy and scenario cycle lengths differ")
@@ -114,51 +140,96 @@ def simulate(
     root = np.random.SeedSequence(config.seed)
     gens = [np.random.Generator(np.random.Philox(s)) for s in root.spawn(streams)]
 
-    xc = np.zeros(streams, dtype=np.int64)
-    xs = np.zeros(streams, dtype=np.int64)
-    sum_m = np.zeros(streams)
-    sum_m_raw = np.zeros(streams)
+    # Every intermediate lies in [-B, bound + E + R]; the arrival rate is
+    # below the mean of an array-backed capacity pmf, so the draws are far
+    # below 2**30 and int32 holds any bound below 2**30.
+    dtype = np.int32 if bound < 2**30 else np.int64
+    # the walk's clamp limits as array scalars, not converted on every call
+    top, zero = dtype(bound), dtype(0)
+    rows = min(CHUNK_CYCLES, cycles_per_stream) * T
+    # Per-period arrays are stream-major (column j = cycle * T + age), so
+    # each stream's draws fill one contiguous row; O holds first the
+    # increments E + R - B, then the overflow, A the adjusted express
+    # counts, F the revenue terms.  The walk runs time-major: row X[j] holds
+    # every stream's x_s at the opening of period j of the chunk.
+    E, R, B, O, A = (np.empty((streams, rows), dtype) for _ in range(5))
+    F = np.empty((streams, rows))
+    X = np.zeros((rows + 1, streams), dtype)
+    X_rows = list(X)
+
+    sum_m = np.zeros(streams, np.int64)
+    sum_m_raw = np.zeros(streams, np.int64)
+    sum_rejected = np.zeros(streams, np.int64)
+    overflow_periods = np.zeros(streams, np.int64)
+    acc_e = np.zeros(T, np.int64)
+    acc_e_adj = np.zeros(T, np.int64)
     sum_rev = np.zeros(streams)
     sum_rev_adj = np.zeros(streams)
-    sum_rejected = np.zeros(streams)
-    overflow_periods = np.zeros(streams)
-    acc_e = np.zeros(T)
-    acc_e_adj = np.zeros(T)
 
+    n = 0
     for start in range(0, cycles_per_stream, CHUNK_CYCLES):
+        X[0] = X[n]  # x_s carried over from the previous chunk
         n_cyc = min(CHUNK_CYCLES, cycles_per_stream - start)
-        E = np.empty((streams, n_cyc, T), dtype=np.int64)
-        R = np.empty_like(E)
-        B = np.empty_like(E)
-        for s, g in enumerate(gens):
-            E[s] = g.poisson(e_rates, size=(n_cyc, T))
-            R[s] = g.poisson(r_rates, size=(n_cyc, T))
-            B[s] = g.choice(cap_vals, size=(n_cyc, T), p=cap_mass)
-        for k in range(n_cyc):
-            in_measurement = start + k >= config.warmup_cycles
-            for t in range(T):
-                e = E[:, k, t]
-                r = R[:, k, t]
-                b = B[:, k, t]
-                o = np.maximum(xs + e + r - b - bound, 0)
-                e_adj = e - np.maximum(o - r, 0)
-                xs = np.maximum(xs + e + r - o - b, 0)
-                if t == T - 1:
-                    m_raw = np.maximum(xc + e - b, 0)
-                xc = np.maximum(xc + e_adj - b, 0)
-                if in_measurement:
-                    w = fee_weights[t]
-                    if w > 0.0:
-                        sum_rev += w * e
-                        sum_rev_adj += w * e_adj
-                    sum_rejected += o
-                    overflow_periods += o > 0
-                    acc_e[t] += float(e.sum())
-                    acc_e_adj[t] += float(e_adj.sum())
-            if in_measurement:
-                sum_m += xc
-                sum_m_raw += m_raw
-            xc = xs.copy()
+        n = n_cyc * T
+        for g, e_s, r_s, b_s in zip(gens, E[:, :n], R[:, :n], B[:, :n]):
+            e_s[:] = g.poisson(e_rates, size=(n_cyc, T)).ravel()
+            r_s[:] = g.poisson(r_rates, size=(n_cyc, T)).ravel()
+            b_s[:] = g.choice(cap_vals, size=(n_cyc, T), p=cap_mass).ravel()
+
+        # the walk: X[j + 1] = clamp(X[j] + E[j] + R[j] - B[j], 0, bound).
+        # The increments go to X a block of streams at a time; one whole
+        # transposing copy is several times slower.
+        d = O[:, :n]
+        np.add(E[:, :n], R[:, :n], out=d)
+        np.subtract(d, B[:, :n], out=d)
+        for s0 in range(0, streams, 32):
+            X[1 : n + 1, s0 : s0 + 32] = d[s0 : s0 + 32].T
+        for cur, nxt in zip(X_rows[:n], X_rows[1 : n + 1]):
+            np.add(cur, nxt, out=nxt)
+            np.minimum(nxt, top, out=nxt)
+            np.maximum(nxt, zero, out=nxt)
+
+        # warm-up cycles need only the walk
+        k0 = min(max(config.warmup_cycles - start, 0), n_cyc)
+        if k0 == n_cyc:
+            continue
+        j0 = k0 * T
+        e, r, b, o, a = (buf[:, j0:n] for buf in (E, R, B, O, A))
+        xs = X[j0:n].T
+        # overflow O = (x_s + E + R - B - bound)^+, the increments being in o
+        o += xs
+        o -= bound
+        np.maximum(o, 0, out=o)
+        # adjusted express E - (O - R)^+
+        np.subtract(o, r, out=a)
+        np.maximum(a, 0, out=a)
+        np.subtract(e, a, out=a)
+
+        # x_c restarts at each cycle's opening x_s; m_raw reads the last age
+        xc = xs[:, ::T].copy()
+        for t in range(T):
+            if t == T - 1:
+                m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
+            xc += a[:, t::T]
+            xc -= b[:, t::T]
+            np.maximum(xc, 0, out=xc)
+
+        sum_m += xc.sum(axis=1, dtype=np.int64)
+        sum_m_raw += m_raw.sum(axis=1, dtype=np.int64)
+        sum_rejected += o.sum(axis=1, dtype=np.int64)
+        overflow_periods += np.count_nonzero(o, axis=1)
+        terms = F[:, : n - j0]
+        for counts, acc, total in ((e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)):
+            acc += counts.sum(axis=0, dtype=np.int64).reshape(-1, T).sum(axis=0)
+            # running revenue: seed the first term, then accumulate in time order
+            np.multiply(
+                counts.reshape(streams, -1, T),
+                fee_weights,
+                out=terms.reshape(streams, -1, T),
+            )
+            terms[:, 0] += total
+            np.add.accumulate(terms, axis=1, out=terms)
+            total[:] = terms[:, -1]
 
     lam = scenario.lam
     mean_m = float(sum_m.sum()) / total_measured

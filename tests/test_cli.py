@@ -9,9 +9,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shipfees
 from shipfees.cli import PRESETS, Experiment, load_preset, main
 
 SMALL_CONFIG = {
@@ -287,6 +292,20 @@ class TestSimulate:
         ):
             assert res[key] >= 0.0
         assert "np.float64" not in out
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self, capsys, small_config):
+        src = str(Path(shipfees.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["simulate", "--config", small_config, "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "shipfees", *argv],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, out, _ = run_cli(capsys, *argv)
+        assert json.loads(proc.stdout) == json.loads(out)
 
 
 class TestVerify:

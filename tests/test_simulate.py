@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import shipfees as sf
+from sim_oracle import loop_simulate
 
 
 MICRO_POLICY = sf.FeeStructure(2, (1.5, 2.5))
@@ -27,6 +29,21 @@ def reports_equal(a, b):
     )
 
 
+def assert_same_as_oracle(scenario, policy, config):
+    """Every field of the report equals the period-by-period loop's."""
+    got = sf.simulate(scenario, policy, config)
+    ref = loop_simulate(scenario, policy, config)
+    for field in dataclasses.fields(sf.SimulationReport):
+        if field.name != "report":
+            assert getattr(got, field.name) == getattr(ref, field.name), field.name
+    for field in dataclasses.fields(got.report):
+        va, vb = getattr(got.report, field.name), getattr(ref.report, field.name)
+        if isinstance(va, float) and math.isnan(va):
+            assert math.isnan(vb), field.name
+        else:
+            assert va == vb, (field.name, va, vb)
+
+
 class TestConfig:
     def test_zero_measured_cycles_rejected(self):
         with pytest.raises(sf.ParameterError):
@@ -39,6 +56,25 @@ class TestConfig:
             sf.SimConfig(cycles=100, warmup_cycles=10, streams=0)
         with pytest.raises(sf.ParameterError):
             sf.SimConfig(cycles=100, warmup_cycles=10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"cycles": 2000.5},
+            {"cycles": math.nan},
+            {"streams": 2.5},
+            {"seed": 1.5},
+            {"bound": 3.5},
+            {"bound": True},
+            {"warmup_cycles": True},
+        ],
+        ids=["cycles-float", "cycles-nan", "streams-float", "seed-float",
+             "bound-float", "bound-bool", "warmup-bool"],
+    )
+    def test_non_integer_fields_rejected(self, fields):
+        base = {"cycles": 2000, "warmup_cycles": 500, "seed": 1, "streams": 4}
+        with pytest.raises(sf.ParameterError, match="must be an integer"):
+            sf.SimConfig(**{**base, **fields})
 
     def test_period_length_must_match(self, micro_scenario):
         wrong = sf.FeeStructure(3, (1.0, 2.0, 3.0))
@@ -105,3 +141,75 @@ class TestAgreement:
         cfg = sf.SimConfig(cycles=2000, warmup_cycles=500, seed=3, streams=8)
         out = sf.simulate(micro_scenario, MICRO_POLICY, cfg)
         assert out.report.bound == sf.find_bound(micro_scenario)
+
+
+class TestLoopOracle:
+    """The vectorized chunk body against the period-by-period loop."""
+
+    VECTOR = (0.0, 4.0, 2.5, math.inf, 1.3, 3.9, 0.2, 2.2)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("bound", [0, 3, 30, 50, 2**40])
+    @pytest.mark.parametrize("rho", [0.85, 0.90, 0.95])
+    def test_presets(self, make_scenario, rho, bound, seed):
+        scenario = make_scenario(rho, 8.0)
+        policies = [
+            sf.build_policy("CSP", 2.0, 8, scenario.choice.u_max),
+            sf.build_policy(
+                "TSP", sf.SimpleTspParams(3.0, 3.4, 6, 7), 8, scenario.choice.u_max
+            ),
+            sf.FeeStructure(8, self.VECTOR),
+        ]
+        # 1100 cycles per stream: one full chunk and a partial one
+        cfg = sf.SimConfig(cycles=3100, warmup_cycles=100, seed=seed,
+                           bound=bound, streams=3)
+        for policy in policies:
+            assert_same_as_oracle(scenario, policy, cfg)
+
+    def test_idle_point_mass(self, choice):
+        scenario = sf.Scenario(2, 0.0, sf.Pmf.point_mass(2), choice, 8.0)
+        pol = sf.FeeStructure(2, (2.0, 2.0))
+        cfg = sf.SimConfig(cycles=500, warmup_cycles=100, seed=0, bound=1, streams=4)
+        assert_same_as_oracle(scenario, pol, cfg)
+
+    @settings(max_examples=30, deadline=None)
+    @example(T=2, weights=[1, 2, 1], load=0.9, fees=[0.0, math.inf], bound=4,
+             warmup=1024, measured=2100, streams=2, seed=0)
+    @example(T=2, weights=[0, 1], load=0.5, fees=[4.0, 4.0], bound=0,
+             warmup=0, measured=1030, streams=1, seed=3)
+    @example(T=3, weights=[2, 0, 1], load=0.95, fees=[0.0, 0.0, 0.0], bound=2,
+             warmup=517, measured=3, streams=6, seed=5)
+    @example(T=8, weights=[1, 1, 1, 1], load=0.7, fees=[2.0] * 8, bound=None,
+             warmup=1023, measured=400, streams=3, seed=9)
+    @given(
+        T=st.sampled_from([2, 3, 8]),
+        weights=st.lists(st.integers(0, 3), min_size=2, max_size=6).filter(
+            lambda w: sum(k * x for k, x in enumerate(w)) > 0
+        ),
+        load=st.sampled_from([0.0, 0.5, 0.9, 0.95]),
+        fees=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 4.0, math.inf]),
+                st.floats(0.0, 4.0, allow_nan=False),
+            ),
+            min_size=8,
+            max_size=8,
+        ),
+        bound=st.one_of(st.none(), st.integers(0, 12)),
+        warmup=st.sampled_from([0, 1, 517, 1023, 1024, 1025]),
+        measured=st.one_of(st.integers(1, 7), st.integers(8, 2100)),
+        streams=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_runs(self, choice, T, weights, load, fees, bound, warmup,
+                         measured, streams, seed):
+        """Warm-ups ending before, inside and at a chunk edge; partial chunks;
+        the shortest cycle (a Scenario needs T >= 2) and the presets' T = 8;
+        streams capped by the measured cycles; fees at u_min, inside, u_max
+        and inf, so no age, some ages or every age pays express."""
+        capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
+        scenario = sf.Scenario(T, load * capacity.mean(), capacity, choice, 8.0)
+        policy = sf.FeeStructure(T, tuple(fees[:T]))
+        cfg = sf.SimConfig(cycles=warmup + measured, warmup_cycles=warmup,
+                           seed=seed, bound=bound, streams=streams)
+        assert_same_as_oracle(scenario, policy, cfg)
