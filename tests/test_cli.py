@@ -2,7 +2,8 @@
 
 Every test drives ``shipfees.cli.main`` in process and inspects the
 captured stdout/stderr, so the assertions cover argument wiring, config
-diagnostics, and the exact emission formats.
+diagnostics, and the exact emission formats; one more runs
+``python -m shipfees`` in a subprocess.
 """
 
 import csv

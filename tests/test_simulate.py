@@ -166,13 +166,9 @@ class TestLoopOracle:
         for policy in policies:
             assert_same_as_oracle(scenario, policy, cfg)
 
-    def test_idle_point_mass(self, choice):
-        scenario = sf.Scenario(2, 0.0, sf.Pmf.point_mass(2), choice, 8.0)
-        pol = sf.FeeStructure(2, (2.0, 2.0))
-        cfg = sf.SimConfig(cycles=500, warmup_cycles=100, seed=0, bound=1, streams=4)
-        assert_same_as_oracle(scenario, pol, cfg)
-
     @settings(max_examples=30, deadline=None)
+    @example(T=2, weights=[0, 0, 1], load=0.0, fees=[2.0, 2.0], bound=1,
+             warmup=100, measured=400, streams=4, seed=0)
     @example(T=2, weights=[1, 2, 1], load=0.9, fees=[0.0, math.inf], bound=4,
              warmup=1024, measured=2100, streams=2, seed=0)
     @example(T=2, weights=[0, 1], load=0.5, fees=[4.0, 4.0], bound=0,
@@ -206,7 +202,8 @@ class TestLoopOracle:
         """Warm-ups ending before, inside and at a chunk edge; partial chunks;
         the shortest cycle (a Scenario needs T >= 2) and the presets' T = 8;
         streams capped by the measured cycles; fees at u_min, inside, u_max
-        and inf, so no age, some ages or every age pays express."""
+        and inf, so no age, some ages or every age pays express; load 0 is
+        the idle lambda = 0 system (pinned with a point-mass capacity)."""
         capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
         scenario = sf.Scenario(T, load * capacity.mean(), capacity, choice, 8.0)
         policy = sf.FeeStructure(T, tuple(fees[:T]))
