@@ -21,7 +21,14 @@ The evaluator rests on two facts of the model:
   d = x_s - x_c, the u part of a step is h' = max(h - u, 0) for every d
   (the clamp at 0 is the rejection of heavy express overflow); regular
   orders then shift x_s.  A push is two matrix products and a policy is
-  T - 1 pushes, which makes exhaustive fee-grid searches tractable.
+  T - 1 pushes;
+* E[M] is linear in the joint at every age, so it is the inner product
+  <J_m, W_m> at any split age m: J_m is the joint after the first m
+  pushes, W_m the last fee's backorder matrix pulled back through the
+  remaining steps by ``_AgeStep.pull``, the adjoint of the push (the same
+  kernels transposed).  A batch of fee vectors cuts each one after its
+  first run of equal fees, pushes the distinct runs forward and pulls the
+  distinct suffixes back, which makes exhaustive fee-grid searches cheap.
 
 One kernel, ``_shift_matrix``, builds every clamped shift: the workload
 chain's x' = clamp(x + demand - capacity, 0, bound), a step's headroom
@@ -98,10 +105,18 @@ class Scenario:
         if not 0.0 < utilization < 1.0:
             raise ParameterError("utilization must lie in (0, 1)")
         spec = CapacitySpec(capacity_support_max, lam / utilization, capacity_scv)
+        capacity = discretized_beta(spec)
+        if not lam < capacity.mean():
+            raise ParameterError(
+                f"discretized capacity has mean {capacity.mean():.4f} against "
+                f"its target lam/utilization = {spec.mean:.4f}, so utilization "
+                f"{utilization:g} becomes lam/E[B] = {lam / capacity.mean():.4g}"
+                " >= 1; lower the utilization"
+            )
         return cls(
             period_length,
             lam,
-            discretized_beta(spec),
+            capacity,
             choice,
             penalty,
             rejection_threshold,
@@ -242,6 +257,9 @@ class _AgeStep:
     * negative rows fold to zero (idle capacity is lost), in the scatter
       back from headroom coordinates, before ``R``.
 
+    ``pull`` is the adjoint of ``push``: the same gather, kernels and
+    scatter, transposed and in reverse order.
+
     The step also holds the fee's express rate and pmf, read by the revenue
     and express-loss measures, and the deadline backorder matrices, built
     from the same u on first use.
@@ -277,6 +295,21 @@ class _AgeStep:
         T = S.reshape(N, N) @ self.H
         A = np.bincount(to_A, T.ravel(), minlength=N * width)
         return A.reshape(N, width) @ self.R
+
+    def pull(self, W: np.ndarray) -> np.ndarray:
+        """Adjoint of ``push``: <push(J), W> = <J, pull(W)> for every J.
+
+        W @ R.T is gathered at to_A into headroom coordinates, multiplied by
+        H.T and scattered from to_S back to from_J; entries below the
+        diagonal stay zero, as push never reads them.
+        """
+        N = self.bound + 1
+        from_J, to_S, to_A = _headroom_index(self.bound, self.nb)
+        V = (W @ self.R.T).ravel()[to_A]
+        X = (V.reshape(N, N + self.nb) @ self.H.T).ravel()[to_S]
+        out = np.zeros(N * N)
+        out[from_J] = X
+        return out.reshape(N, N)
 
     @cached_property
     def backorders_raw(self) -> np.ndarray:
@@ -329,8 +362,9 @@ class StationaryDistribution:
 class PolicyEvaluator:
     """Steady-state evaluation of many policies at a shared truncation bound.
 
-    Holds one ``_AgeStep`` per fee, and walks fee vectors in sorted order so
-    that policies sharing a fee prefix share the corresponding pushes.
+    Holds one ``_AgeStep`` per fee.  A batch of fee vectors shares the
+    forward pushes of their opening fee runs and the adjoint pulls of their
+    remaining fees (``profits_batch``).
     ``workload`` is the stationary law of the total workload x_s, which is
     the same at every age and for every policy: express plus regular
     arrivals always total Poisson(lam) regardless of the fee.  It is the
@@ -424,34 +458,54 @@ class PolicyEvaluator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(variable profit, backorders) for each fee vector.
 
-        Vectors are processed in lexicographic order with a stack of partial
-        pushes, so the cost is one push per distinct fee prefix rather than
-        per policy.
+        Each vector is cut after its first run of equal fees, at most T - 1
+        long: the prefix f^m is pushed forward to the joint J_m, and the
+        suffix's last fee's adjusted backorder matrix is pulled back through
+        the suffix's other fees to W_m, so E[M] = <J_m, W_m>.  The joints of
+        the runs (fee, m) are held for this batch only; the distinct
+        suffixes are walked depth first in the order of the reversed suffix
+        with a stack of at most T - 1 pulled matrices.  For CSP, TSP_CF and
+        TSP every prefix is f_E^m and every suffix f_LE^b u_max^c, so the
+        batch costs one push per run and one pull per distinct suffix tail
+        instead of one push per distinct fee prefix.
         """
-        n = len(fee_vectors)
-        profits = np.empty(n)
-        backorders = np.empty(n)
-        order = sorted(range(n), key=lambda i: fee_vectors[i])
-        depth_fees: list[float] = []
-        stack = [self._root]
-        last = self.scenario.period_length - 1
-        for i in order:
-            fees = fee_vectors[i]
-            if len(fees) != self.scenario.period_length:
-                raise ParameterError("fee vector length must equal period_length")
+        T = self.scenario.period_length
+        if any(len(fees) != T for fees in fee_vectors):
+            raise ParameterError("fee vector length must equal period_length")
+        # suffix -> (vector index, its opening run (fee, m)); run fee -> longest m
+        by_suffix: dict[tuple[float, ...], list[tuple[int, tuple[float, int]]]] = {}
+        run_length: dict[float, int] = {}
+        for i, fees in enumerate(fee_vectors):
+            m = 1
+            while m < T - 1 and fees[m] == fees[0]:
+                m += 1
+            by_suffix.setdefault(tuple(fees[m:]), []).append((i, (fees[0], m)))
+            run_length[fees[0]] = max(run_length.get(fees[0], 0), m)
+        runs: dict[tuple[float, int], np.ndarray] = {}
+        for fee, longest in run_length.items():
+            J = self._root
+            for m in range(1, longest + 1):
+                J = runs[fee, m] = self._step(fee).push(J)
+
+        profits = np.empty(len(fee_vectors))
+        backorders = np.empty(len(fee_vectors))
+        path: tuple[float, ...] = ()
+        stack: list[np.ndarray] = []
+        for suffix in sorted(by_suffix, key=lambda s: s[::-1]):
+            rev = suffix[::-1]
             d = 0
-            while d < len(depth_fees) and d < last and depth_fees[d] == fees[d]:
+            while d < len(path) and d < len(rev) and path[d] == rev[d]:
                 d += 1
-            del depth_fees[d:]
-            del stack[d + 1 :]
-            while d < last:
-                stack.append(self._step(fees[d]).push(stack[-1]))
-                depth_fees.append(fees[d])
-                d += 1
-            G = self._step(fees[last]).backorders_adjusted
-            em = float(np.sum(stack[last] * G))
-            backorders[i] = em
-            profits[i] = self.revenue(fees) - self.scenario.penalty * em
+            del stack[d:]
+            for fee in rev[d:]:
+                step = self._step(fee)
+                W = step.pull(stack[-1]) if stack else step.backorders_adjusted
+                stack.append(W)
+            path = rev
+            for i, run in by_suffix[suffix]:
+                em = float(np.vdot(runs[run], stack[-1]))
+                backorders[i] = em
+                profits[i] = self.revenue(fee_vectors[i]) - self.scenario.penalty * em
         return profits, backorders
 
     def distribution(self, fees: tuple[float, ...]) -> StationaryDistribution:
@@ -475,51 +529,34 @@ def find_bound(scenario: Scenario, hard_cap: int = 2000) -> int:
 
     Rejection depends on the policy-free workload law only, so the bound
     serves every policy of the scenario; each probe is one evaluator set-up
-    (a 1-D solve).  Exponential bracketing followed by bisection;
-    monotonicity of the rejection probability in the bound is assumed,
-    checked against all probes, and on violation the search falls back to a
-    linear scan upward.  Raises CapacityInfeasibleError if even hard_cap is
-    not enough.
+    (a 1-D solve).  Exponential bracketing followed by bisection, which is
+    exact because rejection is non-increasing in the bound.  Coupling proof:
+    drive the walks x' = min((x + V)^+, b) and y' = min((y + V)^+, b + 1)
+    with the same draws V = demand - capacity from x = y = 0.  Both maps
+    are monotone and their clamps differ by one, so every step keeps
+    x <= y <= x + 1.  A rejection at b + 1, y + V > b + 1, then gives
+    x + V >= y + V - 1 > b, a rejection at b: pathwise, the periods that
+    reject at b + 1 are a subset of those that reject at b, and so are the
+    long-run frequencies, which are the stationary probabilities.  Raises
+    CapacityInfeasibleError if even hard_cap is not enough.
     """
     threshold = scenario.rejection_threshold
-    probes: dict[int, float] = {}
 
     def rej(b: int) -> float:
-        if b not in probes:
-            probes[b] = PolicyEvaluator(scenario, b).rejection_probability()
-        return probes[b]
+        return PolicyEvaluator(scenario, b).rejection_probability()
 
-    def monotone() -> bool:
-        items = sorted(probes.items())
-        return all(
-            a[1] >= b[1] - 1e-15 for a, b in zip(items, items[1:])
-        )
-
-    if rej(1) <= threshold:
-        return 1
-    lo = 1
-    hi = 1
-    while rej(hi) > threshold:
+    lo, hi = 0, 1
+    while (r := rej(hi)) > threshold:
         if hi >= hard_cap:
             raise CapacityInfeasibleError(
-                f"rejection probability {rej(hard_cap):.4g} still above "
-                f"{threshold:g} at bound {hard_cap}"
+                f"rejection probability {r:.4g} still above "
+                f"{threshold:g} at bound {hi}"
             )
-        lo = hi
-        hi = min(hi * 2, hard_cap)
+        lo, hi = hi, min(hi * 2, hard_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if rej(mid) <= threshold:
             hi = mid
         else:
             lo = mid
-    if not monotone():
-        b = 1
-        while rej(b) > threshold:
-            b += 1
-            if b > hard_cap:
-                raise CapacityInfeasibleError(
-                    f"no bound up to {hard_cap} meets threshold {threshold:g}"
-                )
-        return b
     return hi

@@ -106,6 +106,29 @@ def stationary_per_age(mats: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def workload_rejection(scenario, bound: int) -> float:
+    """Stationary per-period rejection probability of the total workload.
+
+    Express plus regular demand is Poisson(lam) whatever the fee, so x_s
+    alone decides rejections: a period rejects when x_s + demand - capacity
+    exceeds the bound.  Dense matrix by loops, then a direct linear solve.
+    """
+    pd = poisson_masses(scenario.lam)
+    pb = scenario.capacity.mass
+    n = bound + 1
+    mat = np.zeros((n, n))
+    over = np.zeros(n)
+    for x in range(n):
+        for a, qa in enumerate(pd):
+            for b, qb in enumerate(pb):
+                y = x + a - b
+                if y > bound:
+                    over[x] += qa * qb
+                mat[x, min(max(y, 0), bound)] += qa * qb
+    pi = stationary_per_age([mat])[0]
+    return float(pi @ over)
+
+
 def brute_report(scenario, policy, bound: int) -> dict:
     """Stationary measures by exhaustive enumeration."""
     T = scenario.period_length

@@ -7,7 +7,9 @@ power-iterates the cycle map.  The package evaluates policies with the
 structural pushes of ``shipfees.chain`` instead; the tests compare the two,
 and both against the dense enumeration in ``bruteforce.py``.  ``loop_push``
 is the structural push written as loops over u = express - capacity, the
-reference for the package's matrix-product push.
+reference for the package's matrix-product push.  ``prefix_profits_batch`` is
+the batch evaluator that pushes every distinct fee prefix forward to the
+last age, the reference for the package's split forward/adjoint batch.
 """
 
 from __future__ import annotations
@@ -241,3 +243,39 @@ def loop_push(step, J: np.ndarray) -> np.ndarray:
     out[0, :] = core[: nb + 1, :].sum(axis=0)
     out[1:, :] = core[nb + 1 :, :]
     return out
+
+
+def prefix_profits_batch(
+    ev, fee_vectors: list[tuple[float, ...]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(variable profit, backorders) for each fee vector.
+
+    Vectors are processed in lexicographic order with a stack of partial
+    pushes, so the cost is one push per distinct fee prefix rather than
+    per policy.
+    """
+    n = len(fee_vectors)
+    profits = np.empty(n)
+    backorders = np.empty(n)
+    order = sorted(range(n), key=lambda i: fee_vectors[i])
+    depth_fees: list[float] = []
+    stack = [ev._root]
+    last = ev.scenario.period_length - 1
+    for i in order:
+        fees = fee_vectors[i]
+        if len(fees) != ev.scenario.period_length:
+            raise ParameterError("fee vector length must equal period_length")
+        d = 0
+        while d < len(depth_fees) and d < last and depth_fees[d] == fees[d]:
+            d += 1
+        del depth_fees[d:]
+        del stack[d + 1 :]
+        while d < last:
+            stack.append(ev._step(fees[d]).push(stack[-1]))
+            depth_fees.append(fees[d])
+            d += 1
+        G = ev._step(fees[last]).backorders_adjusted
+        em = float(np.sum(stack[last] * G))
+        backorders[i] = em
+        profits[i] = ev.revenue(fees) - ev.scenario.penalty * em
+    return profits, backorders

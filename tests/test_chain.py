@@ -1,5 +1,6 @@
 """Truncated periodic chain: transitions, kernels, bounds, stationarity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import shipfees as sf
 from shipfees.chain import _shift_matrix, state_count, state_pairs
+from shipfees.optimize import FAMILIES, _candidates
 
 import bruteforce as bf
 import kernel_oracle as ko
@@ -180,6 +182,39 @@ class TestFindBound:
         with pytest.raises(sf.CapacityInfeasibleError):
             sf.find_bound(scenario, hard_cap=2)
 
+    @settings(max_examples=40, deadline=None)
+    @example(weights=[0, 0, 0, 0, 1], load=0.95, bound=0)
+    @example(weights=[1, 0, 0, 3], load=0.0, bound=2)
+    @example(weights=[3, 0, 0, 0, 0, 0, 1], load=0.95, bound=8)
+    @given(
+        weights=st.lists(st.integers(0, 3), min_size=1, max_size=7).filter(
+            lambda w: sum(k * x for k, x in enumerate(w)) > 0
+        ),
+        load=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        bound=st.integers(0, 8),
+    )
+    def test_rejection_non_increasing_in_bound(self, choice, weights, load, bound):
+        """The coupling argument of find_bound, on the brute-force chain."""
+        capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
+        scenario = sf.Scenario(2, load * capacity.mean(), capacity, choice, 8.0)
+        pair = (bound, bound + 1)
+        brute = [bf.workload_rejection(scenario, b) for b in pair]
+        exact = [sf.PolicyEvaluator(scenario, b).rejection_probability() for b in pair]
+        assert brute[1] <= brute[0] + 1e-15, brute
+        assert exact[1] <= exact[0] + 1e-15, exact
+        for got, want in zip(exact, brute):
+            assert abs(got - want) <= 1e-12, (got, want)
+
+    def test_brute_workload_rejection_is_the_full_chain_rejection(
+        self, micro_scenario
+    ):
+        pol = sf.FeeStructure(2, (1.3, 4.0))
+        for bound in (1, 2, 3):
+            full = bf.brute_report(micro_scenario, pol, bound)["rejection_probability"]
+            assert bf.workload_rejection(micro_scenario, bound) == pytest.approx(
+                full, abs=1e-12
+            )
+
 
 class TestWorkloadLaw:
     """The policy-free workload vector is the x_s law at every age."""
@@ -234,6 +269,15 @@ class TestScenario:
         with pytest.raises(sf.ParameterError, match=field):
             sf.Scenario(**kwargs)
 
+    def test_utilization_missed_by_discretization(self, choice):
+        """Asking for 0.999 must not end in 'utilization 1.002 must be < 1'."""
+        with pytest.raises(sf.ParameterError) as info:
+            sf.Scenario.from_utilization(8, 5.0, 0.999, 1.0, 20, choice, 8.0)
+        msg = str(info.value)
+        assert "discretized capacity has mean 4.9878" in msg
+        assert "target lam/utilization = 5.0050" in msg
+        assert "utilization 0.999" in msg
+
 
 class TestPolicyEvaluator:
     def test_batch_matches_single_evaluations(self, micro_scenario):
@@ -252,6 +296,54 @@ class TestPolicyEvaluator:
             )
             assert profit == pytest.approx(report.variable_profit, abs=1e-12)
             assert m == pytest.approx(report.expected_backorders, abs=1e-12)
+
+
+class TestProfitsBatch:
+    """The split forward/adjoint batch against the prefix-stack oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(scenario, bound, fee_vectors):
+        profits, backorders = sf.PolicyEvaluator(scenario, bound).profits_batch(
+            fee_vectors
+        )
+        ref_p, ref_m = ko.prefix_profits_batch(
+            sf.PolicyEvaluator(scenario, bound), fee_vectors
+        )
+        assert np.max(np.abs(profits - ref_p)) <= 1e-12
+        assert np.max(np.abs(backorders - ref_m)) <= 1e-12
+
+    def test_paper_families_on_default_lattice(self, make_scenario):
+        scenario = make_scenario(0.95, 8.0)
+        grid = sf.SearchGrid.default(8)
+        vectors = [
+            p.fees
+            for family in FAMILIES
+            for p in _candidates(scenario, family, grid)[1]
+        ]
+        vectors += [
+            sf.build_policy("CSP", fee, 8, scenario.choice.u_max).fees
+            for fee in grid.fee_values
+        ]
+        self.assert_matches_oracle(scenario, 51, vectors)
+
+    def test_every_vector_of_a_small_grid(self, choice):
+        capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
+        scenario = sf.Scenario(3, 1.5, capacity, choice, 8.0)
+        fees = (0.0, 1.3, 2.5, choice.u_max, math.inf)
+        vectors = list(itertools.product(fees, repeat=3))
+        for bound in (0, 1, 8):
+            self.assert_matches_oracle(scenario, bound, vectors)
+
+    def test_micro_vectors(self, micro_scenario):
+        vectors = [(1.5, 2.5), (2.5, 1.5), (0.5, 0.5), (4.0, 2.0), (3.5, 3.5)]
+        self.assert_matches_oracle(micro_scenario, 8, vectors)
+
+    def test_empty_batch_and_bad_length(self, micro_scenario):
+        ev = sf.PolicyEvaluator(micro_scenario, 8)
+        profits, backorders = ev.profits_batch([])
+        assert profits.shape == backorders.shape == (0,)
+        with pytest.raises(sf.ParameterError, match="period_length"):
+            ev.profits_batch([(1.0, 2.0), (1.0, 2.0, 3.0)])
 
 
 class TestShiftMatrix:
@@ -394,3 +486,46 @@ class TestPush:
                 ref[yc, ys] = mat[i, j]
             assert np.max(np.abs(out - ref)) < 1e-12, (xc, xs)
             assert abs(out.sum() - 1.0) <= 1e-12, (xc, xs)
+
+
+class TestPull:
+    """The adjoint push: <push(J), W> = <J, pull(W)>, and the brute transpose."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(weights=[0, 0, 0, 0, 1], load=0.7, bound=0, fee=0.0, seed=0)
+    @example(weights=[0, 2, 0, 1], load=0.95, bound=2, fee=4.5, seed=1)
+    @example(weights=[1, 0, 0, 3], load=0.0, bound=3, fee=math.inf, seed=2)
+    @example(weights=[1, 2, 3, 0, 1], load=0.95, bound=6, fee=4.0, seed=3)
+    @given(
+        weights=st.lists(st.integers(0, 3), min_size=1, max_size=7).filter(
+            lambda w: sum(k * x for k, x in enumerate(w)) > 0
+        ),
+        load=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        bound=st.integers(0, 6),
+        fee=st.one_of(
+            st.sampled_from([0.0, 4.0, 4.5, math.inf]),
+            st.floats(0.0, 4.0, allow_nan=False),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_of_push(self, choice, weights, load, bound, fee, seed):
+        """Same strategy space as TestPush.test_matches_brute_age_matrix."""
+        capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
+        scenario = sf.Scenario(2, load * capacity.mean(), capacity, choice, 8.0)
+        step = sf.PolicyEvaluator(scenario, bound)._step(fee)
+        rng = np.random.default_rng(seed)
+        N = bound + 1
+        J = np.triu(rng.uniform(0.0, 1.0, (N, N)))
+        W = rng.uniform(-1.0, 1.0, (N, N))
+        lhs = np.vdot(step.push(J), W)
+        rhs = np.vdot(J, step.pull(W))
+        assert abs(lhs - rhs) <= 1e-12, (lhs, rhs)
+
+        # pull(W) at state i is sum_j P[i, j] W[j]: the transposed brute matrix
+        mat = bf.age_matrix(scenario, fee, bound, deadline=False)
+        states = bf.states_list(bound)
+        w = np.array([W[yc, ys] for yc, ys in states])
+        ref = np.zeros((N, N))
+        for i, (xc, xs) in enumerate(states):
+            ref[xc, xs] = mat[i] @ w
+        assert np.max(np.abs(step.pull(W) - ref)) <= 1e-12

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import shipfees as sf
+from shipfees.cli import Experiment, load_preset
+from shipfees.optimize import FAMILIES
+
+import kernel_oracle as ko
 
 
 GRID = sf.SearchGrid((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (1, 1))
@@ -78,6 +82,21 @@ class TestOptimizeFamily:
         assert opt.runner_up_gap == 0.0
         params = opt.family_params
         assert (params.express_fee, params.lastminute_fee) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_optimum_as_prefix_oracle(self, monkeypatch, family):
+        """rho085_c8 on the default lattice, against the prefix-stack batch."""
+        exp = Experiment("rho085_c8", load_preset("rho085_c8"), 0.023)
+        args = (exp.scenario, family, exp.search_grid(), exp.shared_bound())
+        opt = sf.optimize_family(*args)
+        monkeypatch.setattr(
+            sf.PolicyEvaluator, "profits_batch", ko.prefix_profits_batch
+        )
+        ref = sf.optimize_family(*args)
+        assert opt.family_params == ref.family_params
+        assert opt.tie_broken == ref.tie_broken
+        assert opt.evaluations == ref.evaluations
+        assert abs(opt.runner_up_gap - ref.runner_up_gap) <= 1e-12
 
     def test_unknown_family_rejected(self, micro_scenario):
         with pytest.raises(sf.ParameterError):
