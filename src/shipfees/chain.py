@@ -257,9 +257,6 @@ class _AgeStep:
     * negative rows fold to zero (idle capacity is lost), in the scatter
       back from headroom coordinates, before ``R``.
 
-    ``pull`` is the adjoint of ``push``: the same gather, kernels and
-    scatter, transposed and in reverse order.
-
     The step also holds the fee's express rate and pmf, read by the revenue
     and express-loss measures, and the deadline backorder matrices, built
     from the same u on first use.
@@ -459,15 +456,13 @@ class PolicyEvaluator:
         """(variable profit, backorders) for each fee vector.
 
         Each vector is cut after its first run of equal fees, at most T - 1
-        long: the prefix f^m is pushed forward to the joint J_m, and the
-        suffix's last fee's adjusted backorder matrix is pulled back through
-        the suffix's other fees to W_m, so E[M] = <J_m, W_m>.  The joints of
-        the runs (fee, m) are held for this batch only; the distinct
-        suffixes are walked depth first in the order of the reversed suffix
-        with a stack of at most T - 1 pulled matrices.  For CSP, TSP_CF and
-        TSP every prefix is f_E^m and every suffix f_LE^b u_max^c, so the
-        batch costs one push per run and one pull per distinct suffix tail
-        instead of one push per distinct fee prefix.
+        long: E[M] = <J_m, W_m>, with J_m the joint after the run f^m and
+        W_m the last fee's adjusted backorder matrix pulled back through
+        the other suffix fees.  The run joints are held for this batch only;
+        the distinct suffixes are walked depth first by reversed suffix with
+        a stack of at most T - 1 pulled matrices.  For CSP, TSP_CF and TSP
+        every prefix is f_E^m and every suffix f_LE^b u_max^c, so a batch
+        costs one push per run and one pull per distinct suffix tail.
         """
         T = self.scenario.period_length
         if any(len(fees) != T for fees in fee_vectors):
