@@ -12,7 +12,12 @@ The evaluator rests on two facts of the model:
 * express plus regular arrivals always total Poisson(lam), whatever the fee,
   so the total workload x_s is a policy-free 1-D chain clamped at the bound.
   Its stationary law (one GTH solve) is the x_s marginal at every age, and
-  it alone fixes the truncation bound and every rejection measure;
+  it alone fixes the truncation bound and every rejection measure.  Both
+  are memoized by value: the law on (lam, capacity, bound), the bound on
+  (lam, capacity, rejection threshold, hard cap), so scenarios that differ
+  only in T, choice or penalty, and every policy, share them.  ``Pmf``
+  compares and hashes by value to key them, and the shared
+  ``PolicyEvaluator.workload`` vector is read-only;
 * at age 0 the joint state is diagonal (the deadline reset makes x_c = x_s)
   with that law on the diagonal, and what one period does depends on the
   posted fee only.  ``_AgeStep`` owns it: the express law, the pmf of
@@ -218,6 +223,39 @@ def _overshoot(p: np.ndarray, origin: int, headroom: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Policy-free workload law.  Pure in (lam, capacity, bound), so memoized by
+# value: the bound probes, the evaluator at the found bound and every
+# evaluator of an experiment at one bound share one GTH solve.
+
+
+@lru_cache(maxsize=256)
+def _workload_law(
+    lam: float, capacity: Pmf, bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, workload), both read-only.
+
+    shift is the pmf of the one-period change V = demand - capacity, with
+    shift[capacity.support_max] = P(V = 0); workload is the stationary law
+    of x' = clamp(x + V, 0, bound).
+    """
+    nb = capacity.support_max
+    shift = np.convolve(poisson_pmf(lam, TAIL_EPS).mass, capacity.mass[::-1])
+    workload = _gth_stationary(_shift_matrix(shift, nb, np.arange(bound + 1), bound))
+    for arr in (shift, workload):
+        arr.flags.writeable = False
+    return shift, workload
+
+
+def _rejection_probability(lam: float, capacity: Pmf, bound: int) -> float:
+    """Stationary per-period probability that the bound rejects an order."""
+    shift, workload = _workload_law(lam, capacity, bound)
+    tails = _suffix_tails(shift)
+    headroom = bound - np.arange(bound + 1)
+    idx = np.minimum(headroom + capacity.support_max + 1, shift.size)
+    return float(workload @ tails[idx])
+
+
+# ---------------------------------------------------------------------------
 # Structural evaluator.
 
 
@@ -375,12 +413,10 @@ class PolicyEvaluator:
         self.scenario = scenario
         self.bound = bound
         self._steps: dict[float, _AgeStep] = {}
-        demand = poisson_pmf(scenario.lam, TAIL_EPS)
-        # one-period workload shift V = demand - capacity; _shift[nb] = P(V = 0)
         self._nb = scenario.capacity.support_max
-        self._shift = np.convolve(demand.mass, scenario.capacity.mass[::-1])
-        self.workload = _gth_stationary(
-            _shift_matrix(self._shift, self._nb, np.arange(bound + 1), bound)
+        # read-only and shared by every evaluator at (lam, capacity, bound)
+        self._shift, self.workload = _workload_law(
+            scenario.lam, scenario.capacity, bound
         )
         self._root = np.diag(self.workload)
 
@@ -393,10 +429,9 @@ class PolicyEvaluator:
 
     def rejection_probability(self) -> float:
         """Stationary per-period probability that the bound rejects an order."""
-        tails = _suffix_tails(self._shift)
-        headroom = self.bound - np.arange(self.bound + 1)
-        idx = np.minimum(headroom + self._nb + 1, self._shift.size)
-        return float(self.workload @ tails[idx])
+        return _rejection_probability(
+            self.scenario.lam, self.scenario.capacity, self.bound
+        )
 
     def expected_rejected_per_cycle(self) -> float:
         """Expected number of rejected orders per operating cycle."""
@@ -522,10 +557,13 @@ def steady_state(
 def find_bound(scenario: Scenario, hard_cap: int = 2000) -> int:
     """Smallest workload bound keeping the rejection probability acceptable.
 
-    Rejection depends on the policy-free workload law only, so the bound
-    serves every policy of the scenario; each probe is one evaluator set-up
-    (a 1-D solve).  Exponential bracketing followed by bisection, which is
-    exact because rejection is non-increasing in the bound.  Coupling proof:
+    Rejection depends on the policy-free workload law only, so the bound is
+    a function of (lam, capacity, rejection_threshold, hard_cap) and serves
+    every policy, penalty, choice model and cycle length; it is memoized by
+    value on those four, and each probe is one memoized 1-D solve.  The
+    result never exceeds hard_cap, which must be an int of at least 1.
+    Exponential bracketing followed by bisection, which is exact because
+    rejection is non-increasing in the bound.  Coupling proof:
     drive the walks x' = min((x + V)^+, b) and y' = min((y + V)^+, b + 1)
     with the same draws V = demand - capacity from x = y = 0.  Both maps
     are monotone and their clamps differ by one, so every step keeps
@@ -535,10 +573,17 @@ def find_bound(scenario: Scenario, hard_cap: int = 2000) -> int:
     long-run frequencies, which are the stationary probabilities.  Raises
     CapacityInfeasibleError if even hard_cap is not enough.
     """
-    threshold = scenario.rejection_threshold
+    if not isinstance(hard_cap, int) or hard_cap < 1:
+        raise ParameterError(f"hard_cap must be an int >= 1, got {hard_cap!r}")
+    return _search_bound(
+        scenario.lam, scenario.capacity, scenario.rejection_threshold, hard_cap
+    )
 
+
+@lru_cache(maxsize=64)
+def _search_bound(lam: float, capacity: Pmf, threshold: float, hard_cap: int) -> int:
     def rej(b: int) -> float:
-        return PolicyEvaluator(scenario, b).rejection_probability()
+        return _rejection_probability(lam, capacity, b)
 
     lo, hi = 0, 1
     while (r := rej(hi)) > threshold:

@@ -19,12 +19,14 @@ from .errors import ParameterError, UndefinedMeasureError
 MASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function on {0, ..., support_max}.
 
     The mass array is copied and frozen on construction; entries must be
-    finite, in [0, 1], and sum to one within ``MASS_TOL``.
+    finite, in [0, 1], and sum to one within ``MASS_TOL``.  Pmfs compare
+    and hash by value (support and masses, with -0.0 equal to 0.0), so a
+    pmf can key a cache.
     """
 
     mass: np.ndarray
@@ -41,6 +43,15 @@ class Pmf:
             raise ParameterError(f"pmf mass sums to {total!r}, not 1 within {MASS_TOL}")
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Pmf):
+            return NotImplemented
+        return bool(np.array_equal(self.mass, other.mass))  # False on shape
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, so equal pmfs hash alike
+        return hash((self.mass + 0.0).tobytes())
 
     @property
     def support_max(self) -> int:

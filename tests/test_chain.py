@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shipfees as sf
+from shipfees import chain
 from shipfees.chain import _shift_matrix, state_count, state_pairs
 from shipfees.optimize import FAMILIES, _candidates
 
@@ -179,8 +180,26 @@ class TestFindBound:
     def test_hard_cap_reached(self, choice):
         capacity = sf.Pmf(np.array([0.05, 0.05, 0.9]))
         scenario = sf.Scenario(2, 1.75, capacity, choice, 8.0)
-        with pytest.raises(sf.CapacityInfeasibleError):
-            sf.find_bound(scenario, hard_cap=2)
+        for _ in range(2):  # a failed search is not memoized
+            with pytest.raises(sf.CapacityInfeasibleError):
+                sf.find_bound(scenario, hard_cap=2)
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, 40.0, "40", None])
+    def test_invalid_hard_cap_rejected(self, choice, cap):
+        scenario = sf.Scenario(2, 1e-8, sf.Pmf.point_mass(2), choice, 8.0)
+        with pytest.raises(sf.ParameterError, match="hard_cap"):
+            sf.find_bound(scenario, hard_cap=cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 26, 27, 28, 40])
+    def test_result_never_exceeds_hard_cap(self, choice, make_scenario, cap):
+        idle = sf.Scenario(2, 1e-8, sf.Pmf.point_mass(2), choice, 8.0)
+        assert sf.find_bound(idle, hard_cap=cap) == 1
+        scenario = make_scenario(0.85, 8.0)  # bound 27
+        if cap < 27:
+            with pytest.raises(sf.CapacityInfeasibleError):
+                sf.find_bound(scenario, hard_cap=cap)
+        else:
+            assert sf.find_bound(scenario, hard_cap=cap) == 27
 
     @settings(max_examples=40, deadline=None)
     @example(weights=[0, 0, 0, 0, 1], load=0.95, bound=0)
@@ -214,6 +233,81 @@ class TestFindBound:
             assert bf.workload_rejection(micro_scenario, bound) == pytest.approx(
                 full, abs=1e-12
             )
+
+
+class TestWorkloadMemo:
+    """The workload law and the bound search are memoized by value."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Bounds of the GTH solves made while the test runs, from cold caches."""
+        chain._workload_law.cache_clear()
+        chain._search_bound.cache_clear()
+        sizes = []
+        solve = chain._gth_stationary
+
+        def counting(P):
+            sizes.append(P.shape[0] - 1)
+            return solve(P)
+
+        monkeypatch.setattr(chain, "_gth_stationary", counting)
+        yield sizes
+        chain._workload_law.cache_clear()
+        chain._search_bound.cache_clear()
+
+    @staticmethod
+    def probes(scenario):
+        """The bounds find_bound's bracket and bisection visit, and the result."""
+        thr = scenario.rejection_threshold
+
+        def passes(b):
+            return sf.PolicyEvaluator(scenario, b).rejection_probability() <= thr
+
+        seen, lo, hi = [1], 0, 1
+        while not passes(hi):
+            lo, hi = hi, hi * 2
+            seen.append(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            seen.append(mid)
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+        return seen, hi
+
+    def test_searched_query_solves_once_per_probe(self, choice, solves):
+        capacity = sf.Pmf(np.array([0.05, 0.15, 0.3, 0.3, 0.2]))
+        scenario = sf.Scenario(4, 1.9, capacity, choice, 8.0)
+        report = sf.evaluate_policy(scenario, sf.build_policy("CSP", 2.0, 4, 4.0))
+        made = list(solves)
+        probes, bound = self.probes(scenario)
+        assert report.bound == bound > 1
+        # one solve per probe, in probe order, and none at the found bound after
+        assert made == probes
+
+    def test_equal_scenario_reuses_law_and_bound(self, make_scenario, solves):
+        sf.evaluate_policy(make_scenario(0.9, 8.0), sf.build_policy("CSP", 2.0, 8, 4.0))
+        assert solves
+        tsp = sf.build_policy("TSP", sf.SimpleTspParams(1.0, 3.0, 2, 6), 8, 4.0)
+        queries = [
+            (make_scenario(0.9, 8.0), tsp),  # equal scenario, another policy
+            (make_scenario(0.9, 2.5), tsp),  # another penalty, same (lam, capacity)
+        ]
+        for scenario, policy in queries:
+            solves.clear()
+            hits, misses, *_ = chain._search_bound.cache_info()
+            warm = sf.evaluate_policy(scenario, policy)
+            assert solves == []
+            assert chain._search_bound.cache_info()[:2] == (hits + 1, misses)
+            chain._workload_law.cache_clear()
+            chain._search_bound.cache_clear()
+            cold = sf.evaluate_policy(scenario, policy)
+            assert solves
+            assert warm.as_dict() == cold.as_dict()
+
+    def test_workload_is_read_only_and_shared(self, micro_scenario):
+        ev = sf.PolicyEvaluator(micro_scenario, 8)
+        with pytest.raises(ValueError):
+            ev.workload[0] = 1.0
+        assert sf.PolicyEvaluator(micro_scenario, 8).workload is ev.workload
 
 
 class TestWorkloadLaw:
@@ -277,6 +371,15 @@ class TestScenario:
         assert "discretized capacity has mean 4.9878" in msg
         assert "target lam/utilization = 5.0050" in msg
         assert "utilization 0.999" in msg
+
+    def test_equality_and_hash_by_value(self, make_scenario, micro_scenario):
+        a, b = make_scenario(0.9, 8.0), make_scenario(0.9, 8.0)
+        assert a is not b and a.capacity is not b.capacity
+        assert a == b and hash(a) == hash(b)
+        assert a != make_scenario(0.9, 4.0)
+        assert a != make_scenario(0.95, 8.0)
+        assert a != micro_scenario
+        assert len({a, b, micro_scenario}) == 2
 
 
 class TestPolicyEvaluator:

@@ -17,6 +17,29 @@ class TestPmf:
         with pytest.raises(sf.ParameterError, match="finite"):
             sf.Pmf(np.array([0.5, bad, 0.5]))
 
+    def test_equal_masses_compare_and_hash_equal(self):
+        a, b = sf.Pmf(np.array([0.5, 0.5])), sf.Pmf(np.array([0.5, 0.5]))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_unequal_masses_differ(self):
+        assert sf.Pmf(np.array([0.5, 0.5])) != sf.Pmf(np.array([0.25, 0.75]))
+
+    def test_different_lengths_differ(self):
+        short = sf.Pmf(np.array([0.5, 0.5]))
+        assert short != sf.Pmf(np.array([0.5, 0.5, 0.0]))
+        assert sf.Pmf.point_mass(1) != sf.Pmf.point_mass(2)
+
+    def test_negative_zero_equals_zero(self):
+        neg, pos = sf.Pmf(np.array([-0.0, 1.0])), sf.Pmf(np.array([0.0, 1.0]))
+        assert neg == pos and hash(neg) == hash(pos)
+
+    def test_other_types_are_not_equal(self):
+        pmf = sf.Pmf(np.array([0.5, 0.5]))
+        assert pmf != [0.5, 0.5]
+        assert pmf != np.array([0.5, 0.5]).tobytes()
+
 
 class TestPoisson:
     def test_rate_zero_is_point_mass(self):
