@@ -113,35 +113,42 @@ def _validated_grid(
 
 def _candidates(
     scenario: Scenario, family: str, grid: SearchGrid
-) -> tuple[list[object], list[FeeStructure], list[tuple]]:
-    """Enumerate (params, policy, preference key) for one family."""
+) -> tuple[list[tuple], list[tuple[float, ...]], list[tuple]]:
+    """Enumerate (params, fee vector, preference key) for one family.
+
+    Params and fee vectors are plain tuples, the fee vectors those of
+    build_policy's canonical form; the validated grid already keeps every
+    fee in [u_min, u_max] and every cutoff below T, and the pairs from
+    itertools.combinations have f_E < f_LE, so only the winner's policy is
+    built.
+    """
     T = scenario.period_length
-    u_max = scenario.choice.u_max
+    u_max = float(scenario.choice.u_max)
     lo, hi = grid.cutoff_range
-    params_list: list[object] = []
-    policies: list[FeeStructure] = []
+    params_list: list[tuple] = []
+    vectors: list[tuple[float, ...]] = []
     keys: list[tuple] = []
     if family == "TSP_CF_star":
         for fee in grid.fee_values:
             for tc in range(lo, hi + 1):
                 params_list.append((fee, tc))
-                policies.append(build_policy("TSP_CF", (fee, tc), T, u_max))
+                vectors.append((fee,) * (tc + 1) + (u_max,) * (T - 1 - tc))
                 keys.append((tc, tc, -fee, -fee))
     elif family == "TSP":
         for fe, fle in itertools.combinations(grid.fee_values, 2):
             for tc in range(lo, hi + 1):
+                tail = (u_max,) * (T - 1 - tc)
                 for tf in grid.switch_values(tc):
-                    params = SimpleTspParams(fe, fle, tf, tc)
-                    params_list.append(params)
-                    policies.append(build_policy("TSP", params, T, u_max))
+                    params_list.append((fe, fle, tf, tc))
+                    vectors.append((fe,) * (tf + 1) + (fle,) * (tc - tf) + tail)
                     keys.append((tc, tf, -fe, -fle))
     else:
         raise ParameterError(
             f"unknown family {family!r}; expected one of {FAMILIES}"
         )
-    if not policies:
+    if not vectors:
         raise ParameterError("parameter grid is empty")
-    return params_list, policies, keys
+    return params_list, vectors, keys
 
 
 def optimize_family(
@@ -160,22 +167,32 @@ def optimize_family(
     then the cheapest fees.
     """
     grid = _validated_grid(scenario, grid)
-    params_list, policies, keys = _candidates(scenario, family, grid)
+    params_list, vectors, keys = _candidates(scenario, family, grid)
     if bound is None:
         bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
-    profits, _ = evaluator.profits_batch([p.fees for p in policies])
+    profits, _ = evaluator.profits_batch(vectors)
     pmax = float(np.max(profits))
-    tied = [i for i in range(len(policies)) if profits[i] >= pmax - PROFIT_TIE_TOL]
+    tied = [i for i in range(len(vectors)) if profits[i] >= pmax - PROFIT_TIE_TOL]
     winner = max(tied, key=lambda i: keys[i])
-    others = [profits[i] for i in range(len(policies)) if i != winner]
+    others = [profits[i] for i in range(len(vectors)) if i != winner]
     gap = float(profits[winner] - max(others)) if others else math.inf
+    params = params_list[winner]
+    if family == "TSP":
+        params = SimpleTspParams(*params)
+    # TSP_CF_star searches the TSP_CF policies
+    policy = build_policy(
+        family.removesuffix("_star"),
+        params,
+        scenario.period_length,
+        scenario.choice.u_max,
+    )
     return Optimum(
         family=family,
-        family_params=params_list[winner],
-        best_policy=policies[winner],
-        report=evaluate_policy(scenario, policies[winner], bound=bound),
-        evaluations=len(policies),
+        family_params=params,
+        best_policy=policy,
+        report=evaluate_policy(scenario, policy, bound=bound),
+        evaluations=len(vectors),
         runner_up_gap=gap,
         tie_broken=len(tied) > 1,
     )

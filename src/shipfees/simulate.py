@@ -11,8 +11,15 @@ streams is valid even though consecutive cycles within a stream are not.
 Reproducibility contract: identical seeds give bit-identical reports.
 
 - Draw order.  Cycles are drawn in chunks of ``CHUNK_CYCLES`` = 1024 per
-  stream; per chunk each stream, in stream order, draws its express counts
-  E, then its regular counts R, then its capacities B for the whole chunk.
+  stream; per chunk each stream draws its express counts E, then its
+  regular counts R, then its capacities B for the whole chunk.
+- Parallel draws.  A chunk's draws run on a thread pool with one
+  contiguous block of streams per worker (as many workers as CPUs the
+  process may use, at most one per stream); each worker fills its streams'
+  rows in stream order.  Every stream owns its generator and its E, R, B
+  order per chunk is unchanged, so which thread draws a stream, and when,
+  cannot change a variate; the walk and the tallies start once the whole
+  chunk is drawn.
 - One sequential state.  The total workload x_s is the only quantity
   carried from period to period: its reflected walk
   x_s' = clamp(x_s + E + R - B, 0, bound) is the one loop over time.  The
@@ -28,6 +35,8 @@ Reproducibility contract: identical seeds give bit-identical reports.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +106,14 @@ def _halfwidth(stream_means: np.ndarray) -> float:
     return 1.96 * float(np.std(stream_means, ddof=1)) / math.sqrt(n)
 
 
+def _draw_workers() -> int:
+    """Threads for the draws: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def simulate(
     scenario: Scenario, policy: FeeStructure, config: SimConfig
 ) -> SimulationReport:
@@ -110,9 +127,11 @@ def simulate(
     draws; the adjusted express counts are tracked alongside.
 
     The draws follow the module's contract (per stream and 1024-cycle
-    chunk: E, then R, then B); only x_s is stepped period by period, and
-    the revenue sums are reduced in time order, so a seed fixes the report
-    bit for bit.
+    chunk: E, then R, then B, on a thread pool with one block of streams
+    per worker; each stream owns its generator, so the pool's size cannot
+    change a variate); only x_s is stepped period by period, and the
+    revenue sums are reduced in time order, so a seed fixes the report bit
+    for bit.  The pool lives for this call only.
     """
     if policy.period_length != scenario.period_length:
         raise ParameterError("policy and scenario cycle lengths differ")
@@ -139,6 +158,9 @@ def simulate(
 
     root = np.random.SeedSequence(config.seed)
     gens = [np.random.Generator(np.random.Philox(s)) for s in root.spawn(streams)]
+    workers = min(_draw_workers(), streams)
+    edges = [streams * k // workers for k in range(workers + 1)]
+    blocks = list(zip(edges, edges[1:]))
 
     # Every intermediate lies in [-B, bound + E + R]; the arrival rate is
     # below the mean of an array-backed capacity pmf, so the draws are far
@@ -166,70 +188,82 @@ def simulate(
     sum_rev = np.zeros(streams)
     sum_rev_adj = np.zeros(streams)
 
-    n = 0
-    for start in range(0, cycles_per_stream, CHUNK_CYCLES):
-        X[0] = X[n]  # x_s carried over from the previous chunk
-        n_cyc = min(CHUNK_CYCLES, cycles_per_stream - start)
+    def draw(lo: int, hi: int, n_cyc: int) -> None:
+        # one block of streams, each filling its own rows in stream order
         n = n_cyc * T
-        for g, e_s, r_s, b_s in zip(gens, E[:, :n], R[:, :n], B[:, :n]):
+        for g, e_s, r_s, b_s in zip(
+            gens[lo:hi], E[lo:hi, :n], R[lo:hi, :n], B[lo:hi, :n]
+        ):
             e_s[:] = g.poisson(e_rates, size=(n_cyc, T)).ravel()
             r_s[:] = g.poisson(r_rates, size=(n_cyc, T)).ravel()
             b_s[:] = g.choice(cap_vals, size=(n_cyc, T), p=cap_mass).ravel()
 
-        # the walk: X[j + 1] = clamp(X[j] + E[j] + R[j] - B[j], 0, bound).
-        # The increments go to X a block of streams at a time; one whole
-        # transposing copy is several times slower.
-        d = O[:, :n]
-        np.add(E[:, :n], R[:, :n], out=d)
-        np.subtract(d, B[:, :n], out=d)
-        for s0 in range(0, streams, 32):
-            X[1 : n + 1, s0 : s0 + 32] = d[s0 : s0 + 32].T
-        for cur, nxt in zip(X_rows[:n], X_rows[1 : n + 1]):
-            np.add(cur, nxt, out=nxt)
-            np.minimum(nxt, top, out=nxt)
-            np.maximum(nxt, zero, out=nxt)
+    n = 0
+    with ThreadPoolExecutor(workers) as pool:
+        for start in range(0, cycles_per_stream, CHUNK_CYCLES):
+            X[0] = X[n]  # x_s carried over from the previous chunk
+            n_cyc = min(CHUNK_CYCLES, cycles_per_stream - start)
+            n = n_cyc * T
+            for job in [pool.submit(draw, lo, hi, n_cyc) for lo, hi in blocks]:
+                job.result()
 
-        # warm-up cycles need only the walk
-        k0 = min(max(config.warmup_cycles - start, 0), n_cyc)
-        if k0 == n_cyc:
-            continue
-        j0 = k0 * T
-        e, r, b, o, a = (buf[:, j0:n] for buf in (E, R, B, O, A))
-        xs = X[j0:n].T
-        # overflow O = (x_s + E + R - B - bound)^+, the increments being in o
-        o += xs
-        o -= bound
-        np.maximum(o, 0, out=o)
-        # adjusted express E - (O - R)^+
-        np.subtract(o, r, out=a)
-        np.maximum(a, 0, out=a)
-        np.subtract(e, a, out=a)
+            # the walk: X[j + 1] = clamp(X[j] + E[j] + R[j] - B[j], 0, bound).
+            # The increments go to X a block of streams at a time; one whole
+            # transposing copy is several times slower.
+            d = O[:, :n]
+            np.add(E[:, :n], R[:, :n], out=d)
+            np.subtract(d, B[:, :n], out=d)
+            for s0 in range(0, streams, 32):
+                X[1 : n + 1, s0 : s0 + 32] = d[s0 : s0 + 32].T
+            for cur, nxt in zip(X_rows[:n], X_rows[1 : n + 1]):
+                np.add(cur, nxt, out=nxt)
+                np.minimum(nxt, top, out=nxt)
+                np.maximum(nxt, zero, out=nxt)
 
-        # x_c restarts at each cycle's opening x_s; m_raw reads the last age
-        xc = xs[:, ::T].copy()
-        for t in range(T):
-            if t == T - 1:
-                m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
-            xc += a[:, t::T]
-            xc -= b[:, t::T]
-            np.maximum(xc, 0, out=xc)
+            # warm-up cycles need only the walk
+            k0 = min(max(config.warmup_cycles - start, 0), n_cyc)
+            if k0 == n_cyc:
+                continue
+            j0 = k0 * T
+            e, r, b, o, a = (buf[:, j0:n] for buf in (E, R, B, O, A))
+            xs = X[j0:n].T
+            # overflow O = (x_s + E + R - B - bound)^+, the increments being in o
+            o += xs
+            o -= bound
+            np.maximum(o, 0, out=o)
+            # adjusted express E - (O - R)^+
+            np.subtract(o, r, out=a)
+            np.maximum(a, 0, out=a)
+            np.subtract(e, a, out=a)
 
-        sum_m += xc.sum(axis=1, dtype=np.int64)
-        sum_m_raw += m_raw.sum(axis=1, dtype=np.int64)
-        sum_rejected += o.sum(axis=1, dtype=np.int64)
-        overflow_periods += np.count_nonzero(o, axis=1)
-        terms = F[:, : n - j0]
-        for counts, acc, total in ((e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)):
-            acc += counts.sum(axis=0, dtype=np.int64).reshape(-1, T).sum(axis=0)
-            # running revenue: seed the first term, then accumulate in time order
-            np.multiply(
-                counts.reshape(streams, -1, T),
-                fee_weights,
-                out=terms.reshape(streams, -1, T),
-            )
-            terms[:, 0] += total
-            np.add.accumulate(terms, axis=1, out=terms)
-            total[:] = terms[:, -1]
+            # x_c restarts at each cycle's opening x_s; m_raw reads the last age
+            xc = xs[:, ::T].copy()
+            for t in range(T):
+                if t == T - 1:
+                    m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
+                xc += a[:, t::T]
+                xc -= b[:, t::T]
+                np.maximum(xc, 0, out=xc)
+
+            sum_m += xc.sum(axis=1, dtype=np.int64)
+            sum_m_raw += m_raw.sum(axis=1, dtype=np.int64)
+            sum_rejected += o.sum(axis=1, dtype=np.int64)
+            overflow_periods += np.count_nonzero(o, axis=1)
+            terms = F[:, : n - j0]
+            for counts, acc, total in (
+                (e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)
+            ):
+                acc += counts.sum(axis=0, dtype=np.int64).reshape(-1, T).sum(axis=0)
+                # running revenue: seed the first term, then accumulate in
+                # time order
+                np.multiply(
+                    counts.reshape(streams, -1, T),
+                    fee_weights,
+                    out=terms.reshape(streams, -1, T),
+                )
+                terms[:, 0] += total
+                np.add.accumulate(terms, axis=1, out=terms)
+                total[:] = terms[:, -1]
 
     lam = scenario.lam
     mean_m = float(sum_m.sum()) / total_measured

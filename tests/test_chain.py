@@ -419,9 +419,9 @@ class TestProfitsBatch:
         scenario = make_scenario(0.95, 8.0)
         grid = sf.SearchGrid.default(8)
         vectors = [
-            p.fees
+            fees
             for family in FAMILIES
-            for p in _candidates(scenario, family, grid)[1]
+            for fees in _candidates(scenario, family, grid)[1]
         ]
         vectors += [
             sf.build_policy("CSP", fee, 8, scenario.choice.u_max).fees

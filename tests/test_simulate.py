@@ -1,7 +1,11 @@
 """Monte Carlo oracle: determinism, degenerate exactness, agreement."""
 
 import dataclasses
+import importlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from sim_oracle import loop_simulate
 
 
 MICRO_POLICY = sf.FeeStructure(2, (1.5, 2.5))
+simulation = importlib.import_module("shipfees.simulate")
 
 
 def reports_equal(a, b):
@@ -210,3 +215,87 @@ class TestLoopOracle:
         cfg = sf.SimConfig(cycles=warmup + measured, warmup_cycles=warmup,
                            seed=seed, bound=bound, streams=streams)
         assert_same_as_oracle(scenario, policy, cfg)
+
+
+class TestDrawPool:
+    """The draws run on a pool of threads, one block of streams each."""
+
+    @staticmethod
+    def config(streams, bound):
+        # 1100 measured cycles per stream after 100 warm-up cycles: one
+        # full 1024-cycle chunk and a partial one
+        return sf.SimConfig(cycles=100 + 1100 * streams, warmup_cycles=100,
+                            seed=4, bound=bound, streams=streams)
+
+    @pytest.mark.parametrize("bound", [None, 3])
+    @pytest.mark.parametrize("streams", [1, 3, 5])
+    def test_worker_count_does_not_change_the_report(
+        self, monkeypatch, micro_scenario, streams, bound
+    ):
+        cfg = self.config(streams, bound)
+        monkeypatch.setattr(simulation, "_draw_workers", lambda: 1)
+        ref = sf.simulate(micro_scenario, MICRO_POLICY, cfg)
+        # switch threads often, so workers interleave inside a chunk
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3, 7):
+                monkeypatch.setattr(simulation, "_draw_workers", lambda: workers)
+                got = sf.simulate(micro_scenario, MICRO_POLICY, cfg)
+                for field in dataclasses.fields(sf.SimulationReport):
+                    name = field.name
+                    assert getattr(got, name) == getattr(ref, name), (workers, name)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_draws_run_off_the_main_thread(
+        self, monkeypatch, micro_scenario, workers
+    ):
+        threads = set()
+
+        class Recording(np.random.Generator):
+            def poisson(self, *args, **kwargs):
+                threads.add(threading.get_ident())
+                return super().poisson(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        monkeypatch.setattr(simulation, "_draw_workers", lambda: workers)
+        sf.simulate(micro_scenario, MICRO_POLICY, self.config(5, 3))
+        assert threading.main_thread().ident not in threads
+        assert 1 <= len(threads) <= min(workers, 5)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch, micro_scenario):
+        monkeypatch.setattr(simulation, "_draw_workers", lambda: 3)
+        before = threading.active_count()
+        sf.simulate(micro_scenario, MICRO_POLICY, self.config(5, 3))
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, micro_scenario):
+        """A draw that raises in a worker (the tenth capacity draw, in the
+        second chunk) ends the call with its exception and leaves no
+        thread behind."""
+        calls = []
+
+        class Failing(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                calls.append(None)
+                if len(calls) == 5 + 5:
+                    raise RuntimeError("draw failed")
+                return super().choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        monkeypatch.setattr(simulation, "_draw_workers", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            sf.simulate(micro_scenario, MICRO_POLICY, self.config(5, 3))
+        assert threading.active_count() == before
+
+    def test_pool_size_is_the_usable_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert simulation._draw_workers() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulation._draw_workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulation._draw_workers() == 1
