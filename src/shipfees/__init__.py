@@ -3,10 +3,8 @@
 from .chain import (
     PolicyEvaluator,
     Scenario,
-    StationaryDistribution,
     find_bound,
     steady_state,
-    transition,
 )
 from .choice import ChoiceModel, split_rates, take_rate
 from .distributions import (
@@ -22,7 +20,7 @@ from .errors import (
     ParameterError,
     UndefinedMeasureError,
 )
-from .measures import PerformanceReport, evaluate_policy, mean_delay
+from .measures import PerformanceReport, evaluate_policy
 from .optimize import (
     DominanceRecord,
     Optimum,
@@ -42,7 +40,6 @@ from .policies import (
     canonicalize,
     cutoff_form,
     demand_profile,
-    is_monotone,
     profile_to_fees,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "SimConfig",
     "SimpleTspParams",
     "SimulationReport",
-    "StationaryDistribution",
     "UndefinedMeasureError",
     "build_policy",
     "canonicalize",
@@ -76,9 +72,7 @@ __all__ = [
     "evaluate_policy",
     "exhaustive_fee_vector_search",
     "find_bound",
-    "is_monotone",
     "is_weakly_monotone",
-    "mean_delay",
     "optimize_family",
     "poisson_pmf",
     "profile_to_fees",
@@ -87,7 +81,6 @@ __all__ = [
     "split_rates",
     "steady_state",
     "take_rate",
-    "transition",
 ]
 
 __version__ = "0.1.0"

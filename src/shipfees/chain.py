@@ -129,52 +129,6 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# State enumeration: states (x_c, x_s) with 0 <= x_c <= x_s <= bound, ordered
-# by total workload then deadline count.
-
-
-def state_count(bound: int) -> int:
-    return (bound + 1) * (bound + 2) // 2
-
-
-def state_pairs(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (x_c, x_s) listing all states in enumeration order."""
-    s = np.repeat(np.arange(bound + 1), np.arange(1, bound + 2))
-    c = np.concatenate([np.arange(k + 1) for k in range(bound + 1)])
-    return c, s
-
-
-def joint_from_vector(vec: np.ndarray, bound: int) -> np.ndarray:
-    """Reshape a state vector into the (x_c, x_s) joint array."""
-    c, s = state_pairs(bound)
-    J = np.zeros((bound + 1, bound + 1))
-    J[c, s] = vec
-    return J
-
-
-def vector_from_joint(J: np.ndarray) -> np.ndarray:
-    bound = J.shape[0] - 1
-    c, s = state_pairs(bound)
-    return J[c, s].copy()
-
-
-def transition(
-    x_c: int, x_s: int, e: int, r: int, b: int, bound: int, deadline: bool = False
-) -> tuple[int, int]:
-    """One truncated transition given realized arrivals and capacity.
-
-    Overflow beyond the bound is rejected from regular orders first, then
-    express; the deadline step resets the due count to the full workload.
-    """
-    o = max(x_s + e + r - b - bound, 0)
-    r_acc = max(r - o, 0)
-    e_acc = max(e - max(o - r, 0), 0)
-    x_s2 = max(x_s + e_acc + r_acc - b, 0)
-    x_c2 = x_s2 if deadline else max(x_c + e_acc - b, 0)
-    return x_c2, x_s2
-
-
-# ---------------------------------------------------------------------------
 # Dense linear algebra helpers.
 
 
@@ -365,35 +319,6 @@ class _AgeStep:
         return self.backorders_raw - _overshoot(self.u, self.nb, headroom)
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Stationary joint distribution per age over the triangular enumeration."""
-
-    bound: int
-    per_age: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        frozen = []
-        S = state_count(self.bound)
-        for vec in self.per_age:
-            arr = np.asarray(vec, dtype=float).copy()
-            if arr.shape != (S,):
-                raise ParameterError("per-age vector has wrong length")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "per_age", tuple(frozen))
-
-    @property
-    def period_length(self) -> int:
-        return len(self.per_age)
-
-    def joint(self, age: int) -> np.ndarray:
-        return joint_from_vector(self.per_age[age], self.bound)
-
-    def workload_marginal(self, age: int) -> np.ndarray:
-        return self.joint(age).sum(axis=0)
-
-
 class PolicyEvaluator:
     """Steady-state evaluation of many policies at a shared truncation bound.
 
@@ -479,12 +404,6 @@ class PolicyEvaluator:
             out.append(self._step(fee).push(out[-1]))
         return out
 
-    def backorders(self, fees: tuple[float, ...], adjusted: bool = True) -> float:
-        """E[M] of one policy under either truncation convention."""
-        last = self._step(fees[-1])
-        G = last.backorders_adjusted if adjusted else last.backorders_raw
-        return float(np.sum(self.joints(fees)[-1] * G))
-
     def profits_batch(
         self, fee_vectors: list[tuple[float, ...]]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -538,16 +457,12 @@ class PolicyEvaluator:
                 profits[i] = self.revenue(fee_vectors[i]) - self.scenario.penalty * em
         return profits, backorders
 
-    def distribution(self, fees: tuple[float, ...]) -> StationaryDistribution:
-        vecs = [vector_from_joint(J) for J in self.joints(fees)]
-        return StationaryDistribution(self.bound, tuple(vecs))
-
 
 def steady_state(
     scenario: Scenario, policy: FeeStructure, bound: int
-) -> StationaryDistribution:
-    """Stationary per-age distribution via the structural evaluator."""
-    return PolicyEvaluator(scenario, bound).distribution(policy.fees)
+) -> list[np.ndarray]:
+    """Stationary per-age joint pmfs J[x_c, x_s], ages 0..T-1."""
+    return PolicyEvaluator(scenario, bound).joints(policy.fees)
 
 
 # ---------------------------------------------------------------------------

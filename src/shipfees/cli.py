@@ -49,6 +49,7 @@ from .measures import PerformanceReport, evaluate_policy
 from .optimize import (
     Optimum,
     SearchGrid,
+    _candidates,
     exhaustive_fee_vector_search,
     is_weakly_monotone,
     optimize_family,
@@ -258,8 +259,8 @@ class Experiment:
             fees = block.get("fees")
             if not isinstance(fees, list):
                 raise ParameterError("policy.fees: expected an array")
-            vals = tuple(math.inf if f is None else float(f) for f in fees)
-            return FeeStructure(T, vals)
+            vals = [math.inf if f is None else f for f in fees]
+            return FeeStructure(T, tuple(_entries(vals, "policy.fees")))
         raise ParameterError(
             f"policy.family: expected CSP, TSP_CF, TSP, or vector, got {family!r}"
         )
@@ -278,8 +279,8 @@ class Experiment:
         )
 
 
-def _experiments(args) -> list[Experiment]:
-    """Experiments selected by --config/--preset; all presets as fallback."""
+def _experiments(args, all_presets: bool = False) -> list[Experiment]:
+    """Experiments selected by --config/--preset, else every preset if asked."""
     if args.config and args.preset:
         raise ParameterError("pass either --config or --preset, not both")
     thr = args.rejection_threshold
@@ -293,7 +294,7 @@ def _experiments(args) -> list[Experiment]:
         return [Experiment(name, _load_json(text, args.config), thr)]
     if args.preset:
         return [Experiment(args.preset, load_preset(args.preset), thr)]
-    if getattr(args, "all_presets_default", False):
+    if all_presets:
         return [Experiment(n, load_preset(n), thr) for n in PRESETS]
     raise ParameterError("a --config file or --preset name is required")
 
@@ -551,9 +552,8 @@ def _table_csv(header: list[str], rows: list[dict]) -> str:
 
 
 def cmd_reproduce_table2(args) -> int:
-    args.all_presets_default = True
     rows = []
-    for exp in _experiments(args):
+    for exp in _experiments(args, all_presets=True):
         rows.extend(_table2_rows(exp))
     if (args.format or "csv") == "json":
         _emit(_json_text({"benefit_convention": BENEFIT_NOTE, "rows": rows}), args.out)
@@ -601,9 +601,8 @@ def _table3_rows(exp: Experiment) -> list[dict]:
 
 
 def cmd_reproduce_table3(args) -> int:
-    args.all_presets_default = True
     rows = []
-    for exp in _experiments(args):
+    for exp in _experiments(args, all_presets=True):
         rows.extend(_table3_rows(exp))
     if (args.format or "csv") == "json":
         _emit(_json_text({"benefit_convention": BENEFIT_NOTE, "rows": rows}), args.out)
@@ -616,60 +615,41 @@ SWEEP_HEADER = ["setting", "sweep", "fee", "tau_F", "variable_profit"]
 
 
 def _sweep_rows(exp: Experiment) -> list[list]:
-    """Profit sweeps at the latest cutoff age.
+    """Profit sweeps at the latest cutoff age, read from one batch.
 
     The express-fee sweep reports, per (f_E, tau_F), the profit envelope
     over all admissible f_LE; the last-minute sweep fixes f_E at the
-    setting's optimum and varies f_LE directly.
+    setting's optimum and varies f_LE directly, a slice of the same batch.
     """
     sc = exp.scenario
-    T = sc.period_length
-    u_max = sc.choice.u_max
     grid = exp.search_grid()
-    fees = grid.fee_values
-    tc = T - 1
+    tc = sc.period_length - 1
     bound = exp.shared_bound()
-    evaluator = PolicyEvaluator(sc, bound)
-
-    triples = [
-        (tf, fe, fle)
-        for tf in range(tc)
-        for i, fe in enumerate(fees)
-        for fle in fees[i + 1 :]
-    ]
-    policies = [
-        build_policy("TSP", SimpleTspParams(fe, fle, tf, tc), T, u_max)
-        for tf, fe, fle in triples
-    ]
-    profits, _ = evaluator.profits_batch([p.fees for p in policies])
+    f_star = optimize_family(sc, "TSP", grid, bound=bound).family_params.express_fee
+    params, vectors, _ = _candidates(sc, "TSP", SearchGrid(grid.fee_values, (tc, tc)))
+    profits, _ = PolicyEvaluator(sc, bound).profits_batch(vectors)
     envelope: dict[tuple[int, float], float] = {}
-    for (tf, fe, _), profit in zip(triples, profits):
+    lastminute = []
+    for (fe, fle, tf, _), profit in zip(params, profits):
         key = (tf, fe)
         if key not in envelope or profit > envelope[key]:
             envelope[key] = float(profit)
+        if fe == f_star:
+            lastminute.append(((tf, fle), float(profit)))
     rows = [
         [exp.name, "express_fee", f"{fe:g}", tf, f"{g:.6f}"]
         for (tf, fe), g in sorted(envelope.items())
     ]
-
-    f_star = optimize_family(sc, "TSP", grid, bound=bound).family_params.express_fee
-    pairs = [(tf, fle) for tf in range(tc) for fle in fees if fle > f_star]
-    policies = [
-        build_policy("TSP", SimpleTspParams(f_star, fle, tf, tc), T, u_max)
-        for tf, fle in pairs
-    ]
-    profits, _ = evaluator.profits_batch([p.fees for p in policies])
     rows.extend(
-        [exp.name, "lastminute_fee", f"{fle:g}", tf, f"{float(g):.6f}"]
-        for (tf, fle), g in sorted(zip(pairs, profits))
+        [exp.name, "lastminute_fee", f"{fle:g}", tf, f"{g:.6f}"]
+        for (tf, fle), g in sorted(lastminute)
     )
     return rows
 
 
 def cmd_sweep_figures(args) -> int:
-    args.all_presets_default = True
     rows = []
-    for exp in _experiments(args):
+    for exp in _experiments(args, all_presets=True):
         rows.extend(_sweep_rows(exp))
     if (args.format or "csv") == "json":
         payload = [dict(zip(SWEEP_HEADER, r)) for r in rows]
@@ -810,12 +790,14 @@ def _verify_workload(lines: list[str]) -> bool:
         build_policy("CSP", 3.6, 4, choice.u_max),
         build_policy("TSP", SimpleTspParams(1.0, 2.0, 1, 3), 4, choice.u_max),
     ]
-    dists = [steady_state(sc, p, bound) for p in pols]
+    # x_s marginal of each age's joint J[x_c, x_s]
+    marginals = [
+        [J.sum(axis=0) for J in steady_state(sc, p, bound)] for p in pols
+    ]
     worst = 0.0
-    for age in range(sc.period_length):
-        ref = dists[0].workload_marginal(age)
-        for d in dists[1:]:
-            worst = max(worst, float(np.max(np.abs(d.workload_marginal(age) - ref))))
+    for other in marginals[1:]:
+        for ref, m in zip(marginals[0], other):
+            worst = max(worst, float(np.max(np.abs(m - ref))))
     ok = worst <= 1e-9
     lines.append(
         f"{'PASS' if ok else 'FAIL'} workload-invariance: max marginal "
@@ -905,7 +887,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.all_presets_default = False
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chain import PolicyEvaluator, Scenario, find_bound
-from .errors import ParameterError, UndefinedMeasureError
 from .policies import FeeStructure
 
 
@@ -49,15 +48,6 @@ class PerformanceReport:
             val = getattr(self, f.name)
             out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
-
-
-def mean_delay(expected_backorders: float, lam: float) -> float:
-    """Average lateness per arriving order, in operating cycles."""
-    if lam <= 0.0:
-        raise UndefinedMeasureError("mean delay undefined at arrival rate 0")
-    if expected_backorders < 0.0:
-        raise ParameterError("expected_backorders must be nonnegative")
-    return expected_backorders / lam
 
 
 def evaluate_policy(

@@ -278,8 +278,8 @@ def dominance_experiment(
     if bound is None:
         bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
-    backorders = evaluator.backorders(policy.fees)
-    backorders_prime = evaluator.backorders(policy_prime.fees)
+    _, em = evaluator.profits_batch([policy.fees, policy_prime.fees])
+    backorders, backorders_prime = em.tolist()
     if backorders > backorders_prime + PROFIT_TIE_TOL:
         raise NumericsError(
             "dominating profile produced more backorders "

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .choice import ChoiceModel, split_rates, take_rate
+from .choice import ChoiceModel, split_rates
 from .errors import ParameterError
 
 FAMILIES = ("CSP", "TSP_CF", "TSP")
@@ -91,12 +91,6 @@ class CumulativeDemandProfile:
     @property
     def period_length(self) -> int:
         return len(self.values)
-
-    def express_fraction(self) -> float:
-        """Share of all arrivals that order express (the profile's alpha)."""
-        if self.lam == 0.0:
-            return 0.0
-        return self.values[-1] / (self.period_length * self.lam)
 
 
 def canonicalize(
@@ -215,7 +209,3 @@ def profile_to_fees(
             fees.append(choice.u_min + (1.0 - w) * span)
     return FeeStructure(profile.period_length, tuple(fees))
 
-
-def is_monotone(policy: FeeStructure) -> bool:
-    """True iff the full fee vector is strictly increasing age over age."""
-    return all(a < b for a, b in zip(policy.fees, policy.fees[1:]))

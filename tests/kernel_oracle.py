@@ -4,8 +4,9 @@ A second, independent representation of the dynamics: ``build_kernel``
 materializes the per-age transition kernels over the triangular state
 enumeration (the last age folds in the deadline reset) and ``stationary``
 power-iterates the cycle map.  The package evaluates policies with the
-structural pushes of ``shipfees.chain`` instead; the tests compare the two,
-and both against the dense enumeration in ``bruteforce.py``.  ``loop_push``
+structural pushes of ``shipfees.chain`` on the joint J[x_c, x_s] instead;
+``joint_from_vector`` maps a state vector to that joint, so the tests compare
+the two, and both against the dense enumeration in ``bruteforce.py``.  ``loop_push``
 is the structural push written as loops over u = express - capacity, the
 reference for the package's matrix-product push.  ``prefix_profits_batch`` is
 the batch evaluator that pushes every distinct fee prefix forward to the
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from shipfees.chain import (
-    TAIL_EPS,
-    Scenario,
-    StationaryDistribution,
-    _suffix_tails,
-    state_count,
-)
+from shipfees.chain import TAIL_EPS, Scenario, _suffix_tails
 from shipfees.choice import split_rates
 from shipfees.distributions import Pmf, poisson_pmf
 from shipfees.errors import NumericsError, ParameterError
@@ -58,9 +53,22 @@ def age_incomes(scenario: Scenario, policy: FeeStructure) -> tuple[AgeIncome, ..
     return tuple(out)
 
 
+def state_count(bound: int) -> int:
+    """Number of states (x_c, x_s) with 0 <= x_c <= x_s <= bound."""
+    return (bound + 1) * (bound + 2) // 2
+
+
 def state_index(x_c, x_s):
     """Flat index of state (x_c, x_s); accepts scalars or arrays."""
     return x_s * (x_s + 1) // 2 + x_c
+
+
+def joint_from_vector(vec: np.ndarray, bound: int) -> np.ndarray:
+    """The state vector as the joint J[x_c, x_s], zero below the diagonal."""
+    x_s, x_c = np.nonzero(np.tri(bound + 1, dtype=bool))
+    J = np.zeros((bound + 1, bound + 1))
+    J[x_c, x_s] = vec[state_index(x_c, x_s)]
+    return J
 
 
 @dataclass(frozen=True)
@@ -165,8 +173,8 @@ def stationary(
     initial: np.ndarray | None = None,
     tol: float = 1e-12,
     max_cycles: int = 10**6,
-) -> StationaryDistribution:
-    """Stationary per-age distribution by power iteration on the cycle map.
+) -> tuple[np.ndarray, ...]:
+    """Stationary per-age state vectors by power iteration on the cycle map.
 
     Iterates the age-0 vector through one full cycle per step until the L1
     change drops below tol; a 0.5 damping factor kicks in only if the
@@ -207,7 +215,7 @@ def stationary(
         cur = Pt @ cur
         cur = cur / cur.sum()
         per_age.append(cur)
-    return StationaryDistribution(kernel.bound, tuple(per_age))
+    return tuple(per_age)
 
 
 def loop_push(step, J: np.ndarray) -> np.ndarray:

@@ -9,28 +9,42 @@ from hypothesis import example, given, settings, strategies as st
 
 import shipfees as sf
 from shipfees import chain
-from shipfees.chain import _shift_matrix, state_count, state_pairs
+from shipfees.chain import _shift_matrix
 from shipfees.optimize import FAMILIES, _candidates
 
 import bruteforce as bf
 import kernel_oracle as ko
 
 
+def _accepted_counts_rule(xc, xs, e, r, b, bound, deadline):
+    """The period update from accepted counts: overflow o rejects regular
+    orders first, then express; the deadline resets the due count."""
+    o = max(xs + e + r - b - bound, 0)
+    r_acc = max(r - o, 0)
+    e_acc = max(e - max(o - r, 0), 0)
+    xs2 = max(xs + e_acc + r_acc - b, 0)
+    xc2 = xs2 if deadline else max(xc + e_acc - b, 0)
+    return xc2, xs2
+
+
 class TestTransition:
+    """Pins the oracle's period rule, ``bruteforce.step_state``."""
+
     def test_plain_period(self):
-        assert sf.transition(2, 5, e=1, r=2, b=4, bound=100) == (0, 4)
+        assert bf.step_state(2, 5, e=1, r=2, b=4, bound=100, deadline=False) == (0, 4)
 
     def test_deadline_resets_due_now(self):
-        assert sf.transition(2, 5, e=1, r=2, b=4, bound=100, deadline=True) == (4, 4)
+        assert bf.step_state(2, 5, e=1, r=2, b=4, bound=100, deadline=True) == (4, 4)
 
     def test_overflow_rejects_express_after_regular(self):
         # bound 5, state (0,5), E=2, R=1, B=0: O=3, R'=0, E'=0
-        assert sf.transition(0, 5, e=2, r=1, b=0, bound=5) == (0, 5)
+        assert bf.step_state(0, 5, e=2, r=1, b=0, bound=5, deadline=False) == (0, 5)
 
     def test_bound_zero_pins_the_empty_state(self):
         for e in range(4):
             for r in range(4):
-                assert sf.transition(0, 0, e=e, r=r, b=1, bound=0) == (0, 0)
+                for dl in (False, True):
+                    assert bf.step_state(0, 0, e, r, b=1, bound=0, deadline=dl) == (0, 0)
 
     def test_matches_independent_rule(self):
         rng = np.random.default_rng(3)
@@ -39,7 +53,7 @@ class TestTransition:
             xc = int(rng.integers(0, xs + 1))
             e, r, b = (int(v) for v in rng.integers(0, 6, size=3))
             dl = bool(rng.integers(0, 2))
-            assert sf.transition(xc, xs, e, r, b, 8, dl) == bf.step_state(
+            assert bf.step_state(xc, xs, e, r, b, 8, dl) == _accepted_counts_rule(
                 xc, xs, e, r, b, 8, dl
             )
 
@@ -70,10 +84,12 @@ class TestKernel:
         pol = sf.FeeStructure(2, (1.5, 2.5))
         kernel = ko.build_kernel(micro_scenario, pol, self.BOUND)
         n = (self.BOUND + 1) * (self.BOUND + 2) // 2
-        assert state_count(self.BOUND) == n
+        assert ko.state_count(self.BOUND) == n
         assert kernel.per_age[0].shape == (n, n)
-        xc, xs = state_pairs(self.BOUND)
-        assert xc.size == n and (xc <= xs).all()
+        states = bf.states_list(self.BOUND)
+        assert len(states) == n and all(xc <= xs for xc, xs in states)
+        indices = [ko.state_index(xc, xs) for xc, xs in states]
+        assert indices == list(range(n))
 
     def test_bound_below_one_rejected(self, micro_scenario):
         with pytest.raises(sf.ParameterError):
@@ -92,25 +108,25 @@ class TestStationary:
 
     def test_fixed_point_around_the_cycle(self, solved):
         _, kernel, pi = solved
-        vec = pi.per_age[0]
+        vec = pi[0]
         for mat in kernel.per_age:
             vec = vec @ mat
-        assert np.max(np.abs(vec - pi.per_age[0])) < 1e-10
+        assert np.max(np.abs(vec - pi[0])) < 1e-10
 
     def test_age_vectors_are_distributions(self, solved):
         _, _, pi = solved
-        for vec in pi.per_age:
+        for vec in pi:
             assert vec.sum() == pytest.approx(1.0, abs=1e-10)
             assert (vec >= -1e-15).all()
 
     def test_independent_of_initial_vector(self, solved):
         _, kernel, pi = solved
-        n = state_count(self.BOUND)
+        n = ko.state_count(self.BOUND)
         corner = np.zeros(n)
         corner[-1] = 1.0
         alt = ko.stationary(kernel, initial=corner)
         for age in range(2):
-            assert np.max(np.abs(alt.per_age[age] - pi.per_age[age])) < 1e-9
+            assert np.max(np.abs(alt[age] - pi[age])) < 1e-9
 
     def test_matches_dense_linear_solve(self, micro_scenario, solved):
         pol, _, pi = solved
@@ -118,7 +134,7 @@ class TestStationary:
         per_age = bf.stationary_per_age(mats)
         states = bf.states_list(self.BOUND)
         for age in range(2):
-            joint = pi.joint(age)
+            joint = ko.joint_from_vector(pi[age], self.BOUND)
             brute = np.zeros_like(joint)
             for i, (xc, xs) in enumerate(states):
                 brute[xc, xs] = per_age[age][i]
@@ -127,12 +143,14 @@ class TestStationary:
     def test_structural_evaluator_matches_kernel(self, micro_scenario, solved):
         pol, _, pi = solved
         ours = sf.steady_state(micro_scenario, pol, self.BOUND)
+        assert len(ours) == 2
         for age in range(2):
-            assert np.max(np.abs(ours.per_age[age] - pi.per_age[age])) < 1e-10
+            oracle = ko.joint_from_vector(pi[age], self.BOUND)
+            assert np.max(np.abs(ours[age] - oracle)) < 1e-10
 
     def test_due_now_marginal_resets_at_age_zero(self, solved):
         _, _, pi = solved
-        joint = pi.joint(0)
+        joint = ko.joint_from_vector(pi[0], self.BOUND)
         assert np.max(np.abs(joint.sum(axis=1) - joint.sum(axis=0))) < 1e-12
 
     def test_workload_marginal_is_policy_invariant(self, micro_scenario):
@@ -142,7 +160,7 @@ class TestStationary:
             sf.FeeStructure(2, (4.0, 4.0)),
         ]
         marginals = [
-            sf.steady_state(micro_scenario, pol, self.BOUND).workload_marginal(1)
+            sf.steady_state(micro_scenario, pol, self.BOUND)[1].sum(axis=0)
             for pol in policies
         ]
         for other in marginals[1:]:

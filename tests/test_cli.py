@@ -169,6 +169,29 @@ class TestGridBlock:
         assert out == ""
 
 
+class TestPolicyFees:
+    @pytest.mark.parametrize("entry", ["a", True], ids=["string", "bool"])
+    def test_bad_entry_names_its_path(self, capsys, tmp_path, entry):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["policy"] = {"family": "vector", "fees": [entry, 1.0, 2.0, 3.0]}
+        path = tmp_path / "fees.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: policy.fees[0]:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_null_means_no_express(self, capsys, tmp_path):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["policy"] = {"family": "vector", "fees": [1, 2.0, 3.0, None]}
+        path = tmp_path / "fees.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["per_age_express_rate"][3] == 0.0
+
+
 class TestStrictJson:
     def test_single_candidate_runner_up_gap_is_null(self, capsys, tmp_path):
         cfg = load_preset("rho085_c8")

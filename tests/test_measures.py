@@ -75,18 +75,25 @@ class TestRejection:
 
 
 class TestMeanDelay:
-    def test_arithmetic(self):
-        assert sf.mean_delay(1.29, 5.0) == pytest.approx(0.258, abs=1e-12)
-        assert sf.mean_delay(0.56, 5.0) == pytest.approx(0.112, abs=1e-12)
-        assert sf.mean_delay(0.0, 5.0) == 0.0
+    """The report's mean delay is E[M] / lam, undefined (NaN) at lam = 0."""
 
-    def test_zero_arrival_rate_undefined(self):
-        with pytest.raises(sf.UndefinedMeasureError):
-            sf.mean_delay(1.0, 0.0)
+    def test_arithmetic(self, micro_scenario, make_scenario):
+        cases = [
+            (micro_scenario, MICRO_POLICY, 8),
+            (make_scenario(0.9, 8.0), sf.build_policy("CSP", 2.0, 8, 4.0), 40),
+        ]
+        for scenario, policy, bound in cases:
+            report = sf.evaluate_policy(scenario, policy, bound=bound)
+            assert report.expected_backorders > 0.0
+            assert report.mean_delay == report.expected_backorders / scenario.lam
 
-    def test_negative_backorders_rejected(self):
-        with pytest.raises(sf.ParameterError):
-            sf.mean_delay(-0.1, 5.0)
+    def test_zero_arrival_rate_undefined(self, choice):
+        # idle capacity and fees across the range, one sentinel age
+        scenario = sf.Scenario(3, 0.0, sf.Pmf(np.array([0.5, 0.5])), choice, 8.0)
+        for fees in ((0.0, 2.0, math.inf), (4.0, 4.0, 4.0)):
+            report = sf.evaluate_policy(scenario, sf.FeeStructure(3, fees), bound=4)
+            assert report.expected_backorders == 0.0
+            assert math.isnan(report.mean_delay)
 
 
 class TestStructure:

@@ -97,18 +97,19 @@ class TestDemandProfile:
 class TestMonotonicity:
     def test_flat_prefix_is_not_strict(self):
         pol = sf.build_policy("TSP", sf.SimpleTspParams(2.4, 3.0, 6, 7), 8, 4.0)
-        assert sf.is_monotone(pol) is False
+        assert pol.fees[0] == pol.fees[1]
         assert sf.is_weakly_monotone(pol) is True
 
     def test_strictly_increasing(self):
-        assert sf.is_monotone(sf.FeeStructure(4, (1.0, 2.0, 3.0, 4.0))) is True
+        assert sf.is_weakly_monotone(sf.FeeStructure(4, (1.0, 2.0, 3.0, 4.0))) is True
 
     def test_canonical_tail_ties_break_strictness(self):
-        # one sentinel age: strict iff the last offered fee clears u_max
+        # one sentinel age: a last offered fee at u_max ties with the tail
         below = sf.build_policy("TSP", sf.SimpleTspParams(1.0, 2.0, 0, 1), 3, 4.0)
         at_max = sf.build_policy("TSP", sf.SimpleTspParams(1.0, 4.0, 0, 1), 3, 4.0)
-        assert sf.is_monotone(below) is True
-        assert sf.is_monotone(at_max) is False
+        assert below.fees[1] < below.fees[2] and at_max.fees[1] == at_max.fees[2]
+        assert sf.is_weakly_monotone(below) is True
+        assert sf.is_weakly_monotone(at_max) is True
 
     def test_weak_allows_ties_but_not_decreases(self):
         assert sf.is_weakly_monotone(sf.FeeStructure(3, (1.0, 1.0, 2.0))) is True
