@@ -88,7 +88,7 @@ class TestMeanDelay:
             assert report.mean_delay == report.expected_backorders / scenario.lam
 
     def test_zero_arrival_rate_undefined(self, choice):
-        # idle capacity and fees across the range, one sentinel age
+        # capacity 0 or 1; fees at u_min, inside, u_max and inf
         scenario = sf.Scenario(3, 0.0, sf.Pmf(np.array([0.5, 0.5])), choice, 8.0)
         for fees in ((0.0, 2.0, math.inf), (4.0, 4.0, 4.0)):
             report = sf.evaluate_policy(scenario, sf.FeeStructure(3, fees), bound=4)
