@@ -8,7 +8,7 @@ with the fee switch one age before it.
 
 import time
 
-from shipfees import ChoiceModel, Scenario, SearchGrid, optimize_family
+from shipfees import ChoiceModel, Scenario, SearchGrid, optimize_families
 
 PERIODS = 8
 BOUND = 40
@@ -28,11 +28,16 @@ def main():
     grid = SearchGrid.default(PERIODS)
 
     start = time.perf_counter()
-    fixed_fee = optimize_family(
-        scenario, "TSP_CF_star", SearchGrid((2.0,), grid.cutoff_range), bound=BOUND
+    # one evaluator and one batch for all three searches
+    fixed_fee, single, two_level = optimize_families(
+        scenario,
+        [
+            ("TSP_CF_star", SearchGrid((2.0,), grid.cutoff_range)),
+            ("TSP_CF_star", grid),
+            ("TSP", grid),
+        ],
+        bound=BOUND,
     )
-    single = optimize_family(scenario, "TSP_CF_star", grid, bound=BOUND)
-    two_level = optimize_family(scenario, "TSP", grid, bound=BOUND)
     elapsed = time.perf_counter() - start
 
     describe("TSP-CF", fixed_fee)

@@ -28,6 +28,7 @@ from .optimize import (
     dominance_experiment,
     exhaustive_fee_vector_search,
     is_weakly_monotone,
+    optimize_families,
     optimize_family,
     revenue_max_fee,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "exhaustive_fee_vector_search",
     "find_bound",
     "is_weakly_monotone",
+    "optimize_families",
     "optimize_family",
     "poisson_pmf",
     "profile_to_fees",

@@ -54,6 +54,9 @@ from .distributions import CapacitySpec, Pmf, discretized_beta, poisson_pmf
 from .errors import CapacityInfeasibleError, NumericsError, ParameterError
 from .policies import FeeStructure
 
+# Largest truncation bound, searched or pinned (a joint there holds 32 MB).
+BOUND_CAP = 2000
+
 # Poisson supports are truncated at this residual tail mass (folded onto the
 # last support point), keeping every transition exactly mass-conserving.
 TAIL_EPS = 1e-12
@@ -333,8 +336,8 @@ class PolicyEvaluator:
     """
 
     def __init__(self, scenario: Scenario, bound: int):
-        if bound < 0:
-            raise ParameterError("bound must be nonnegative")
+        if not 0 <= bound <= BOUND_CAP:
+            raise ParameterError(f"bound must lie in 0..{BOUND_CAP}, got {bound}")
         self.scenario = scenario
         self.bound = bound
         self._steps: dict[float, _AgeStep] = {}
@@ -469,7 +472,7 @@ def steady_state(
 # Truncation bound search.
 
 
-def find_bound(scenario: Scenario, hard_cap: int = 2000) -> int:
+def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     """Smallest workload bound keeping the rejection probability acceptable.
 
     Rejection depends on the policy-free workload law only, so the bound is

@@ -36,6 +36,7 @@ from importlib import resources
 import numpy as np
 
 from .chain import (
+    BOUND_CAP,
     PolicyEvaluator,
     Scenario,
     _shift_matrix,
@@ -49,9 +50,11 @@ from .measures import PerformanceReport, evaluate_policy
 from .optimize import (
     Optimum,
     SearchGrid,
-    _candidates,
+    _search_batch,
+    _tie_break,
     exhaustive_fee_vector_search,
     is_weakly_monotone,
+    optimize_families,
     optimize_family,
     revenue_max_fee,
 )
@@ -205,9 +208,10 @@ class Experiment:
         self.bound = None
         if "truncation_bound" in sc:
             self.bound = _int(sc, "scenario", "truncation_bound")
-            if self.bound < 0:
+            if not 0 <= self.bound <= BOUND_CAP:
                 raise ParameterError(
-                    "scenario.truncation_bound: must be nonnegative"
+                    f"scenario.truncation_bound: must lie in 0..{BOUND_CAP} "
+                    f"(the cap of find_bound), got {self.bound}"
                 )
         grid_block = _block(cfg, "", "grid", required=False)
         self.grid = None
@@ -260,7 +264,11 @@ class Experiment:
             if not isinstance(fees, list):
                 raise ParameterError("policy.fees: expected an array")
             vals = [math.inf if f is None else f for f in fees]
-            return FeeStructure(T, tuple(_entries(vals, "policy.fees")))
+            vals = tuple(_entries(vals, "policy.fees"))
+            try:
+                return FeeStructure(T, vals)
+            except ParameterError as exc:
+                raise ParameterError(f"policy.fees: {exc}") from exc
         raise ParameterError(
             f"policy.family: expected CSP, TSP_CF, TSP, or vector, got {family!r}"
         )
@@ -303,24 +311,15 @@ def _experiments(args, all_presets: bool = False) -> list[Experiment]:
 # Emission.
 
 
-def _out_path(out: str | None) -> str | None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
-        return None
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
     base = os.environ.get("SHIPFEES_OUT_DIR")
     if base and not os.path.isabs(out):
-        return os.path.join(base, out)
-    return out
-
-
-def _emit(text: str, out: str | None) -> None:
-    path = _out_path(out)
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        out = os.path.join(base, out)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _strict(obj):
@@ -332,18 +331,6 @@ def _strict(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict(v) for v in obj]
     return obj
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_strict(obj), indent=2, allow_nan=False) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _cell(val) -> str:
@@ -371,18 +358,42 @@ def _fee_cell(value: float | None) -> str:
     return "" if value is None else f"{value:g}"
 
 
+def _table_cell(key: str, val) -> str:
+    """Table cell: fees as %g, other floats to 4 decimals, empty for missing."""
+    if key in ("f_E", "f_LE"):
+        return _fee_cell(val)
+    if isinstance(val, float):
+        return f"{val:.4f}"
+    return "" if val is None else str(val)
+
+
+def _emit_output(args, default: str, payload, header: list[str], cells) -> None:
+    """The JSON payload or the CSV header and cells, by --format, else by
+    default."""
+    if (args.format or default) == "json":
+        text = json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *cells])
+        text = buf.getvalue()
+    _emit(text, args.out)
+
+
+def _emit_record(args, payload: dict, row: dict) -> None:
+    """The JSON payload (the default format), or row as a one-row CSV."""
+    cells = [[_cell(v) for v in row.values()]]
+    _emit_output(args, "json", payload, list(row), cells)
+
+
 def _opt_params(opt: Optimum) -> dict:
     """Uniform f_E / f_LE / tau_F / tau_C view of an optimum."""
     if opt.family == "TSP":
         p = opt.family_params
-        return {
-            "f_E": p.express_fee,
-            "f_LE": p.lastminute_fee,
-            "tau_F": p.switch_age,
-            "tau_C": p.cutoff_age,
-        }
-    fee, cutoff = opt.family_params
-    return {"f_E": fee, "f_LE": None, "tau_F": None, "tau_C": cutoff}
+        values = (p.express_fee, p.lastminute_fee, p.switch_age, p.cutoff_age)
+    else:
+        fee, cutoff = opt.family_params
+        values = (fee, None, None, cutoff)
+    return dict(zip(("f_E", "f_LE", "tau_F", "tau_C"), values))
 
 
 BENEFIT_NOTE = "percent benefit = 100 * (a - b) / abs(b); sign-safe for negative baselines"
@@ -399,131 +410,41 @@ def _benefit(a: float, b: float) -> float:
 
 def cmd_evaluate(args) -> int:
     exp = _experiments(args)[0]
-    policy = exp.policy()
-    report = evaluate_policy(exp.scenario, policy, bound=exp.bound)
-    if (args.format or "json") == "json":
-        _emit(_json_text(report.as_dict()), args.out)
-    else:
-        flat = _flat_report(report)
-        _emit(
-            _csv_text(list(flat), [[_cell(v) for v in flat.values()]]), args.out
-        )
+    report = evaluate_policy(exp.scenario, exp.policy(), bound=exp.bound)
+    _emit_record(args, report.as_dict(), _flat_report(report))
     return 0
 
 
 def cmd_optimize(args) -> int:
     exp = _experiments(args)[0]
     block = _block(exp.raw, "", "optimize", required=False) or {}
-    family = block.get("family", "TSP")
-    grid = exp.search_grid()
     opt = optimize_family(
-        exp.scenario, family, grid, bound=exp.shared_bound()
+        exp.scenario, block.get("family", "TSP"), exp.search_grid(),
+        bound=exp.shared_bound(),
     )
-    payload = {
-        "family": opt.family,
-        **_opt_params(opt),
-        "fees": list(opt.best_policy.fees),
+    params, report = _opt_params(opt), opt.report
+    tail = {
         "evaluations": opt.evaluations,
         "runner_up_gap": opt.runner_up_gap,
         "tie_broken": opt.tie_broken,
-        "report": opt.report.as_dict(),
     }
-    if (args.format or "json") == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        head = [
-            "family", "f_E", "f_LE", "tau_F", "tau_C",
-            "E[M]", "E[G^V]", "evaluations", "runner_up_gap", "tie_broken",
-        ]
-        params = _opt_params(opt)
-        row = [
-            opt.family,
-            _fee_cell(params["f_E"]),
-            _fee_cell(params["f_LE"]),
-            _cell(params["tau_F"]),
-            _cell(params["tau_C"]),
-            repr(opt.report.expected_backorders),
-            repr(opt.report.variable_profit),
-            opt.evaluations,
-            repr(opt.runner_up_gap),
-            opt.tie_broken,
-        ]
-        _emit(_csv_text(head, [row]), args.out)
+    payload = {"family": opt.family, **params, "fees": list(opt.best_policy.fees)}
+    payload.update(tail, report=report.as_dict())
+    row = {"family": opt.family, **params, "E[M]": report.expected_backorders}
+    row.update({"E[G^V]": report.variable_profit, **tail})
+    row.update((key, _fee_cell(params[key])) for key in ("f_E", "f_LE"))
+    _emit_record(args, payload, row)
     return 0
 
 
 def cmd_simulate(args) -> int:
     exp = _experiments(args)[0]
-    policy = exp.policy()
-    config = exp.sim_config(args.seed)
-    rec = simulate(exp.scenario, policy, config)
-    payload = {
-        "report": rec.report.as_dict(),
-        "halfwidth_backorders": rec.halfwidth_backorders,
-        "halfwidth_variable_profit": rec.halfwidth_variable_profit,
-        "halfwidth_rejection": rec.halfwidth_rejection,
-        "measured_cycles": rec.measured_cycles,
-        "streams": rec.streams,
-        "seed": rec.seed,
-    }
-    if (args.format or "json") == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        flat = _flat_report(rec.report)
-        for key in (
-            "halfwidth_backorders",
-            "halfwidth_variable_profit",
-            "halfwidth_rejection",
-            "measured_cycles",
-            "streams",
-            "seed",
-        ):
-            flat[key] = payload[key]
-        _emit(
-            _csv_text(list(flat), [[_cell(v) for v in flat.values()]]), args.out
-        )
+    rec = simulate(exp.scenario, exp.policy(), exp.sim_config(args.seed))
+    payload = {**vars(rec), "report": rec.report.as_dict()}
+    row = _flat_report(rec.report)
+    row.update((key, val) for key, val in payload.items() if key != "report")
+    _emit_record(args, payload, row)
     return 0
-
-
-def _table2_rows(exp: Experiment) -> list[dict]:
-    sc = exp.scenario
-    T = sc.period_length
-    u_max = sc.choice.u_max
-    grid = exp.search_grid()
-    f_rm = revenue_max_fee(sc.choice)
-    csp_policy = build_policy("CSP", f_rm, T, u_max)
-    bound = exp.shared_bound()
-    csp = evaluate_policy(sc, csp_policy, bound=bound)
-    cf = optimize_family(
-        sc, "TSP_CF_star", SearchGrid((f_rm,), grid.cutoff_range), bound=bound
-    )
-    star = optimize_family(sc, "TSP_CF_star", grid, bound=bound)
-    tsp = optimize_family(sc, "TSP", grid, bound=bound)
-
-    def row(policy_name, params, report, *baselines):
-        g = report.variable_profit
-        benefits = [_benefit(g, b) if b is not None else None for b in baselines]
-        return {
-            "setting": exp.name,
-            "policy": policy_name,
-            **params,
-            "E[M]": report.expected_backorders,
-            "E[G^V]": g,
-            "benefit-vs-CSP%": benefits[0],
-            "benefit-vs-TSP-CF%": benefits[1],
-            "benefit-vs-TSP-CF*%": benefits[2],
-        }
-
-    g_csp = csp.variable_profit
-    g_cf = cf.report.variable_profit
-    g_star = star.report.variable_profit
-    none4 = {"f_E": f_rm, "f_LE": None, "tau_F": None, "tau_C": None}
-    return [
-        row("CSP", none4, csp, None, None, None),
-        row("TSP-CF", _opt_params(cf), cf.report, g_csp, None, None),
-        row("TSP-CF*", _opt_params(star), star.report, g_csp, g_cf, None),
-        row("TSP", _opt_params(tsp), tsp.report, g_csp, g_cf, g_star),
-    ]
 
 
 TABLE2_HEADER = [
@@ -533,33 +454,36 @@ TABLE2_HEADER = [
 ]
 
 
-def _table_csv(header: list[str], rows: list[dict]) -> str:
-    out = []
-    for r in rows:
-        cells = []
-        for key in header:
-            val = r[key]
-            if key in ("f_E", "f_LE"):
-                cells.append(_fee_cell(val))
-            elif isinstance(val, float):
-                cells.append(f"{val:.4f}")
-            elif val is None:
-                cells.append("")
-            else:
-                cells.append(str(val))
-        out.append(cells)
-    return _csv_text(header, out)
-
-
-def cmd_reproduce_table2(args) -> int:
-    rows = []
-    for exp in _experiments(args, all_presets=True):
-        rows.extend(_table2_rows(exp))
-    if (args.format or "csv") == "json":
-        _emit(_json_text({"benefit_convention": BENEFIT_NOTE, "rows": rows}), args.out)
-    else:
-        _emit(_table_csv(TABLE2_HEADER, rows), args.out)
-    return 0
+def _table2_rows(exp: Experiment) -> list[dict]:
+    """CSP, TSP-CF, TSP-CF* and TSP, each with its benefit over the rows
+    above it.  The CSP is the TSP_CF search at the revenue-maximizing fee
+    and cutoff T - 1, whose one fee vector is the CSP's."""
+    sc = exp.scenario
+    last = sc.period_length - 1
+    grid = exp.search_grid()
+    f_rm = revenue_max_fee(sc.choice)
+    searches = [
+        ("TSP_CF_star", SearchGrid((f_rm,), (last, last))),
+        ("TSP_CF_star", SearchGrid((f_rm,), grid.cutoff_range)),
+        ("TSP_CF_star", grid),
+        ("TSP", grid),
+    ]
+    optima = optimize_families(sc, searches, bound=exp.shared_bound())
+    csp_params = {"f_E": f_rm, "f_LE": None, "tau_F": None, "tau_C": None}
+    rows: list[dict] = []
+    for name, opt in zip(("CSP", "TSP-CF", "TSP-CF*", "TSP"), optima):
+        params = _opt_params(opt) if rows else csp_params
+        g = opt.report.variable_profit
+        benefits = [_benefit(g, row["E[G^V]"]) for row in rows] + [None] * 3
+        rows.append({
+            "setting": exp.name,
+            "policy": name,
+            **params,
+            "E[M]": opt.report.expected_backorders,
+            "E[G^V]": g,
+            **dict(zip(TABLE2_HEADER[-3:], benefits)),
+        })
+    return rows
 
 
 TABLE3_HEADER = [
@@ -569,103 +493,99 @@ TABLE3_HEADER = [
 
 
 def _table3_rows(exp: Experiment) -> list[dict]:
+    """Optimal TSP at each fixed cutoff T-1, T-2, T-3 (those >= 1)."""
     sc = exp.scenario
     T = sc.period_length
-    grid = exp.search_grid()
-    bound = exp.shared_bound()
+    fees = exp.search_grid().fee_values
     cutoffs = [tc for tc in (T - 1, T - 2, T - 3) if tc >= 1]
-    opts = [
-        optimize_family(
-            sc, "TSP", SearchGrid(grid.fee_values, (tc, tc)), bound=bound
-        )
-        for tc in cutoffs
+    optima = optimize_families(
+        sc, [("TSP", SearchGrid(fees, (tc, tc))) for tc in cutoffs],
+        bound=exp.shared_bound(),
+    )
+    g_best = optima[0].report.variable_profit
+    return [
+        {
+            "setting": exp.name,
+            **_opt_params(opt),
+            "E[M]": opt.report.expected_backorders,
+            "E[G^V]": opt.report.variable_profit,
+            "benefit-of-best%": (
+                _benefit(g_best, opt.report.variable_profit) if k else None
+            ),
+        }
+        for k, opt in enumerate(optima)
     ]
-    g_best = opts[0].report.variable_profit
-    rows = []
-    for tc, opt in zip(cutoffs, opts):
-        params = _opt_params(opt)
-        g = opt.report.variable_profit
-        rows.append(
-            {
-                "setting": exp.name,
-                "tau_C": tc,
-                "f_E": params["f_E"],
-                "f_LE": params["f_LE"],
-                "tau_F": params["tau_F"],
-                "E[M]": opt.report.expected_backorders,
-                "E[G^V]": g,
-                "benefit-of-best%": None if tc == cutoffs[0] else _benefit(g_best, g),
-            }
-        )
-    return rows
-
-
-def cmd_reproduce_table3(args) -> int:
-    rows = []
-    for exp in _experiments(args, all_presets=True):
-        rows.extend(_table3_rows(exp))
-    if (args.format or "csv") == "json":
-        _emit(_json_text({"benefit_convention": BENEFIT_NOTE, "rows": rows}), args.out)
-    else:
-        _emit(_table_csv(TABLE3_HEADER, rows), args.out)
-    return 0
 
 
 SWEEP_HEADER = ["setting", "sweep", "fee", "tau_F", "variable_profit"]
 
 
-def _sweep_rows(exp: Experiment) -> list[list]:
-    """Profit sweeps at the latest cutoff age, read from one batch.
+def _sweep_rows(exp: Experiment) -> list[dict]:
+    """Profit sweeps at the latest cutoff age.
 
-    The express-fee sweep reports, per (f_E, tau_F), the profit envelope
-    over all admissible f_LE; the last-minute sweep fixes f_E at the
-    setting's optimum and varies f_LE directly, a slice of the same batch.
+    One batch holds the grid's TSP search, whose winner fixes the optimal
+    f_E, and the TSP candidates at cutoff T - 1, which the grid's cutoff
+    range need not include.  The express-fee sweep reports, per (f_E,
+    tau_F), the profit envelope over all admissible f_LE; the last-minute
+    sweep fixes f_E at the optimum and varies f_LE directly.
     """
     sc = exp.scenario
     grid = exp.search_grid()
     tc = sc.period_length - 1
-    bound = exp.shared_bound()
-    f_star = optimize_family(sc, "TSP", grid, bound=bound).family_params.express_fee
-    params, vectors, _ = _candidates(sc, "TSP", SearchGrid(grid.fee_values, (tc, tc)))
-    profits, _ = PolicyEvaluator(sc, bound).profits_batch(vectors)
+    _, [(opt_params, opt_profits, keys), (params, profits, _)] = _search_batch(
+        sc,
+        [("TSP", grid), ("TSP", SearchGrid(grid.fee_values, (tc, tc)))],
+        exp.shared_bound(),
+    )
+    f_star = opt_params[_tie_break(opt_profits, keys)[0]][0]
     envelope: dict[tuple[int, float], float] = {}
     lastminute = []
     for (fe, fle, tf, _), profit in zip(params, profits):
-        key = (tf, fe)
-        if key not in envelope or profit > envelope[key]:
-            envelope[key] = float(profit)
+        if profit > envelope.get((tf, fe), -math.inf):
+            envelope[tf, fe] = profit
         if fe == f_star:
-            lastminute.append(((tf, fle), float(profit)))
-    rows = [
-        [exp.name, "express_fee", f"{fe:g}", tf, f"{g:.6f}"]
-        for (tf, fe), g in sorted(envelope.items())
+            lastminute.append(((tf, fle), profit))
+    return [
+        dict(zip(SWEEP_HEADER, (exp.name, sweep, f"{fee:g}", tf, f"{g:.6f}")))
+        for sweep, points in (
+            ("express_fee", sorted(envelope.items())),
+            ("lastminute_fee", sorted(lastminute)),
+        )
+        for (tf, fee), g in points
     ]
-    rows.extend(
-        [exp.name, "lastminute_fee", f"{fle:g}", tf, f"{g:.6f}"]
-        for (tf, fle), g in sorted(lastminute)
-    )
-    return rows
 
 
-def cmd_sweep_figures(args) -> int:
-    rows = []
-    for exp in _experiments(args, all_presets=True):
-        rows.extend(_sweep_rows(exp))
-    if (args.format or "csv") == "json":
-        payload = [dict(zip(SWEEP_HEADER, r)) for r in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(SWEEP_HEADER, rows), args.out)
+# command: (rows of one experiment, header, JSON note; None emits a bare list)
+TABLES = {
+    "reproduce-table2": (_table2_rows, TABLE2_HEADER, BENEFIT_NOTE),
+    "reproduce-table3": (_table3_rows, TABLE3_HEADER, BENEFIT_NOTE),
+    "sweep-figures": (_sweep_rows, SWEEP_HEADER, None),
+}
+
+
+def cmd_table(args) -> int:
+    """One table over the selected experiments (every preset if none),
+    its JSON rows keyed in the CSV header's order."""
+    rows_fn, header, note = TABLES[args.command]
+    rows = [
+        {key: row[key] for key in header}
+        for exp in _experiments(args, all_presets=True)
+        for row in rows_fn(exp)
+    ]
+    payload = rows if note is None else {"benefit_convention": note, "rows": rows}
+    cells = [[_table_cell(key, row[key]) for key in header] for row in rows]
+    _emit_output(args, "csv", payload, header, cells)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Verify: built-in property suites.
 
+_CHOICE = ChoiceModel(4.0, 0.0, 4.0)
+
 
 def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
-    choice = ChoiceModel(4.0, 0.0, 4.0)
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
+    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
     bound = find_bound(sc)
     worst = 0.0
     for _ in range(50):
@@ -673,7 +593,7 @@ def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
         partial = tuple(
             float(rng.uniform(0.2, 3.8)) for _ in range(cutoff + 1)
         )
-        canon = canonicalize(cutoff, partial, sc.period_length, choice.u_max)
+        canon = canonicalize(cutoff, partial, sc.period_length, _CHOICE.u_max)
         cut = cutoff_form(cutoff, partial, sc.period_length)
         a = evaluate_policy(sc, canon, bound=bound).as_dict()
         b = evaluate_policy(sc, cut, bound=bound).as_dict()
@@ -695,22 +615,21 @@ def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
 def _verify_dominance(rng: np.random.Generator, lines: list[str]) -> bool:
     from .optimize import dominance_experiment
 
-    choice = ChoiceModel(4.0, 0.0, 4.0)
     failures = 0
     total = 100
     for i in range(total):
         T = int(rng.integers(2, 5))
         lam = float(rng.uniform(1.0, 3.0))
         sc = Scenario.from_utilization(
-            T, lam, float(rng.uniform(0.8, 0.95)), 0.5, 10, choice, 8.0
+            T, lam, float(rng.uniform(0.8, 0.95)), 0.5, 10, _CHOICE, 8.0
         )
         w = rng.uniform(0.0, 1.0, size=T)
         dominating = np.sort(w)[::-1]
         perm = rng.permutation(w)
         prof = CumulativeDemandProfile(lam, tuple(np.cumsum(dominating * lam)))
         prof_p = CumulativeDemandProfile(lam, tuple(np.cumsum(perm * lam)))
-        f = profile_to_fees(prof, choice)
-        f_p = profile_to_fees(prof_p, choice)
+        f = profile_to_fees(prof, _CHOICE)
+        f_p = profile_to_fees(prof_p, _CHOICE)
         try:
             dominance_experiment(sc, f, f_p)
         except NumericsError:
@@ -726,7 +645,6 @@ def _verify_dominance(rng: np.random.Generator, lines: list[str]) -> bool:
 def _verify_monotone_grid(
     rng: np.random.Generator, small_t: int, lines: list[str]
 ) -> bool:
-    choice = ChoiceModel(4.0, 0.0, 4.0)
     grid = SearchGrid((0.5, 1.0, 1.5, 2.0, 2.5), (1, small_t - 1))
     hits = 0
     total = 10
@@ -737,7 +655,7 @@ def _verify_monotone_grid(
             float(rng.uniform(0.8, 0.95)),
             0.5,
             10,
-            choice,
+            _CHOICE,
             float(rng.uniform(2.0, 15.0)),
         )
         argmax = exhaustive_fee_vector_search(sc, grid)
@@ -751,13 +669,12 @@ def _verify_monotone_grid(
 
 
 def _verify_kernel(lines: list[str]) -> bool:
-    choice = ChoiceModel(4.0, 0.0, 4.0)
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
+    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
     bound = find_bound(sc)
     ev = PolicyEvaluator(sc, bound)
     pols = [
-        build_policy("CSP", 2.0, 4, choice.u_max),
-        build_policy("TSP", SimpleTspParams(1.0, 3.0, 1, 2), 4, choice.u_max),
+        build_policy("CSP", 2.0, 4, _CHOICE.u_max),
+        build_policy("TSP", SimpleTspParams(1.0, 3.0, 1, 2), 4, _CHOICE.u_max),
         FeeStructure(4, (0.0, 4.0, 2.5, math.inf)),
     ]
     worst_mass = max(
@@ -782,13 +699,12 @@ def _verify_kernel(lines: list[str]) -> bool:
 
 
 def _verify_workload(lines: list[str]) -> bool:
-    choice = ChoiceModel(4.0, 0.0, 4.0)
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
+    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
     bound = 15
     pols = [
-        build_policy("CSP", 0.4, 4, choice.u_max),
-        build_policy("CSP", 3.6, 4, choice.u_max),
-        build_policy("TSP", SimpleTspParams(1.0, 2.0, 1, 3), 4, choice.u_max),
+        build_policy("CSP", 0.4, 4, _CHOICE.u_max),
+        build_policy("CSP", 3.6, 4, _CHOICE.u_max),
+        build_policy("TSP", SimpleTspParams(1.0, 2.0, 1, 3), 4, _CHOICE.u_max),
     ]
     # x_s marginal of each age's joint J[x_c, x_s]
     marginals = [
@@ -807,9 +723,8 @@ def _verify_workload(lines: list[str]) -> bool:
 
 
 def _verify_oracle(seed: int, lines: list[str]) -> bool:
-    choice = ChoiceModel(4.0, 0.0, 4.0)
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, choice, 8.0)
-    policy = build_policy("CSP", 2.0, 4, choice.u_max)
+    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
+    policy = build_policy("CSP", 2.0, 4, _CHOICE.u_max)
     bound = find_bound(sc)
     exact = evaluate_policy(sc, policy, bound=bound)
     rec = simulate(
@@ -848,13 +763,19 @@ def cmd_verify(args) -> int:
 # Entry point.
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to an experiment config JSON")
     common.add_argument("--preset", help=f"bundled preset: {', '.join(PRESETS)}")
     common.add_argument("--out", help="output path (stdout when omitted)")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--seed", type=int, help="override the random seed")
+    common.add_argument("--seed", type=_seed, help="override the random seed")
     common.add_argument(
         "--rejection-threshold",
         type=float,
@@ -870,9 +791,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("evaluate", cmd_evaluate),
         ("optimize", cmd_optimize),
         ("simulate", cmd_simulate),
-        ("reproduce-table2", cmd_reproduce_table2),
-        ("reproduce-table3", cmd_reproduce_table3),
-        ("sweep-figures", cmd_sweep_figures),
+        *((name, cmd_table) for name in TABLES),
     ):
         sp = sub.add_parser(name, parents=[common])
         sp.set_defaults(func=fn)

@@ -8,6 +8,7 @@ truncated Poisson pmfs and a moment-matched Beta capacity discretization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +143,21 @@ def beta_shape_parameters(spec: CapacitySpec) -> tuple[float, float]:
 
     Closed-form moment match for the continuous density: with m and v the
     mean and variance rescaled to the unit interval, alpha + beta =
-    m(1 - m)/v - 1.  The CapacitySpec invariants guarantee v < m(1 - m), so
-    both parameters come out strictly positive.
+    m(1 - m)/v - 1.  The CapacitySpec invariants guarantee v < m(1 - m) in
+    exact arithmetic; where v underflows or the shapes overflow, the
+    parameters are not finite and positive and a ParameterError says so.
     """
     n = spec.support_max
     m = spec.mean / n
     v = spec.scv * spec.mean**2 / n**2
-    common = m * (1.0 - m) / v - 1.0
-    return m * common, (1.0 - m) * common
+    common = m * (1.0 - m) / v - 1.0 if v > 0.0 else math.inf
+    alpha, beta = m * common, (1.0 - m) * common
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ParameterError(
+            f"Beta shapes ({alpha:g}, {beta:g}) for capacity mean "
+            f"{spec.mean:g} and scv {spec.scv:g} are not finite and positive"
+        )
+    return alpha, beta
 
 
 def discretized_beta(spec: CapacitySpec) -> Pmf:

@@ -58,7 +58,13 @@ def evaluate_policy(
     """Full stationary report for one policy; finds the bound if not given."""
     if bound is None:
         bound = find_bound(scenario)
-    ev = PolicyEvaluator(scenario, bound)
+    return policy_report(PolicyEvaluator(scenario, bound), policy)
+
+
+def policy_report(ev: PolicyEvaluator, policy: FeeStructure) -> PerformanceReport:
+    """Full stationary report for one policy from an existing evaluator,
+    reusing the steps its earlier batches and reports built."""
+    scenario = ev.scenario
     fees = policy.fees
     J = ev.joints(fees)[-1]
     last = ev._step(fees[-1])
@@ -86,5 +92,5 @@ def evaluate_policy(
         mean_delay=delay,
         per_age_express_rate=rates,
         per_age_express_rate_adjusted=rates_adj,
-        bound=bound,
+        bound=ev.bound,
     )

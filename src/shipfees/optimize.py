@@ -19,7 +19,7 @@ import numpy as np
 from .chain import PolicyEvaluator, Scenario, find_bound
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
-from .measures import PerformanceReport, evaluate_policy
+from .measures import PerformanceReport, policy_report
 from .policies import FeeStructure, SimpleTspParams, build_policy, demand_profile
 
 # Profits closer than this are treated as tied and go to the preference order.
@@ -151,51 +151,80 @@ def _candidates(
     return params_list, vectors, keys
 
 
+def _tie_break(profits, keys: list[tuple]) -> tuple[int, float, bool]:
+    """(winner, runner_up_gap, tie_broken) of one search: profits within
+    PROFIT_TIE_TOL of the maximum go to the largest preference key, and the
+    gap is the winner's margin over the best other candidate (or inf)."""
+    pmax = float(np.max(profits))
+    tied = [i for i in range(len(profits)) if profits[i] >= pmax - PROFIT_TIE_TOL]
+    winner = max(tied, key=lambda i: keys[i])
+    others = [profits[i] for i in range(len(profits)) if i != winner]
+    gap = float(profits[winner] - max(others)) if others else math.inf
+    return winner, gap, len(tied) > 1
+
+
+def _search_batch(
+    scenario: Scenario, searches: list[tuple[str, SearchGrid | None]], bound: int | None
+) -> tuple[PolicyEvaluator, list[tuple[list, list[float], list]]]:
+    """The evaluator and, per search, (params, profits, preference keys),
+    from one batch over the union of the searches' fee vectors."""
+    found = [
+        _candidates(scenario, family, _validated_grid(scenario, grid))
+        for family, grid in searches
+    ]
+    if bound is None:
+        bound = find_bound(scenario)
+    evaluator = PolicyEvaluator(scenario, bound)
+    vectors = list(dict.fromkeys(v for _, vecs, _ in found for v in vecs))
+    profit_of = dict(zip(vectors, evaluator.profits_batch(vectors)[0].tolist()))
+    return evaluator, [
+        (params, [profit_of[v] for v in vecs], keys) for params, vecs, keys in found
+    ]
+
+
+def optimize_families(
+    scenario: Scenario,
+    searches: list[tuple[str, SearchGrid | None]],
+    bound: int | None = None,
+) -> list[Optimum]:
+    """Exhaustive profit maximization over several (family, grid) searches.
+
+    TSP_CF_star sweeps fee x cutoff; TSP sweeps fee pairs f_E < f_LE times
+    switch x cutoff with switch < cutoff.  Every candidate of every search
+    is evaluated in one batch on one evaluator at one truncation bound
+    (found once if not given; the workload total is policy independent, so
+    one bound serves every candidate), and the winners' reports come from
+    that evaluator.  Within each search, profit ties within PROFIT_TIE_TOL
+    go to the latest cutoff, then the latest switch, then the cheapest fees.
+    """
+    evaluator, results = _search_batch(scenario, searches, bound)
+    optima = []
+    for (family, _), (params_list, profits, keys) in zip(searches, results):
+        winner, gap, tie_broken = _tie_break(profits, keys)
+        params = params_list[winner]
+        if family == "TSP":
+            params = SimpleTspParams(*params)
+        # TSP_CF_star searches the TSP_CF policies
+        policy = build_policy(
+            family.removesuffix("_star"), params, scenario.period_length,
+            scenario.choice.u_max,
+        )
+        report = policy_report(evaluator, policy)
+        optima.append(
+            Optimum(family, params, policy, report, len(profits), gap, tie_broken)
+        )
+    return optima
+
+
 def optimize_family(
     scenario: Scenario,
     family: str,
     grid: SearchGrid | None = None,
     bound: int | None = None,
 ) -> Optimum:
-    """Exhaustive profit maximization within one policy family.
-
-    TSP_CF_star sweeps fee x cutoff; TSP sweeps fee pairs f_E < f_LE times
-    switch x cutoff with switch < cutoff.  All candidates are evaluated at
-    one truncation bound (found once if not given; the workload total is
-    policy independent, so one bound serves every candidate).  Profit ties
-    within PROFIT_TIE_TOL go to the latest cutoff, then the latest switch,
-    then the cheapest fees.
-    """
-    grid = _validated_grid(scenario, grid)
-    params_list, vectors, keys = _candidates(scenario, family, grid)
-    if bound is None:
-        bound = find_bound(scenario)
-    evaluator = PolicyEvaluator(scenario, bound)
-    profits, _ = evaluator.profits_batch(vectors)
-    pmax = float(np.max(profits))
-    tied = [i for i in range(len(vectors)) if profits[i] >= pmax - PROFIT_TIE_TOL]
-    winner = max(tied, key=lambda i: keys[i])
-    others = [profits[i] for i in range(len(vectors)) if i != winner]
-    gap = float(profits[winner] - max(others)) if others else math.inf
-    params = params_list[winner]
-    if family == "TSP":
-        params = SimpleTspParams(*params)
-    # TSP_CF_star searches the TSP_CF policies
-    policy = build_policy(
-        family.removesuffix("_star"),
-        params,
-        scenario.period_length,
-        scenario.choice.u_max,
-    )
-    return Optimum(
-        family=family,
-        family_params=params,
-        best_policy=policy,
-        report=evaluate_policy(scenario, policy, bound=bound),
-        evaluations=len(vectors),
-        runner_up_gap=gap,
-        tie_broken=len(tied) > 1,
-    )
+    """Exhaustive profit maximization within one policy family: the
+    one-search case of ``optimize_families``."""
+    return optimize_families(scenario, [(family, grid)], bound)[0]
 
 
 def is_weakly_monotone(policy: FeeStructure) -> bool:

@@ -401,6 +401,12 @@ class TestScenario:
 
 
 class TestPolicyEvaluator:
+    @pytest.mark.parametrize("bound", [-1, chain.BOUND_CAP + 1, 100000])
+    def test_bound_outside_the_cap_is_rejected(self, micro_scenario, bound):
+        policy = sf.FeeStructure(2, (1.5, 2.5))
+        with pytest.raises(sf.ParameterError, match=f"0..{chain.BOUND_CAP}"):
+            sf.evaluate_policy(micro_scenario, policy, bound=bound)
+
     def test_batch_matches_single_evaluations(self, micro_scenario):
         fee_vectors = [
             (1.5, 2.5),

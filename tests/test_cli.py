@@ -146,6 +146,40 @@ class TestNonFiniteInput:
         assert out == ""
 
 
+class TestBoundedInput:
+    def test_pinned_bound_above_the_cap(self, capsys, tmp_path):
+        cfg = load_preset("rho085_c8")
+        cfg["scenario"]["truncation_bound"] = 100000
+        path = tmp_path / "huge_bound.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: scenario.truncation_bound:")
+        assert str(shipfees.chain.BOUND_CAP) in err
+        assert out == ""
+
+    def test_underflowing_capacity_variance(self, capsys, tmp_path):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["scenario"]["lambda"] = 1e-300
+        path = tmp_path / "tiny_lambda.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: Beta shapes")
+        assert out == ""
+
+    def test_negative_seed_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shipfees", "verify", "--seed", "-1"],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(Path(shipfees.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert "argument --seed: expected a nonnegative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestGridBlock:
     @pytest.mark.parametrize(
         "key, value, path",
@@ -180,6 +214,21 @@ class TestPolicyFees:
         assert code == 1
         assert err.startswith("error: policy.fees[0]:")
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "fees, message",
+        [([1.0, 2.0, 3.0], "expected 4 fees, got 3"), ([-1, 1, 2, 3], "nonnegative")],
+        ids=["length", "sign"],
+    )
+    def test_structure_errors_name_the_field(self, capsys, tmp_path, fees, message):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["policy"] = {"family": "vector", "fees": fees}
+        path = tmp_path / "fees.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: policy.fees: ") and message in err
         assert out == ""
 
     def test_null_means_no_express(self, capsys, tmp_path):
@@ -405,3 +454,33 @@ class TestSweep:
         assert header == ["setting", "sweep", "fee", "tau_F", "variable_profit"]
         assert len(rows) == 175
         assert {r[1] for r in rows} == {"express_fee", "lastminute_fee"}
+
+
+TABLE_COMMANDS = ["reproduce-table2", "reproduce-table3", "sweep-figures"]
+
+
+class TestOneBatchPerExperiment:
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_one_evaluator_per_experiment(self, capsys, monkeypatch, small_config, command):
+        made = []
+        init = shipfees.chain.PolicyEvaluator.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(shipfees.chain.PolicyEvaluator, "__init__", counting)
+        code, _, _ = run_cli(capsys, command, "--config", small_config)
+        assert code == 0
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_json_row_keys_follow_the_csv_header(self, capsys, small_config, command):
+        code, out, _ = run_cli(capsys, command, "--config", small_config)
+        header, _ = parse_csv(out)
+        code, out, _ = run_cli(
+            capsys, command, "--config", small_config, "--format", "json"
+        )
+        payload = strict_json(out)
+        rows = payload if command == "sweep-figures" else payload["rows"]
+        assert rows and all(list(row) == header for row in rows)

@@ -93,6 +93,11 @@ class TestDiscretizedBeta:
             assert mass.sum() == pytest.approx(1.0, abs=1e-12)
             assert (mass >= 0).all()
 
+    @pytest.mark.parametrize("mean", [1e-300, 1e-170])
+    def test_underflowing_variance_is_a_parameter_error(self, mean):
+        with pytest.raises(sf.ParameterError, match="not finite and positive"):
+            sf.beta_shape_parameters(CapacitySpec(20, mean, 0.5))
+
     def test_inadmissible_variance_names_feasible_range(self):
         with pytest.raises(sf.ParameterError, match="scv"):
             sf.discretized_beta(CapacitySpec(20, 10.0, 1.5))

@@ -1,11 +1,14 @@
-"""Table and sweep CSVs stay byte-identical to the committed golden files.
+"""Table and sweep outputs stay byte-identical to the committed golden files.
 
 ``tests/golden/`` holds ``reproduce-table2`` and ``reproduce-table3`` over
 all six presets and ``sweep-figures --preset rho095_c8``, on the default
-fee lattice.  A change to the evaluator that moves any printed digit fails
-here.
+fee lattice, and, in ``rho085_c8_cut13.json``, the CSV and JSON output of
+all three commands for rho085_c8 on a six-fee lattice with cutoff range
+[1, 3], which leaves out the cutoffs T-1..T-3 that Table 3 and the sweeps
+read.  A change to the evaluator that moves any printed digit fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,19 @@ def test_csv_is_byte_identical(tmp_path, argv, name):
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+CUT13 = json.loads((GOLDEN / "rho085_c8_cut13.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command", ["reproduce-table2", "reproduce-table3", "sweep-figures"]
+)
+def test_narrow_cutoff_range_is_byte_identical(tmp_path, command, fmt):
+    config = tmp_path / "rho085_c8_cut13.json"
+    config.write_text(json.dumps(CUT13["config"]))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes().decode("utf-8") == CUT13[f"{command}.{fmt}"]

@@ -115,6 +115,48 @@ class TestOptimizeFamily:
             )
 
 
+class TestOptimizeFamilies:
+    FEES = (1.6, 2.0, 2.4, 2.8, 3.2)
+    SEARCHES = [
+        ("TSP_CF_star", sf.SearchGrid((2.0,), (7, 7))),
+        ("TSP_CF_star", sf.SearchGrid((2.0,), (1, 7))),
+        ("TSP_CF_star", sf.SearchGrid(FEES, (1, 7))),
+        ("TSP", sf.SearchGrid(FEES, (1, 7))),
+        ("TSP", sf.SearchGrid(FEES, (6, 6))),
+        ("TSP", sf.SearchGrid(FEES, (6, 6))),
+    ]
+
+    def test_agrees_with_each_search_alone(self, monkeypatch):
+        """Overlapping searches on rho085_c8 share one evaluator and batch."""
+        scenario = Experiment("rho085_c8", load_preset("rho085_c8"), 0.023).scenario
+        alone = [sf.optimize_family(scenario, f, g, bound=30) for f, g in self.SEARCHES]
+        made = []
+        init = sf.PolicyEvaluator.__init__
+        monkeypatch.setattr(
+            sf.PolicyEvaluator, "__init__",
+            lambda self, *a: made.append(a) or init(self, *a),
+        )
+        together = sf.optimize_families(scenario, self.SEARCHES, bound=30)
+        assert len(made) == 1
+        for one, opt in zip(alone, together):
+            assert opt.family_params == one.family_params
+            assert opt.evaluations == one.evaluations
+            assert opt.runner_up_gap == one.runner_up_gap
+            assert opt.tie_broken == one.tie_broken
+            assert opt.best_policy == one.best_policy
+            assert opt.report.as_dict() == one.report.as_dict()
+
+    def test_ties_break_per_search(self, choice):
+        capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
+        scenario = sf.Scenario(2, 1.5, capacity, choice, 0.0)
+        grid = sf.SearchGrid((1.0, 2.0, 3.0), (1, 1))
+        searches = [("TSP", grid), ("TSP_CF_star", grid), ("TSP", grid)]
+        together = sf.optimize_families(scenario, searches, bound=8)
+        for (family, g), opt in zip(searches, together):
+            assert opt == sf.optimize_family(scenario, family, g, bound=8)
+        assert together[0].tie_broken and together[0].runner_up_gap == 0.0
+
+
 class TestSearchGrid:
     def test_default_lattice(self):
         grid = sf.SearchGrid.default(8)
