@@ -93,10 +93,6 @@ class Scenario:
                 f"utilization lam/E[B] = {self.lam / mean_cap:.4g} must be < 1"
             )
 
-    @property
-    def utilization(self) -> float:
-        return self.lam / self.capacity.mean()
-
     @classmethod
     def from_utilization(
         cls,
@@ -332,10 +328,12 @@ class PolicyEvaluator:
     the same at every age and for every policy: express plus regular
     arrivals always total Poisson(lam) regardless of the fee.  It is the
     age-0 state, diag(workload), and the only input of the rejection
-    measures.
+    measures.  A ``bound`` of None is ``find_bound(scenario)``.
     """
 
-    def __init__(self, scenario: Scenario, bound: int):
+    def __init__(self, scenario: Scenario, bound: int | None):
+        if bound is None:
+            bound = find_bound(scenario)
         if not 0 <= bound <= BOUND_CAP:
             raise ParameterError(f"bound must lie in 0..{BOUND_CAP}, got {bound}")
         self.scenario = scenario
@@ -462,7 +460,7 @@ class PolicyEvaluator:
 
 
 def steady_state(
-    scenario: Scenario, policy: FeeStructure, bound: int
+    scenario: Scenario, policy: FeeStructure, bound: int | None
 ) -> list[np.ndarray]:
     """Stationary per-age joint pmfs J[x_c, x_s], ages 0..T-1."""
     return PolicyEvaluator(scenario, bound).joints(policy.fees)

@@ -11,6 +11,7 @@ Subcommands:
 
 Scenarios come from a JSON config (--config) or a bundled preset
 (--preset); reproduction commands run every preset when neither is given.
+verify runs on built-in scenarios and takes only --seed and --out.
 JSON uses Python float repr (shortest round-trip, at most 17 significant
 digits), so emitted reports re-parse bit-exactly; non-finite values (an
 undefined mean delay, the runner-up gap of a one-candidate grid) are written
@@ -40,18 +41,17 @@ from .chain import (
     PolicyEvaluator,
     Scenario,
     _shift_matrix,
-    find_bound,
-    steady_state,
 )
 from .choice import ChoiceModel
 from .distributions import CapacitySpec, Pmf, discretized_beta
 from .errors import NumericsError, ParameterError
-from .measures import PerformanceReport, evaluate_policy
+from .measures import PerformanceReport, evaluate_policy, policy_report
 from .optimize import (
     Optimum,
     SearchGrid,
     _search_batch,
     _tie_break,
+    dominance_experiment,
     exhaustive_fee_vector_search,
     is_weakly_monotone,
     optimize_families,
@@ -214,7 +214,7 @@ class Experiment:
                     f"(the cap of find_bound), got {self.bound}"
                 )
         grid_block = _block(cfg, "", "grid", required=False)
-        self.grid = None
+        self.grid = SearchGrid.default(T)
         if grid_block is not None:
             fees = grid_block.get("fee_values")
             if not isinstance(fees, list) or not fees:
@@ -226,16 +226,6 @@ class Experiment:
                 tuple(_entries(fees, "grid.fee_values")),
                 tuple(_entries(rng, "grid.cutoff_range", integer=True)),
             )
-
-    def search_grid(self) -> SearchGrid:
-        if self.grid is not None:
-            return self.grid
-        return SearchGrid.default(self.scenario.period_length)
-
-    def shared_bound(self) -> int:
-        if self.bound is not None:
-            return self.bound
-        return find_bound(self.scenario)
 
     def policy(self) -> FeeStructure:
         block = _block(self.raw, "", "policy")
@@ -313,13 +303,16 @@ def _experiments(args, all_presets: bool = False) -> list[Experiment]:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         return
     base = os.environ.get("SHIPFEES_OUT_DIR")
     if base and not os.path.isabs(out):
         out = os.path.join(base, out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"--out {out}: {exc}") from exc
 
 
 def _strict(obj):
@@ -419,8 +412,7 @@ def cmd_optimize(args) -> int:
     exp = _experiments(args)[0]
     block = _block(exp.raw, "", "optimize", required=False) or {}
     opt = optimize_family(
-        exp.scenario, block.get("family", "TSP"), exp.search_grid(),
-        bound=exp.shared_bound(),
+        exp.scenario, block.get("family", "TSP"), exp.grid, bound=exp.bound
     )
     params, report = _opt_params(opt), opt.report
     tail = {
@@ -460,15 +452,14 @@ def _table2_rows(exp: Experiment) -> list[dict]:
     and cutoff T - 1, whose one fee vector is the CSP's."""
     sc = exp.scenario
     last = sc.period_length - 1
-    grid = exp.search_grid()
     f_rm = revenue_max_fee(sc.choice)
     searches = [
         ("TSP_CF_star", SearchGrid((f_rm,), (last, last))),
-        ("TSP_CF_star", SearchGrid((f_rm,), grid.cutoff_range)),
-        ("TSP_CF_star", grid),
-        ("TSP", grid),
+        ("TSP_CF_star", SearchGrid((f_rm,), exp.grid.cutoff_range)),
+        ("TSP_CF_star", exp.grid),
+        ("TSP", exp.grid),
     ]
-    optima = optimize_families(sc, searches, bound=exp.shared_bound())
+    optima = optimize_families(sc, searches, bound=exp.bound)
     csp_params = {"f_E": f_rm, "f_LE": None, "tau_F": None, "tau_C": None}
     rows: list[dict] = []
     for name, opt in zip(("CSP", "TSP-CF", "TSP-CF*", "TSP"), optima):
@@ -496,11 +487,11 @@ def _table3_rows(exp: Experiment) -> list[dict]:
     """Optimal TSP at each fixed cutoff T-1, T-2, T-3 (those >= 1)."""
     sc = exp.scenario
     T = sc.period_length
-    fees = exp.search_grid().fee_values
+    fees = exp.grid.fee_values
     cutoffs = [tc for tc in (T - 1, T - 2, T - 3) if tc >= 1]
     optima = optimize_families(
         sc, [("TSP", SearchGrid(fees, (tc, tc))) for tc in cutoffs],
-        bound=exp.shared_bound(),
+        bound=exp.bound,
     )
     g_best = optima[0].report.variable_profit
     return [
@@ -530,12 +521,11 @@ def _sweep_rows(exp: Experiment) -> list[dict]:
     sweep fixes f_E at the optimum and varies f_LE directly.
     """
     sc = exp.scenario
-    grid = exp.search_grid()
     tc = sc.period_length - 1
     _, [(opt_params, opt_profits, keys), (params, profits, _)] = _search_batch(
         sc,
-        [("TSP", grid), ("TSP", SearchGrid(grid.fee_values, (tc, tc)))],
-        exp.shared_bound(),
+        [("TSP", exp.grid), ("TSP", SearchGrid(exp.grid.fee_values, (tc, tc)))],
+        exp.bound,
     )
     f_star = opt_params[_tie_break(opt_profits, keys)[0]][0]
     envelope: dict[tuple[int, float], float] = {}
@@ -584,9 +574,8 @@ def cmd_table(args) -> int:
 _CHOICE = ChoiceModel(4.0, 0.0, 4.0)
 
 
-def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
-    bound = find_bound(sc)
+def _verify_form_invariance(sc: Scenario, rng: np.random.Generator) -> tuple[bool, str]:
+    ev = PolicyEvaluator(sc, None)
     worst = 0.0
     for _ in range(50):
         cutoff = int(rng.integers(0, sc.period_length))
@@ -595,26 +584,20 @@ def _verify_form_invariance(rng: np.random.Generator, lines: list[str]) -> bool:
         )
         canon = canonicalize(cutoff, partial, sc.period_length, _CHOICE.u_max)
         cut = cutoff_form(cutoff, partial, sc.period_length)
-        a = evaluate_policy(sc, canon, bound=bound).as_dict()
-        b = evaluate_policy(sc, cut, bound=bound).as_dict()
+        a = policy_report(ev, canon).as_dict()
+        b = policy_report(ev, cut).as_dict()
         for key, av in a.items():
             bv = b[key]
             pairs = zip(av, bv) if isinstance(av, list) else [(av, bv)]
             for x, y in pairs:
-                if isinstance(x, float) and math.isnan(x) and math.isnan(y):
-                    continue
                 worst = max(worst, abs(x - y))
-    ok = worst <= 1e-12
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} cutoff-form-invariance: 50 random cutoff "
-        f"policies, max report deviation {worst:.3e} (tol 1e-12)"
+    return worst <= 1e-12, (
+        "cutoff-form-invariance: 50 random cutoff policies, max report "
+        f"deviation {worst:.3e} (tol 1e-12)"
     )
-    return ok
 
 
-def _verify_dominance(rng: np.random.Generator, lines: list[str]) -> bool:
-    from .optimize import dominance_experiment
-
+def _verify_dominance(rng: np.random.Generator) -> tuple[bool, str]:
     failures = 0
     total = 100
     for i in range(total):
@@ -634,23 +617,20 @@ def _verify_dominance(rng: np.random.Generator, lines: list[str]) -> bool:
             dominance_experiment(sc, f, f_p)
         except NumericsError:
             failures += 1
-    ok = failures == 0
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} demand-dominance: {total - failures}/"
-        f"{total} dominated pairs kept E[M] ordered (slack 1e-09)"
+    return failures == 0, (
+        f"demand-dominance: {total - failures}/{total} dominated pairs kept "
+        "E[M] ordered (slack 1e-09)"
     )
-    return ok
 
 
-def _verify_monotone_grid(
-    rng: np.random.Generator, small_t: int, lines: list[str]
-) -> bool:
-    grid = SearchGrid((0.5, 1.0, 1.5, 2.0, 2.5), (1, small_t - 1))
+def _verify_monotone_grid(rng: np.random.Generator) -> tuple[bool, str]:
+    T = 3  # the exhaustive search scores 5**T fee vectors per scenario
+    grid = SearchGrid((0.5, 1.0, 1.5, 2.0, 2.5), (1, T - 1))
     hits = 0
     total = 10
     for _ in range(total):
         sc = Scenario.from_utilization(
-            small_t,
+            T,
             float(rng.uniform(1.0, 3.0)),
             float(rng.uniform(0.8, 0.95)),
             0.5,
@@ -660,18 +640,16 @@ def _verify_monotone_grid(
         )
         argmax = exhaustive_fee_vector_search(sc, grid)
         hits += any(is_weakly_monotone(p) for p in argmax)
-    ok = hits == total
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} monotone-grid: {hits}/{total} argmax "
-        f"sets contain a weakly monotone vector (T={small_t})"
+    return hits == total, (
+        f"monotone-grid: {hits}/{total} argmax sets contain a weakly monotone "
+        f"vector (T={T})"
     )
-    return ok
 
 
-def _verify_kernel(lines: list[str]) -> bool:
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
-    bound = find_bound(sc)
-    ev = PolicyEvaluator(sc, bound)
+def _verify_kernel(sc: Scenario) -> tuple[bool, str]:
+    # a fresh evaluator: the kernels counted are those of the steps it holds
+    ev = PolicyEvaluator(sc, None)
+    bound = ev.bound
     pols = [
         build_policy("CSP", 2.0, 4, _CHOICE.u_max),
         build_policy("TSP", SimpleTspParams(1.0, 3.0, 1, 2), 4, _CHOICE.u_max),
@@ -690,72 +668,64 @@ def _verify_kernel(lines: list[str]) -> bool:
         bound == 1 or PolicyEvaluator(sc, bound - 1).rejection_probability() > thr
     )
     ok = worst_row <= 1e-12 and worst_mass <= 1e-12 and minimal
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} kernel-truncation: max |row sum - 1| over "
-        f"{len(kernels)} shift kernels = {worst_row:.3e}, max |push mass - 1| = "
-        f"{worst_mass:.3e} (tol 1e-12); bound {bound} minimal: {minimal}"
+    return ok, (
+        f"kernel-truncation: max |row sum - 1| over {len(kernels)} shift "
+        f"kernels = {worst_row:.3e}, max |push mass - 1| = {worst_mass:.3e} "
+        f"(tol 1e-12); bound {bound} minimal: {minimal}"
     )
-    return ok
 
 
-def _verify_workload(lines: list[str]) -> bool:
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
-    bound = 15
+def _verify_workload(sc: Scenario) -> tuple[bool, str]:
+    ev = PolicyEvaluator(sc, 15)
     pols = [
         build_policy("CSP", 0.4, 4, _CHOICE.u_max),
         build_policy("CSP", 3.6, 4, _CHOICE.u_max),
         build_policy("TSP", SimpleTspParams(1.0, 2.0, 1, 3), 4, _CHOICE.u_max),
     ]
     # x_s marginal of each age's joint J[x_c, x_s]
-    marginals = [
-        [J.sum(axis=0) for J in steady_state(sc, p, bound)] for p in pols
-    ]
+    marginals = [[J.sum(axis=0) for J in ev.joints(p.fees)] for p in pols]
     worst = 0.0
     for other in marginals[1:]:
         for ref, m in zip(marginals[0], other):
             worst = max(worst, float(np.max(np.abs(m - ref))))
-    ok = worst <= 1e-9
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} workload-invariance: max marginal "
-        f"deviation across policies {worst:.3e} (tol 1e-09)"
+    return worst <= 1e-9, (
+        f"workload-invariance: max marginal deviation across policies "
+        f"{worst:.3e} (tol 1e-09)"
     )
-    return ok
 
 
-def _verify_oracle(seed: int, lines: list[str]) -> bool:
-    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
+def _verify_oracle(sc: Scenario, seed: int) -> tuple[bool, str]:
     policy = build_policy("CSP", 2.0, 4, _CHOICE.u_max)
-    bound = find_bound(sc)
-    exact = evaluate_policy(sc, policy, bound=bound)
+    exact = evaluate_policy(sc, policy)
     rec = simulate(
         sc, policy, SimConfig(cycles=51_000, warmup_cycles=1000, seed=seed,
-                              bound=bound, streams=100)
+                              bound=exact.bound, streams=100)
     )
     z = abs(
         rec.report.expected_backorders - exact.expected_backorders
     ) / rec.halfwidth_backorders
-    ok = z <= 3.0
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} oracle-agreement: E[M] z-score "
-        f"{z:.2f} over 50000 measured cycles (limit 3)"
+    return z <= 3.0, (
+        f"oracle-agreement: E[M] z-score {z:.2f} over 50000 measured cycles "
+        "(limit 3)"
     )
-    return ok
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    lines: list[str] = []
+    seed = args.seed if args.seed is not None else 0
+    rng = np.random.default_rng(seed)
+    sc = Scenario.from_utilization(4, 2.0, 0.9, 0.5, 10, _CHOICE, 8.0)
     results = [
-        _verify_form_invariance(rng, lines),
-        _verify_dominance(rng, lines),
-        _verify_monotone_grid(rng, max(args.small_t, 2), lines),
-        _verify_kernel(lines),
-        _verify_workload(lines),
-        _verify_oracle(args.seed if args.seed is not None else 0, lines),
+        _verify_form_invariance(sc, rng),
+        _verify_dominance(rng),
+        _verify_monotone_grid(rng),
+        _verify_kernel(sc),
+        _verify_workload(sc),
+        _verify_oracle(sc, seed),
     ]
-    passed = sum(results)
-    lines.append(f"{passed}/{len(results)} property suites passed")
-    _emit("\n".join(lines) + "\n", args.out)
+    passed = sum(ok for ok, _ in results)
+    lines = [f"{'PASS' if ok else 'FAIL'} {line}\n" for ok, line in results]
+    lines.append(f"{passed}/{len(results)} property suites passed\n")
+    _emit("".join(lines), args.out)
     return 0 if passed == len(results) else 2
 
 
@@ -770,37 +740,35 @@ def _seed(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to an experiment config JSON")
-    common.add_argument("--preset", help=f"bundled preset: {', '.join(PRESETS)}")
-    common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--seed", type=_seed, help="override the random seed")
-    common.add_argument(
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", help="path to an experiment config JSON")
+    experiment.add_argument("--preset", help=f"bundled preset: {', '.join(PRESETS)}")
+    experiment.add_argument("--format", choices=("csv", "json"))
+    experiment.add_argument(
         "--rejection-threshold",
         type=float,
         default=0.023,
         help="acceptable stationary per-period rejection probability",
     )
+    # --seed defaults to None on every command that takes it: the parsers
+    # share this Action, so a default set on one would reach the other
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, help="override the random seed")
     parser = argparse.ArgumentParser(
         prog="shipfees",
         description="Shipment-fee policy evaluation and optimization runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("evaluate", cmd_evaluate),
-        ("optimize", cmd_optimize),
-        ("simulate", cmd_simulate),
-        *((name, cmd_table) for name in TABLES),
+    for name, fn, parents in (
+        ("evaluate", cmd_evaluate, [experiment]),
+        ("optimize", cmd_optimize, [experiment]),
+        ("simulate", cmd_simulate, [experiment, seed]),
+        *((name, cmd_table, [experiment]) for name in TABLES),
+        ("verify", cmd_verify, [seed]),
     ):
-        sp = sub.add_parser(name, parents=[common])
+        sp = sub.add_parser(name, parents=parents)
+        sp.add_argument("--out", help="output path (stdout when omitted)")
         sp.set_defaults(func=fn)
-    vp = sub.add_parser("verify", parents=[common])
-    vp.add_argument(
-        "--small-T", dest="small_t", type=int, default=3,
-        help="cycle length for the exhaustive-search property suite",
-    )
-    vp.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import PolicyEvaluator, Scenario, find_bound
+from .chain import PolicyEvaluator, Scenario
 from .policies import FeeStructure
 
 
@@ -56,8 +56,6 @@ def evaluate_policy(
     bound: int | None = None,
 ) -> PerformanceReport:
     """Full stationary report for one policy; finds the bound if not given."""
-    if bound is None:
-        bound = find_bound(scenario)
     return policy_report(PolicyEvaluator(scenario, bound), policy)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PolicyEvaluator, Scenario, find_bound
+from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
 from .measures import PerformanceReport, policy_report
@@ -60,10 +60,6 @@ class SearchGrid:
         """0.2 lattice from 0.2 to 3.8 with cutoffs 1..T-1."""
         fees = tuple(round(0.2 * k, 10) for k in range(1, 20))
         return cls(fees, (1, max(period_length - 1, 1)))
-
-    def switch_values(self, cutoff: int) -> range:
-        """Admissible fee switching ages for a given cutoff age."""
-        return range(0, cutoff)
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,7 @@ def _candidates(
         for fe, fle in itertools.combinations(grid.fee_values, 2):
             for tc in range(lo, hi + 1):
                 tail = (u_max,) * (T - 1 - tc)
-                for tf in grid.switch_values(tc):
+                for tf in range(tc):
                     params_list.append((fe, fle, tf, tc))
                     vectors.append((fe,) * (tf + 1) + (fle,) * (tc - tf) + tail)
                     keys.append((tc, tf, -fe, -fle))
@@ -172,8 +168,6 @@ def _search_batch(
         _candidates(scenario, family, _validated_grid(scenario, grid))
         for family, grid in searches
     ]
-    if bound is None:
-        bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
     vectors = list(dict.fromkeys(v for _, vecs, _ in found for v in vecs))
     profit_of = dict(zip(vectors, evaluator.profits_batch(vectors)[0].tolist()))
@@ -252,8 +246,6 @@ def exhaustive_fee_vector_search(
             f"{ENUMERATION_BUDGET}; use a smaller fee grid or shorter cycle"
         )
     vectors = list(itertools.product(grid.fee_values, repeat=T))
-    if bound is None:
-        bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
     profits, _ = evaluator.profits_batch(vectors)
     pmax = float(np.max(profits))
@@ -304,8 +296,6 @@ def dominance_experiment(
         raise ParameterError(
             "profiles must accumulate equal total express demand"
         )
-    if bound is None:
-        bound = find_bound(scenario)
     evaluator = PolicyEvaluator(scenario, bound)
     _, em = evaluator.profits_batch([policy.fees, policy_prime.fees])
     backorders, backorders_prime = em.tolist()
@@ -314,4 +304,4 @@ def dominance_experiment(
             "dominating profile produced more backorders "
             f"({backorders} > {backorders_prime})"
         )
-    return DominanceRecord(backorders, backorders_prime, bound)
+    return DominanceRecord(backorders, backorders_prime, evaluator.bound)

@@ -401,6 +401,10 @@ class TestScenario:
 
 
 class TestPolicyEvaluator:
+    def test_no_bound_is_the_found_bound(self, make_scenario):
+        scenario = make_scenario(0.9, 8.0)
+        assert sf.PolicyEvaluator(scenario, None).bound == sf.find_bound(scenario)
+
     @pytest.mark.parametrize("bound", [-1, chain.BOUND_CAP + 1, 100000])
     def test_bound_outside_the_cap_is_rejected(self, micro_scenario, bound):
         policy = sf.FeeStructure(2, (1.5, 2.5))

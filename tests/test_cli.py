@@ -6,6 +6,7 @@ diagnostics, and the exact emission formats; one more runs
 ``python -m shipfees`` in a subprocess.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import shipfees
-from shipfees.cli import PRESETS, Experiment, load_preset, main
+from shipfees.cli import PRESETS, Experiment, _build_parser, load_preset, main
 
 SMALL_CONFIG = {
     "scenario": {
@@ -61,7 +62,13 @@ class TestConfigHandling:
             exp = Experiment(name, load_preset(name), 0.023)
             assert exp.scenario.period_length == 8
             assert exp.scenario.lam == 5.0
-            assert exp.search_grid() is not None
+            assert exp.grid is not None
+
+    def test_grid_defaults_to_the_lattice(self):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        del cfg["grid"]
+        exp = Experiment("small", cfg, 0.023)
+        assert exp.grid == shipfees.SearchGrid.default(4)
 
     def test_unknown_preset(self, capsys):
         code, out, err = run_cli(capsys, "evaluate", "--preset", "nope")
@@ -366,6 +373,16 @@ class TestSimulate:
             assert res[key] >= 0.0
         assert "np.float64" not in out
 
+    def test_config_seed_unless_overridden(self, capsys, tmp_path):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["simulate"]["seed"] = 5
+        path = tmp_path / "seed5.json"
+        path.write_text(json.dumps(cfg))
+        for flags, seed in (([], 5), (["--seed", "2"], 2)):
+            code, out, _ = run_cli(capsys, "simulate", "--config", str(path), *flags)
+            assert code == 0
+            assert json.loads(out)["seed"] == seed
+
 
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self, capsys, small_config):
@@ -382,8 +399,8 @@ class TestModuleEntry:
 
 
 class TestVerify:
-    def test_property_suites_pass(self, capsys, small_config):
-        code, out, err = run_cli(capsys, "verify", "--config", small_config)
+    def test_property_suites_pass(self, capsys):
+        code, out, err = run_cli(capsys, "verify")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
         assert lines[-1] == "6/6 property suites passed"
@@ -484,3 +501,93 @@ class TestOneBatchPerExperiment:
         payload = strict_json(out)
         rows = payload if command == "sweep-figures" else payload["rows"]
         assert rows and all(list(row) == header for row in rows)
+
+
+class TestOutErrors:
+    def test_table_out_is_a_directory(self, capsys, tmp_path, small_config):
+        argv = ["reproduce-table3", "--config", small_config, "--out", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: --out {tmp_path}:")
+        assert out == ""
+
+    def test_out_dir_under_a_missing_directory(
+        self, capsys, monkeypatch, tmp_path, small_config
+    ):
+        monkeypatch.setenv("SHIPFEES_OUT_DIR", str(tmp_path / "missing"))
+        argv = ["sweep-figures", "--config", small_config, "--out", "sweep.csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: --out {tmp_path / 'missing' / 'sweep.csv'}:")
+        assert out == ""
+
+    def test_verify_out_under_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "verify.txt"
+        code, out, err = run_cli(capsys, "verify", "--out", str(target))
+        assert code == 1
+        assert err.startswith(f"error: --out {target}:")
+        assert out == ""
+
+
+# each option with a value it parses, and the commands that read it; --small-T
+# is read by none
+FLAG_VALUES = {
+    "--out": "out.txt",
+    "--config": "x.json",
+    "--preset": "rho085_c8",
+    "--format": "json",
+    "--rejection-threshold": "0.05",
+    "--seed": "3",
+    "--small-T": "3",
+}
+EXPERIMENT_FLAGS = {"--out", "--config", "--preset", "--format", "--rejection-threshold"}
+READS = {
+    "evaluate": EXPERIMENT_FLAGS,
+    "optimize": EXPERIMENT_FLAGS,
+    "simulate": EXPERIMENT_FLAGS | {"--seed"},
+    "verify": {"--out", "--seed"},
+    **{command: EXPERIMENT_FLAGS for command in TABLE_COMMANDS},
+}
+
+
+class TestCommandFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = _build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(READS)
+        for command, sp in sub.choices.items():
+            flags = {opt for a in sp._actions for opt in a.option_strings}
+            assert flags - {"-h", "--help"} == READS[command], command
+        assert sum(map(len, READS.values())) == 33
+
+    @pytest.mark.parametrize("flag", FLAG_VALUES)
+    @pytest.mark.parametrize("command", READS)
+    def test_flag_accepted_iff_read(self, capsys, command, flag):
+        argv = [command, flag, FLAG_VALUES[flag]]
+        if flag in READS[command]:
+            args = _build_parser().parse_args(argv)
+            assert str(vars(args)[flag[2:].replace("-", "_")]) == FLAG_VALUES[flag]
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shipfees ")
+        assert f"error: unrecognized arguments: {flag} " in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evaluate", "--preset", "rho085_c8", "--seed", "1"], ["verify", "--config", "x"]],
+        ids=["evaluate-seed", "verify-config"],
+    )
+    def test_unread_flag_is_a_usage_error(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shipfees", *argv],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(Path(shipfees.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: shipfees ")
+        assert f"error: unrecognized arguments: {argv[-2]} " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -87,7 +87,7 @@ class TestOptimizeFamily:
     def test_same_optimum_as_prefix_oracle(self, monkeypatch, family):
         """rho085_c8 on the default lattice, against the prefix-stack batch."""
         exp = Experiment("rho085_c8", load_preset("rho085_c8"), 0.023)
-        args = (exp.scenario, family, exp.search_grid(), exp.shared_bound())
+        args = (exp.scenario, family, exp.grid, sf.find_bound(exp.scenario))
         opt = sf.optimize_family(*args)
         monkeypatch.setattr(
             sf.PolicyEvaluator, "profits_batch", ko.prefix_profits_batch
@@ -164,7 +164,6 @@ class TestSearchGrid:
         assert grid.fee_values[-1] == pytest.approx(3.8)
         assert len(grid.fee_values) == 19
         assert grid.cutoff_range == (1, 7)
-        assert list(grid.switch_values(3)) == [0, 1, 2]
 
     def test_validation(self):
         with pytest.raises(sf.ParameterError):
