@@ -1,9 +1,10 @@
 """End-to-end checks of the command line runner.
 
-Every test drives ``shipfees.cli.main`` in process and inspects the
+Most tests drive ``shipfees.cli.main`` in process and inspect the
 captured stdout/stderr, so the assertions cover argument wiring, config
-diagnostics, and the exact emission formats; one more runs
-``python -m shipfees`` in a subprocess.
+diagnostics, and the exact emission formats; a few run
+``python -m shipfees`` in a subprocess to see the exit code and stderr of
+usage errors.
 """
 
 import argparse
