@@ -21,12 +21,14 @@ The evaluator rests on two facts of the model:
 * at age 0 the joint state is diagonal (the deadline reset makes x_c = x_s)
   with that law on the diagonal, and what one period does depends on the
   posted fee only.  ``_AgeStep`` owns it: the express law, the pmf of
-  u = express - capacity, the regular-order kernel and the deadline
-  backorder matrices.  In headroom coordinates h = bound - x_s,
-  d = x_s - x_c, the u part of a step is h' = max(h - u, 0) for every d
-  (the clamp at 0 is the rejection of heavy express overflow); regular
-  orders then shift x_s.  A push is two matrix products and a policy is
-  T - 1 pushes;
+  u = express - capacity, the regular-order kernel, the deadline
+  backorder matrices and the overflow E[(u - (bound - x_s))^+], read both
+  as the express loss (its min with E never binds, as x_s <= bound and
+  capacity >= 0) and by the adjusted backorders.  In headroom
+  coordinates h = bound - x_s, d = x_s - x_c, the u part of a step is
+  h' = max(h - u, 0) for every d (the clamp at 0 is the rejection of heavy
+  express overflow); regular orders then shift x_s.  A push is two matrix
+  products and a policy is T - 1 pushes;
 * E[M] is linear in the joint at every age, so it is the inner product
   <J_m, W_m> at any split age m: J_m is the joint after the first m
   pushes, W_m the last fee's backorder matrix pulled back through the
@@ -248,9 +250,9 @@ class _AgeStep:
     * negative rows fold to zero (idle capacity is lost), in the scatter
       back from headroom coordinates, before ``R``.
 
-    The step also holds the fee's express rate and pmf, read by the revenue
-    and express-loss measures, and the deadline backorder matrices, built
-    from the same u on first use.
+    The step also holds the fee's express rate and pmf and, built from u on
+    first use, the backorder matrices and the overflow E[(u - h)^+], the
+    express loss at x_s (its min with E never binds: x_s <= bound, B >= 0).
     """
 
     def __init__(self, scenario: Scenario, fee: float, bound: int):
@@ -307,15 +309,20 @@ class _AgeStep:
         return np.broadcast_to(per_row[:, None], (N, N))
 
     @cached_property
+    def overflow(self) -> np.ndarray:
+        """E[(u - (bound - x_s))^+] per x_s: the express orders rejected."""
+        headroom = self.bound - np.arange(self.bound + 1)
+        return _overshoot(self.u, self.nb, headroom)
+
+    @cached_property
     def backorders_adjusted(self) -> np.ndarray:
-        """raw G minus E[(u - (bound - x_s))^+].
+        """raw G minus the overflow at x_s.
 
         Express arrivals beyond the headroom bound - x_s are rejected, which
         pins the surplus to x_c + bound - x_s on that event.  Subtracting
         keeps adjusted <= raw exact, with equality when no express arrives.
         """
-        headroom = self.bound - np.arange(self.bound + 1)
-        return self.backorders_raw - _overshoot(self.u, self.nb, headroom)
+        return self.backorders_raw - self.overflow
 
 
 class PolicyEvaluator:
@@ -368,22 +375,11 @@ class PolicyEvaluator:
     def express_loss(self, fee: float) -> float:
         """Expected express orders rejected in one period posting this fee.
 
-        Regular orders are rejected first, so the express loss at workload
-        x_s is min(E, (x_s + E - B - bound)^+), independent of the regular
-        count.
+        Regular orders are rejected first, so the loss at workload x_s is
+        min(E, (x_s + E - B - bound)^+).  As x_s <= bound and B >= 0, the min
+        never binds: the loss is the overflow the adjusted backorders subtract.
         """
-        e = self._step(fee).express.mass
-        cap = self.scenario.capacity.mass
-        e_vals = np.arange(e.size)[:, None]
-        excess = (
-            np.arange(self.bound + 1)[:, None, None]
-            + e_vals
-            - np.arange(cap.size)
-            - self.bound
-        )
-        lost = np.minimum(e_vals, np.maximum(excess, 0))
-        per_state = np.sum(lost * np.outer(e, cap), axis=(1, 2))
-        return float(self.workload @ per_state)
+        return float(self.workload @ self._step(fee).overflow)
 
     # -- evaluation --------------------------------------------------------
 

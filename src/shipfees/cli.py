@@ -219,7 +219,7 @@ class Experiment:
             fees = grid_block.get("fee_values")
             if not isinstance(fees, list) or not fees:
                 raise ParameterError("grid.fee_values: expected a nonempty array")
-            rng = grid_block.get("cutoff_range", [1, T - 1])
+            rng = grid_block.get("cutoff_range", list(self.grid.cutoff_range))
             if not isinstance(rng, list) or len(rng) != 2:
                 raise ParameterError("grid.cutoff_range: expected [low, high]")
             self.grid = SearchGrid(
@@ -267,13 +267,15 @@ class Experiment:
         block = _block(self.raw, "", "simulate", required=False) or {}
         seed = seed_override
         if seed is None:
-            seed = _int(block, "simulate", "seed", default=0)
+            seed = _int(block, "simulate", "seed", default=SimConfig.seed)
         return SimConfig(
             cycles=_int(block, "simulate", "cycles", default=101_000),
-            warmup_cycles=_int(block, "simulate", "warmup_cycles", default=1000),
+            warmup_cycles=_int(
+                block, "simulate", "warmup_cycles", default=SimConfig.warmup_cycles
+            ),
             seed=seed,
             bound=self.bound,
-            streams=_int(block, "simulate", "streams", default=200),
+            streams=_int(block, "simulate", "streams", default=SimConfig.streams),
         )
 
 
@@ -698,8 +700,7 @@ def _verify_oracle(sc: Scenario, seed: int) -> tuple[bool, str]:
     policy = build_policy("CSP", 2.0, 4, _CHOICE.u_max)
     exact = evaluate_policy(sc, policy)
     rec = simulate(
-        sc, policy, SimConfig(cycles=51_000, warmup_cycles=1000, seed=seed,
-                              bound=exact.bound, streams=100)
+        sc, policy, SimConfig(cycles=51_000, seed=seed, bound=exact.bound, streams=100)
     )
     z = abs(
         rec.report.expected_backorders - exact.expected_backorders
@@ -747,7 +748,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--rejection-threshold",
         type=float,
-        default=0.023,
+        default=Scenario.rejection_threshold,
         help="acceptable stationary per-period rejection probability",
     )
     # --seed defaults to None on every command that takes it: the parsers

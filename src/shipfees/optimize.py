@@ -118,9 +118,21 @@ def _candidates(
     itertools.combinations have f_E < f_LE, so only the winner's policy is
     built.
     """
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
     T = scenario.period_length
     u_max = float(scenario.choice.u_max)
     lo, hi = grid.cutoff_range
+    count = len(grid.fee_values) * (hi - lo + 1)  # TSP_CF_star: fee x cutoff
+    if family == "TSP":  # fee pairs x the tau_C switch ages of each cutoff tau_C
+        count = math.comb(len(grid.fee_values), 2) * (lo + hi) * (hi - lo + 1) // 2
+    if not count:
+        raise ParameterError("parameter grid is empty")
+    if count > ENUMERATION_BUDGET:
+        raise ParameterError(
+            f"{count} {family} candidates exceed the enumeration budget "
+            f"{ENUMERATION_BUDGET}; use a smaller fee grid or cutoff range"
+        )
     params_list: list[tuple] = []
     vectors: list[tuple[float, ...]] = []
     keys: list[tuple] = []
@@ -130,7 +142,7 @@ def _candidates(
                 params_list.append((fee, tc))
                 vectors.append((fee,) * (tc + 1) + (u_max,) * (T - 1 - tc))
                 keys.append((tc, tc, -fee, -fee))
-    elif family == "TSP":
+    else:
         for fe, fle in itertools.combinations(grid.fee_values, 2):
             for tc in range(lo, hi + 1):
                 tail = (u_max,) * (T - 1 - tc)
@@ -138,12 +150,6 @@ def _candidates(
                     params_list.append((fe, fle, tf, tc))
                     vectors.append((fe,) * (tf + 1) + (fle,) * (tc - tf) + tail)
                     keys.append((tc, tf, -fe, -fle))
-    else:
-        raise ParameterError(
-            f"unknown family {family!r}; expected one of {FAMILIES}"
-        )
-    if not vectors:
-        raise ParameterError("parameter grid is empty")
     return params_list, vectors, keys
 
 

@@ -118,14 +118,7 @@ def cutoff_form(
     cutoff: int, partial_fees: Sequence[float], period_length: int
 ) -> FeeStructure:
     """Cutoff-form twin of :func:`canonicalize`: math.inf past the cutoff."""
-    if not 0 <= cutoff <= period_length - 1:
-        raise ParameterError("cutoff must lie in 0..period_length-1")
-    fees = tuple(float(f) for f in partial_fees)
-    if len(fees) != cutoff + 1:
-        raise ParameterError(
-            f"cutoff {cutoff} requires {cutoff + 1} fees, got {len(fees)}"
-        )
-    return FeeStructure(period_length, fees + (math.inf,) * (period_length - 1 - cutoff))
+    return canonicalize(cutoff, partial_fees, period_length, math.inf)
 
 
 def build_policy(

@@ -11,6 +11,8 @@ is the structural push written as loops over u = express - capacity, the
 reference for the package's matrix-product push.  ``prefix_profits_batch`` is
 the batch evaluator that pushes every distinct fee prefix forward to the
 last age, the reference for the package's split forward/adjoint batch.
+``broadcast_express_loss`` is the expected express loss taken over every
+(x_s, E, B), the reference for the package's loss read from a step's overflow.
 """
 
 from __future__ import annotations
@@ -287,3 +289,25 @@ def prefix_profits_batch(
         backorders[i] = em
         profits[i] = ev.revenue(fees) - ev.scenario.penalty * em
     return profits, backorders
+
+
+def broadcast_express_loss(ev, fee: float) -> float:
+    """Expected express orders rejected in one period posting this fee.
+
+    The package's express loss before it read the step's overflow, kept as
+    the reference: min(E, (x_s + E - B - bound)^+) over a (bound + 1) x |E|
+    x |B| array, weighted by the express and capacity pmfs and then by the
+    workload law.
+    """
+    e = ev._step(fee).express.mass
+    cap = ev.scenario.capacity.mass
+    e_vals = np.arange(e.size)[:, None]
+    excess = (
+        np.arange(ev.bound + 1)[:, None, None]
+        + e_vals
+        - np.arange(cap.size)
+        - ev.bound
+    )
+    lost = np.minimum(e_vals, np.maximum(excess, 0))
+    per_state = np.sum(lost * np.outer(e, cap), axis=(1, 2))
+    return float(ev.workload @ per_state)

@@ -559,6 +559,38 @@ class TestAgeStepBackorders:
                     )
 
 
+class TestExpressLoss:
+    """The loss read from the step's overflow against the broadcast oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(weights=[0, 0, 0, 0, 1], load=0.7, bound=0, fee=0.0)
+    @example(weights=[0, 2, 0, 1], load=0.95, bound=2, fee=4.5)
+    @example(weights=[1, 0, 0, 3], load=0.0, bound=3, fee=math.inf)
+    @example(weights=[1, 2, 3, 0, 1], load=0.95, bound=6, fee=4.0)
+    @example(weights=[3, 0, 1], load=0.95, bound=6, fee=1.3)
+    @given(
+        weights=st.lists(st.integers(0, 3), min_size=1, max_size=7).filter(
+            lambda w: sum(k * x for k, x in enumerate(w)) > 0
+        ),
+        load=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        bound=st.integers(0, 6),
+        fee=st.one_of(
+            st.sampled_from([0.0, 4.0, 4.5, math.inf]),
+            st.floats(0.0, 4.0, allow_nan=False),
+        ),
+    )
+    def test_matches_broadcast_oracle(self, choice, weights, load, bound, fee):
+        """Same strategy space as TestPush.test_matches_brute_age_matrix:
+        fees at u_min (0), inside, at u_max (4), above it and inf."""
+        capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
+        scenario = sf.Scenario(2, load * capacity.mean(), capacity, choice, 8.0)
+        ev = sf.PolicyEvaluator(scenario, bound)
+        loss = ev.express_loss(fee)
+        ref = ko.broadcast_express_loss(sf.PolicyEvaluator(scenario, bound), fee)
+        assert abs(loss - ref) <= 1e-14, (loss, ref)
+        assert loss >= 0.0
+
+
 class TestPush:
     """The two-product push against its loop form and the dense brute force."""
 

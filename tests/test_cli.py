@@ -71,6 +71,15 @@ class TestConfigHandling:
         exp = Experiment("small", cfg, 0.023)
         assert exp.grid == shipfees.SearchGrid.default(4)
 
+    def test_defaults_are_the_library_defaults(self):
+        args = _build_parser().parse_args(["evaluate"])
+        assert args.rejection_threshold == shipfees.Scenario.rejection_threshold
+        cfg = {k: v for k, v in SMALL_CONFIG.items() if k != "simulate"}
+        cfg["grid"] = {"fee_values": [1.0, 2.0]}
+        exp = Experiment("defaults", cfg, args.rejection_threshold)
+        assert exp.grid.cutoff_range == shipfees.SearchGrid.default(4).cutoff_range
+        assert exp.sim_config(None) == shipfees.SimConfig(cycles=101_000)
+
     def test_unknown_preset(self, capsys):
         code, out, err = run_cli(capsys, "evaluate", "--preset", "nope")
         assert code == 1
@@ -174,6 +183,20 @@ class TestBoundedInput:
         code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
         assert code == 1
         assert err.startswith("error: Beta shapes")
+        assert out == ""
+
+    def test_fee_grid_beyond_the_enumeration_budget(self, capsys, tmp_path):
+        cfg = load_preset("rho085_c8")
+        cfg["grid"]["fee_values"] = [round(0.001 * k, 3) for k in range(1, 3999)]
+        path = tmp_path / "huge_grid.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "optimize", "--config", str(path))
+        assert code == 1
+        assert err == (
+            "error: 223720084 TSP candidates exceed the enumeration budget "
+            f"{shipfees.optimize.ENUMERATION_BUDGET}; use a smaller fee grid "
+            "or cutoff range\n"
+        )
         assert out == ""
 
     def test_negative_seed_is_a_usage_error(self):

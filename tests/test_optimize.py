@@ -8,12 +8,14 @@ import pytest
 
 import shipfees as sf
 from shipfees.cli import Experiment, load_preset
-from shipfees.optimize import FAMILIES
+from shipfees import optimize
+from shipfees.optimize import FAMILIES, _candidates
 
 import kernel_oracle as ko
 
 
 GRID = sf.SearchGrid((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (1, 1))
+LATTICE = sf.SearchGrid.default(8).fee_values
 
 
 def tsp_cf_star_policies(grid, period_length, u_max):
@@ -113,6 +115,32 @@ class TestOptimizeFamily:
             sf.optimize_family(
                 micro_scenario, "TSP", sf.SearchGrid((1.0, 2.0), (1, 3)), bound=8
             )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "fees, cutoffs",
+        [((0.2, 0.4), (1, 1)), ((0.5, 1.0, 2.0), (0, 7)), (LATTICE, (1, 7)),
+         (LATTICE[:7], (3, 5))],
+    )
+    def test_budget_counts_the_candidates(
+        self, monkeypatch, make_scenario, family, fees, cutoffs
+    ):
+        """The count made before enumerating is the number enumerated: a
+        budget of that count passes and one below it refuses the grid."""
+        scenario = make_scenario(0.9, 8.0)
+        grid = sf.SearchGrid(fees, cutoffs)
+        vectors = _candidates(scenario, family, grid)[1]
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", len(vectors))
+        assert _candidates(scenario, family, grid)[1] == vectors
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", len(vectors) - 1)
+        with pytest.raises(sf.ParameterError, match=f"{len(vectors)} {family} cand"):
+            _candidates(scenario, family, grid)
+
+    def test_fee_grid_beyond_the_budget(self, make_scenario):
+        fees = tuple(np.linspace(0.001, 3.999, 3998))
+        grid = sf.SearchGrid(fees, (1, 7))
+        with pytest.raises(sf.ParameterError, match="223720084 TSP candidates"):
+            sf.optimize_family(make_scenario(0.85, 8.0), "TSP", grid)
 
 
 class TestOptimizeFamilies:

@@ -21,8 +21,18 @@ class TestCanonicalize:
         assert pol.fees == (2.0,) + (4.0,) * 7
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(sf.ParameterError):
+        with pytest.raises(sf.ParameterError, match="requires 3 fees, got 2"):
             sf.canonicalize(2, (1.0, 1.0), 4, 4.0)
+        with pytest.raises(sf.ParameterError, match="requires 3 fees, got 2"):
+            sf.cutoff_form(2, (1.0, 1.0), 4)
+
+    @pytest.mark.parametrize("cutoff", [-1, 4])
+    def test_cutoff_out_of_range_rejected(self, cutoff):
+        fees = (1.0,) * max(cutoff + 1, 1)
+        with pytest.raises(sf.ParameterError, match="cutoff must lie"):
+            sf.canonicalize(cutoff, fees, 4, 4.0)
+        with pytest.raises(sf.ParameterError, match="cutoff must lie"):
+            sf.cutoff_form(cutoff, fees, 4)
 
     def test_idempotent(self):
         pol = sf.canonicalize(1, (2.0, 3.0), 4, 4.0)
@@ -33,6 +43,9 @@ class TestCanonicalize:
         pol = sf.cutoff_form(0, (2.0,), 8)
         assert pol.fees[0] == 2.0
         assert all(math.isinf(f) for f in pol.fees[1:])
+        assert sf.cutoff_form(2, (1, 2.5, 3), 6) == sf.canonicalize(
+            2, (1.0, 2.5, 3.0), 6, math.inf
+        )
 
 
 class TestBuildPolicy:
