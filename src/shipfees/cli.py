@@ -116,6 +116,16 @@ def _int(block: dict, path: str, key: str, default=None) -> int:
     return val
 
 
+def _capacity_support_max(sc: dict) -> int:
+    n = _int(sc, "scenario", "capacity_support_max")
+    if n > BOUND_CAP:
+        raise ParameterError(
+            f"scenario.capacity_support_max: must be at most {BOUND_CAP} "
+            f"(the cap of find_bound), got {n}"
+        )
+    return n
+
+
 def _entries(vals: list, path: str, integer: bool = False) -> list:
     """Check each array entry the way _num/_int check a field."""
     kind = int if integer else (int, float)
@@ -178,6 +188,11 @@ class Experiment:
                 raise ParameterError(
                     "scenario.capacity_pmf: expected a nonempty array"
                 )
+            if len(arr) > BOUND_CAP + 1:
+                raise ParameterError(
+                    f"scenario.capacity_pmf: at most {BOUND_CAP + 1} entries "
+                    f"(support 0..{BOUND_CAP}, the cap of find_bound), got {len(arr)}"
+                )
             capacity = Pmf(
                 np.asarray(_entries(arr, "scenario.capacity_pmf"), dtype=float)
             )
@@ -190,14 +205,14 @@ class Experiment:
                 lam,
                 _num(sc, "scenario", "utilization"),
                 _num(sc, "scenario", "scv"),
-                _int(sc, "scenario", "capacity_support_max"),
+                _capacity_support_max(sc),
                 choice,
                 penalty,
                 rejection_threshold,
             )
         else:
             spec = CapacitySpec(
-                _int(sc, "scenario", "capacity_support_max"),
+                _capacity_support_max(sc),
                 _num(sc, "scenario", "mean_capacity"),
                 _num(sc, "scenario", "scv"),
             )

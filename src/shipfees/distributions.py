@@ -4,6 +4,16 @@ Everything downstream (the periodic chain, the exact measures, the Monte
 Carlo oracle) consumes finite pmfs on {0, ..., n}.  This module provides the
 pmf value type plus the two constructions the model needs: tail-folded
 truncated Poisson pmfs and a moment-matched Beta capacity discretization.
+
+The Beta cell masses come from the regularized incomplete beta function
+I_x(a, b), computed here with the stdlib: the continued fraction of Press
+et al., *Numerical Recipes* (3rd ed., 2007), section 6.4, evaluated by the
+modified Lentz method, with the reflection I_x(a, b) = 1 - I_{1-x}(b, a)
+for x >= (a + 1)/(a + b + 2).  Its prefactor x^a (1 - x)^b / B(a, b) takes
+the form of ``brcomp`` in DiDonato and Morris, "Algorithm 708: significant
+digit computation of the incomplete beta function ratios", ACM TOMS 18
+(1992): Stirling corrections and the deviation from the mode replace the
+exp(lgamma ...) difference, which cancels badly when a + b is large.
 """
 
 from __future__ import annotations
@@ -12,12 +22,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import ParameterError, UndefinedMeasureError
+from .errors import NumericsError, ParameterError, UndefinedMeasureError
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
+
+# Continued-fraction terms allowed per I_x(a, b).  The count grows like
+# sqrt(a + b) near the mean: about 10,000 at shapes 2.6e10.
+CF_MAX_TERMS = 100_000
+
+# Stirling series B_2k / (2k (2k - 1)), k = 1..7, used from s = 10 on, where
+# its remainder is below 3e-17; below 10 lgamma gives the remainder.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +192,60 @@ def discretized_beta(spec: CapacitySpec) -> Pmf:
     n = spec.support_max
     alpha, beta = beta_shape_parameters(spec)
     edges = np.clip((np.arange(n + 2) - 0.5) / n, 0.0, 1.0)
-    masses = np.diff(special.betainc(alpha, beta, edges))
+    masses = np.diff([_betainc(alpha, beta, float(x)) for x in edges])
     masses = np.clip(masses, 0.0, None)
     return Pmf(masses / masses.sum())
+
+
+def _stirling_delta(s: float) -> float:
+    """lgamma(s) - ((s - 1/2) log s - s + log(2 pi)/2), the Stirling remainder."""
+    if s < 10.0:
+        return math.lgamma(s) - ((s - 0.5) * math.log(s) - s + _HALF_LOG_2PI)
+    r, acc = 1.0 / (s * s), 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * r + c
+    return acc / s
+
+
+def _rlog1(e: float) -> float:
+    return e - math.log1p(e)
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    if x <= 0.0 or x >= 1.0:
+        return min(max(x, 0.0), 1.0)
+    s, y = a + b, 1.0 - x
+    # x^a y^b / B(a, b) with x0 = a/s, y0 = b/s: a rlog1((x - x0)/x0) +
+    # b rlog1((y - y0)/y0) is the log of (x0/x)^a (y0/y)^b (TOMS 708 brcomp)
+    lam = a - s * x if a <= b else s * y - b
+    z = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
+    corr = _stirling_delta(s) - _stirling_delta(a) - _stirling_delta(b)
+    front = math.sqrt(a * b / (2.0 * math.pi * s)) * math.exp(corr - z)
+    flip = x * (s + 2.0) >= a + 1.0
+    if front == 0.0:
+        return float(flip)
+    # modified Lentz on the fraction for I_t(p, q), reflected to (b, a, y)
+    # past the mean, where the fraction converges slowly (NR section 6.4)
+    p, q, t = (b, a, y) if flip else (a, b, x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - s * t / (p + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, CF_MAX_TERMS + 1):
+        m2 = 2 * m
+        for num in (
+            m * (q - m) * t / ((p + m2 - 1.0) * (p + m2)),
+            -(p + m) * (s + m) * t / ((p + m2) * (p + m2 + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= 2.0**-52:
+            return 1.0 - front * h / p if flip else front * h / p
+    raise NumericsError(
+        f"incomplete beta I_x({a:g}, {b:g}) at x = {x:g} did not converge "
+        f"in {CF_MAX_TERMS} continued-fraction terms"
+    )

@@ -50,6 +50,10 @@ from .policies import FeeStructure
 # Cycles pre-drawn per generator call; fixed so draws per seed never change.
 CHUNK_CYCLES = 1024
 
+# Largest chunk working set (the per-period arrays of all streams) a run
+# may allocate; 200 streams at T = 8 take 52 MB.
+CHUNK_BYTES_MAX = 2**30
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -145,6 +149,22 @@ def simulate(
     total_measured = per_stream * streams
     cycles_per_stream = config.warmup_cycles + per_stream
 
+    # Every intermediate lies in [-B, bound + E + R]; the arrival rate is
+    # below the mean of an array-backed capacity pmf, so the draws are far
+    # below 2**30 and int32 holds any bound below 2**30.
+    dtype = np.int32 if bound < 2**30 else np.int64
+    rows = min(CHUNK_CYCLES, cycles_per_stream) * T
+    # per stream: rows entries in each of E, R, B, O, A and F (float), rows + 1 in X
+    size = np.dtype(dtype).itemsize
+    stream_bytes = rows * (5 * size + 8) + (rows + 1) * size
+    if streams * stream_bytes > CHUNK_BYTES_MAX:
+        raise ParameterError(
+            f"simulate.streams: {streams} streams need "
+            f"{streams * stream_bytes / 2**30:.3g} GiB of chunk arrays at "
+            f"T = {T}, over the {CHUNK_BYTES_MAX / 2**30:g} GiB limit; use at "
+            f"most {CHUNK_BYTES_MAX // stream_bytes} streams"
+        )
+
     e_rates = np.empty(T)
     r_rates = np.empty(T)
     for t, fee in enumerate(policy.fees):
@@ -162,13 +182,8 @@ def simulate(
     edges = [streams * k // workers for k in range(workers + 1)]
     blocks = list(zip(edges, edges[1:]))
 
-    # Every intermediate lies in [-B, bound + E + R]; the arrival rate is
-    # below the mean of an array-backed capacity pmf, so the draws are far
-    # below 2**30 and int32 holds any bound below 2**30.
-    dtype = np.int32 if bound < 2**30 else np.int64
     # the walk's clamp limits as array scalars, not converted on every call
     top, zero = dtype(bound), dtype(0)
-    rows = min(CHUNK_CYCLES, cycles_per_stream) * T
     # Per-period arrays are stream-major (column j = cycle * T + age), so
     # each stream's draws fill one contiguous row; O holds first the
     # increments E + R - B, then the overflow, A the adjusted express

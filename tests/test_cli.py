@@ -199,6 +199,55 @@ class TestBoundedInput:
         )
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("capacity_support_max", 10**7),
+            ("capacity_pmf", [1.0] + [0.0] * (shipfees.chain.BOUND_CAP + 1)),
+        ],
+    )
+    def test_capacity_support_above_the_cap(self, capsys, tmp_path, key, value):
+        cfg = load_preset("rho085_c8")
+        if key == "capacity_pmf":
+            for field in ("utilization", "scv", "capacity_support_max"):
+                del cfg["scenario"][field]
+        cfg["scenario"][key] = value
+        path = tmp_path / "huge_capacity.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert code == 1
+        assert err.startswith(f"error: scenario.{key}:")
+        assert str(shipfees.chain.BOUND_CAP) in err
+        assert out == ""
+
+    def test_oversized_simulation_is_refused_before_allocating(self, tmp_path):
+        # 10**9 streams, capped at the 100,000 measured cycles, would need
+        # about 27 GiB of chunk arrays; the refusal must come before any of
+        # it is allocated, so a 1.5 GB address-space limit holds
+        cfg = load_preset("rho085_c8")
+        cfg["simulate"] = {"cycles": 101_000, "streams": 10**9}
+        path = tmp_path / "huge_streams.json"
+        path.write_text(json.dumps(cfg))
+        script = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+            "from shipfees.cli import main; "
+            f"sys.exit(main(['simulate', '--config', {str(path)!r}]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=False, timeout=120,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(shipfees.__file__).parents[1]),
+                "OPENBLAS_NUM_THREADS": "1",
+            },
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: simulate.streams: 100000 streams need")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_negative_seed_is_a_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "shipfees", "verify", "--seed", "-1"],
@@ -615,3 +664,21 @@ class TestCommandFlags:
         assert f"error: unrecognized arguments: {argv[-2]} " in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_runtime_never_imports_scipy():
+    # scipy is a test-only dependency; importing scipy.special would cost
+    # every process about 0.3 s of start-up
+    script = (
+        "import io, sys, contextlib; import shipfees; from shipfees import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['evaluate', '--preset', 'rho095_c8']) == 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=False, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(shipfees.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr

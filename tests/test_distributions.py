@@ -1,12 +1,16 @@
 """Truncated Poisson and discretized Beta capacity pmfs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import special
 
 import shipfees as sf
-from shipfees.distributions import CapacitySpec
+from shipfees.cli import PRESETS, Experiment, load_preset
+from shipfees.distributions import CapacitySpec, _betainc
 
 from bruteforce import poisson_masses
 
@@ -108,3 +112,80 @@ class TestDiscretizedBeta:
             for m in (4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
         ]
         assert all(a < b for a, b in zip(achieved, achieved[1:]))
+
+
+def cell_edges(n):
+    return np.clip((np.arange(n + 2) - 0.5) / n, 0.0, 1.0)
+
+
+def scipy_discretized_beta(spec):
+    """The cell masses of ``discretized_beta`` with scipy's incomplete beta."""
+    alpha, beta = sf.beta_shape_parameters(spec)
+    masses = np.clip(np.diff(special.betainc(alpha, beta, cell_edges(spec.support_max))), 0.0, None)
+    return masses / masses.sum()
+
+
+# (utilization, capacity scv) of the what-if cells at lambda 5, support 20,
+# and the truncation bound each one finds
+WHATIF_BOUNDS = {
+    (0.85, 0.25): 17, (0.85, 0.5): 27, (0.85, 1.0): 46,
+    (0.90, 0.25): 23, (0.90, 0.5): 35, (0.90, 1.0): 59,
+    (0.95, 0.25): 34, (0.95, 0.5): 51, (0.95, 1.0): 85,
+}
+PRESET_BOUNDS = {"rho085": 27, "rho090": 35, "rho095": 51}
+
+
+class TestIncompleteBeta:
+    """The in-package I_x(a, b) against scipy.special.betainc."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        m=st.floats(1e-6, 0.9999),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(n=20, m=0.275, u=0.0)  # the mean on a cell edge
+    @example(n=1, m=0.5, u=0.999999)  # shapes near 0
+    def test_cell_edges_match_scipy(self, n, m, u):
+        # scv log-uniform from 1e-4 up to its cap (1 - m)/m
+        scv = 1e-4 * ((1.0 - m) / m / 1e-4) ** u
+        try:
+            a, b = sf.beta_shape_parameters(CapacitySpec(n, n * m, scv))
+        except sf.ParameterError:  # shapes lost to rounding at the cap
+            return
+        edges = cell_edges(n)
+        ours = np.array([_betainc(a, b, float(x)) for x in edges])
+        assert np.max(np.abs(ours - special.betainc(a, b, edges))) <= 5e-13
+
+    @pytest.mark.parametrize(
+        "name", [*PRESETS, *(f"whatif {rho} {scv}" for rho, scv in WHATIF_BOUNDS)]
+    )
+    def test_scenario_pmfs_and_bounds_unchanged(self, name):
+        if name in PRESETS:
+            sc = load_preset(name)["scenario"]
+            spec = CapacitySpec(
+                sc["capacity_support_max"], sc["lambda"] / sc["utilization"], sc["scv"]
+            )
+            scenario = Experiment(name, load_preset(name), 0.023).scenario
+            bound = PRESET_BOUNDS[name[:6]]
+        else:
+            rho, scv = map(float, name.split()[1:])
+            spec = CapacitySpec(20, 5.0 / rho, scv)
+            choice = sf.ChoiceModel(4.0, 0.0, 4.0)
+            scenario = sf.Scenario.from_utilization(8, 5.0, rho, scv, 20, choice, 8.0)
+            bound = WHATIF_BOUNDS[rho, scv]
+        assert np.max(np.abs(scenario.capacity.mass - scipy_discretized_beta(spec))) <= 1e-14
+        assert sf.find_bound(scenario) == bound
+
+    def test_extreme_shapes(self):
+        spec = CapacitySpec(20, 5.5, 1e-10)  # shapes near 1e10, mean on an edge
+        start = time.perf_counter()
+        pmf = sf.discretized_beta(spec)
+        elapsed = time.perf_counter() - start
+        assert np.max(np.abs(pmf.mass - scipy_discretized_beta(spec))) <= 1e-9
+        assert elapsed < 0.1
+
+    def test_term_cap_is_a_numerics_error(self):
+        # shapes near 7e13 need about 600,000 terms at the edge on the mean
+        with pytest.raises(sf.NumericsError, match="did not converge"):
+            sf.discretized_beta(CapacitySpec(20, 5.5, 1e-14))
