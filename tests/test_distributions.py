@@ -121,7 +121,8 @@ def cell_edges(n):
 def scipy_discretized_beta(spec):
     """The cell masses of ``discretized_beta`` with scipy's incomplete beta."""
     alpha, beta = sf.beta_shape_parameters(spec)
-    masses = np.clip(np.diff(special.betainc(alpha, beta, cell_edges(spec.support_max))), 0.0, None)
+    cdf = special.betainc(alpha, beta, cell_edges(spec.support_max))
+    masses = np.clip(np.diff(cdf), 0.0, None)
     return masses / masses.sum()
 
 
@@ -162,11 +163,12 @@ class TestIncompleteBeta:
     )
     def test_scenario_pmfs_and_bounds_unchanged(self, name):
         if name in PRESETS:
-            sc = load_preset(name)["scenario"]
+            cfg = load_preset(name)
+            sc = cfg["scenario"]
             spec = CapacitySpec(
                 sc["capacity_support_max"], sc["lambda"] / sc["utilization"], sc["scv"]
             )
-            scenario = Experiment(name, load_preset(name), 0.023).scenario
+            scenario = Experiment(name, cfg, 0.023).scenario
             bound = PRESET_BOUNDS[name[:6]]
         else:
             rho, scv = map(float, name.split()[1:])
@@ -186,6 +188,6 @@ class TestIncompleteBeta:
         assert elapsed < 0.1
 
     def test_term_cap_is_a_numerics_error(self):
-        # shapes near 7e13 need about 600,000 terms at the edge on the mean
+        # shapes near 7e13 need more than CF_MAX_TERMS terms at the edge on the mean
         with pytest.raises(sf.NumericsError, match="did not converge"):
             sf.discretized_beta(CapacitySpec(20, 5.5, 1e-14))
