@@ -4,7 +4,6 @@ from .chain import (
     PolicyEvaluator,
     Scenario,
     find_bound,
-    steady_state,
 )
 from .choice import ChoiceModel, split_rates, take_rate
 from .distributions import (
@@ -81,7 +80,6 @@ __all__ = [
     "revenue_max_fee",
     "simulate",
     "split_rates",
-    "steady_state",
     "take_rate",
 ]
 

@@ -54,10 +54,13 @@ import numpy as np
 from .choice import ChoiceModel, split_rates
 from .distributions import CapacitySpec, Pmf, discretized_beta, poisson_pmf
 from .errors import CapacityInfeasibleError, NumericsError, ParameterError
-from .policies import FeeStructure
 
 # Largest truncation bound, searched or pinned (a joint there holds 32 MB).
 BOUND_CAP = 2000
+
+# Largest set of per-age joints one policy may hold: T of them, (bound + 1)^2
+# floats each (T = 100000 at bound 30 holds 769 MB).
+JOINT_BYTES_MAX = 2**30
 
 # Poisson supports are truncated at this residual tail mass (folded onto the
 # last support point), keeping every transition exactly mass-conserving.
@@ -87,6 +90,7 @@ class Scenario:
             raise ParameterError("backorder penalty must be nonnegative")
         if not 0.0 < self.rejection_threshold <= 1.0:
             raise ParameterError("rejection_threshold must lie in (0, 1]")
+        _check_support(self.capacity.support_max)
         mean_cap = self.capacity.mean()
         if mean_cap <= 0.0:
             raise ParameterError("capacity must have positive mean")
@@ -111,6 +115,7 @@ class Scenario:
         if not 0.0 < utilization < 1.0:
             raise ParameterError("utilization must lie in (0, 1)")
         spec = CapacitySpec(capacity_support_max, lam / utilization, capacity_scv)
+        _check_support(spec.support_max)
         capacity = discretized_beta(spec)
         if not lam < capacity.mean():
             raise ParameterError(
@@ -126,6 +131,14 @@ class Scenario:
             choice,
             penalty,
             rejection_threshold,
+        )
+
+
+def _check_support(support_max: int) -> None:
+    if support_max > BOUND_CAP:
+        raise ParameterError(
+            f"capacity support must be at most {BOUND_CAP} (the cap of "
+            f"find_bound), got {support_max}"
         )
 
 
@@ -343,6 +356,13 @@ class PolicyEvaluator:
             bound = find_bound(scenario)
         if not 0 <= bound <= BOUND_CAP:
             raise ParameterError(f"bound must lie in 0..{BOUND_CAP}, got {bound}")
+        T, joint_bytes = scenario.period_length, 8 * (bound + 1) ** 2
+        if T * joint_bytes > JOINT_BYTES_MAX:
+            raise ParameterError(
+                f"scenario.T: {T} ages need {T * joint_bytes / 2**30:.3g} GiB of "
+                f"joints at bound {bound}, over the {JOINT_BYTES_MAX / 2**30:g} "
+                f"GiB limit; use at most {JOINT_BYTES_MAX // joint_bytes} ages"
+            )
         self.scenario = scenario
         self.bound = bound
         self._steps: dict[float, _AgeStep] = {}
@@ -453,13 +473,6 @@ class PolicyEvaluator:
                 backorders[i] = em
                 profits[i] = self.revenue(fee_vectors[i]) - self.scenario.penalty * em
         return profits, backorders
-
-
-def steady_state(
-    scenario: Scenario, policy: FeeStructure, bound: int | None
-) -> list[np.ndarray]:
-    """Stationary per-age joint pmfs J[x_c, x_s], ages 0..T-1."""
-    return PolicyEvaluator(scenario, bound).joints(policy.fees)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,6 @@ def split_rates(model: ChoiceModel, lam: float, fee: float) -> tuple[float, floa
     """
     if lam < 0.0:
         raise ParameterError("arrival rate must be nonnegative")
-    if math.isinf(fee):
-        return 0.0, lam
     w = take_rate(model, model.regular_price + fee)
     express = lam * w
     return express, lam - express

@@ -19,8 +19,7 @@ as null, so the output is strict JSON.  CSV uses '.' decimals,
 comma delimiters, and a header row.  "Benefit" columns are relative profit
 deviations 100*(a-b)/|b|; the absolute value keeps the sign meaningful for
 loss-making baselines.  Exit codes: 0 success, 1 validation failure, 2
-numerical failure.  Environment: SHIPFEES_OUT_DIR anchors relative --out
-paths.
+numerical failure.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .chain import (
     _shift_matrix,
 )
 from .choice import ChoiceModel
-from .distributions import CapacitySpec, Pmf, discretized_beta
+from .distributions import Pmf
 from .errors import NumericsError, ParameterError
 from .measures import PerformanceReport, evaluate_policy, policy_report
 from .optimize import (
@@ -94,15 +93,21 @@ def _block(cfg: dict, path: str, key: str, required: bool = True) -> dict | None
     return val
 
 
+def _value(val, where: str, integer: bool = False):
+    """val if it is a JSON number (an integer if asked), else a ParameterError
+    naming where."""
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        what = "an integer" if integer else "a number"
+        raise ParameterError(f"{where}: expected {what}, got {val!r}")
+    return val
+
+
 def _num(block: dict, path: str, key: str, default=None) -> float:
     if key not in block:
         if default is not None:
             return default
         raise ParameterError(f"{path}.{key}: missing required number")
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ParameterError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
+    return float(_value(block[key], f"{path}.{key}"))
 
 
 def _int(block: dict, path: str, key: str, default=None) -> int:
@@ -110,30 +115,20 @@ def _int(block: dict, path: str, key: str, default=None) -> int:
         if default is not None:
             return default
         raise ParameterError(f"{path}.{key}: missing required integer")
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ParameterError(f"{path}.{key}: expected an integer, got {val!r}")
-    return val
-
-
-def _capacity_support_max(sc: dict) -> int:
-    n = _int(sc, "scenario", "capacity_support_max")
-    if n > BOUND_CAP:
-        raise ParameterError(
-            f"scenario.capacity_support_max: must be at most {BOUND_CAP} "
-            f"(the cap of find_bound), got {n}"
-        )
-    return n
+    return _value(block[key], f"{path}.{key}", integer=True)
 
 
 def _entries(vals: list, path: str, integer: bool = False) -> list:
     """Check each array entry the way _num/_int check a field."""
-    kind = int if integer else (int, float)
-    for i, val in enumerate(vals):
-        if isinstance(val, bool) or not isinstance(val, kind):
-            what = "an integer" if integer else "a number"
-            raise ParameterError(f"{path}[{i}]: expected {what}, got {val!r}")
-    return vals
+    return [_value(val, f"{path}[{i}]", integer) for i, val in enumerate(vals)]
+
+
+# the policy block's fields of each build_policy family, in its params order
+POLICY_FIELDS = {
+    "CSP": {"fee": _num},
+    "TSP_CF": {"fee": _num, "cutoff_age": _int},
+    "TSP": dict(express_fee=_num, lastminute_fee=_num, switch_age=_int, cutoff_age=_int),
+}
 
 
 def _load_json(text: str, origin: str) -> dict:
@@ -174,13 +169,11 @@ class Experiment:
             u_max=_num(choice_block, "choice", "u_max"),
         )
         penalty = _num(cfg, "", "penalty")
-        sources = [
-            k for k in ("utilization", "mean_capacity", "capacity_pmf") if k in sc
-        ]
+        sources = [k for k in ("utilization", "capacity_pmf") if k in sc]
         if len(sources) != 1:
             raise ParameterError(
-                "scenario: exactly one of utilization, mean_capacity, "
-                f"capacity_pmf is required, got {sources or 'none'}"
+                "scenario: exactly one of utilization, capacity_pmf is "
+                f"required, got {sources or 'none'}"
             )
         if sources[0] == "capacity_pmf":
             arr = sc["capacity_pmf"]
@@ -199,25 +192,17 @@ class Experiment:
             self.scenario = Scenario(
                 T, lam, capacity, choice, penalty, rejection_threshold
             )
-        elif sources[0] == "utilization":
-            self.scenario = Scenario.from_utilization(
-                T,
-                lam,
-                _num(sc, "scenario", "utilization"),
-                _num(sc, "scenario", "scv"),
-                _capacity_support_max(sc),
-                choice,
-                penalty,
-                rejection_threshold,
-            )
         else:
-            spec = CapacitySpec(
-                _capacity_support_max(sc),
-                _num(sc, "scenario", "mean_capacity"),
-                _num(sc, "scenario", "scv"),
-            )
-            self.scenario = Scenario(
-                T, lam, discretized_beta(spec), choice, penalty,
+            utilization = _num(sc, "scenario", "utilization")
+            scv = _num(sc, "scenario", "scv")
+            support = _int(sc, "scenario", "capacity_support_max")
+            if support > BOUND_CAP:
+                raise ParameterError(
+                    f"scenario.capacity_support_max: must be at most {BOUND_CAP} "
+                    f"(the cap of find_bound), got {support}"
+                )
+            self.scenario = Scenario.from_utilization(
+                T, lam, utilization, scv, support, choice, penalty,
                 rejection_threshold,
             )
         self.bound = None
@@ -245,25 +230,12 @@ class Experiment:
     def policy(self) -> FeeStructure:
         block = _block(self.raw, "", "policy")
         T = self.scenario.period_length
-        u_max = self.scenario.choice.u_max
         family = block.get("family")
-        if family == "CSP":
-            return build_policy("CSP", _num(block, "policy", "fee"), T, u_max)
-        if family == "TSP_CF":
-            return build_policy(
-                "TSP_CF",
-                (_num(block, "policy", "fee"), _int(block, "policy", "cutoff_age")),
-                T,
-                u_max,
-            )
-        if family == "TSP":
-            params = SimpleTspParams(
-                _num(block, "policy", "express_fee"),
-                _num(block, "policy", "lastminute_fee"),
-                _int(block, "policy", "switch_age"),
-                _int(block, "policy", "cutoff_age"),
-            )
-            return build_policy("TSP", params, T, u_max)
+        if isinstance(family, str) and family in POLICY_FIELDS:
+            fields = POLICY_FIELDS[family].items()
+            params = [read(block, "policy", key) for key, read in fields]
+            params = params[0] if family == "CSP" else params
+            return build_policy(family, params, T, self.scenario.choice.u_max)
         if family == "vector":
             fees = block.get("fees")
             if not isinstance(fees, list):
@@ -322,9 +294,6 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    base = os.environ.get("SHIPFEES_OUT_DIR")
-    if base and not os.path.isabs(out):
-        out = os.path.join(base, out)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -601,13 +570,8 @@ def _verify_form_invariance(sc: Scenario, rng: np.random.Generator) -> tuple[boo
         )
         canon = canonicalize(cutoff, partial, sc.period_length, _CHOICE.u_max)
         cut = cutoff_form(cutoff, partial, sc.period_length)
-        a = policy_report(ev, canon).as_dict()
-        b = policy_report(ev, cut).as_dict()
-        for key, av in a.items():
-            bv = b[key]
-            pairs = zip(av, bv) if isinstance(av, list) else [(av, bv)]
-            for x, y in pairs:
-                worst = max(worst, abs(x - y))
+        a, b = (_flat_report(policy_report(ev, p)) for p in (canon, cut))
+        worst = max(worst, *(abs(a[key] - b[key]) for key in a))
     return worst <= 1e-12, (
         "cutoff-form-invariance: 50 random cutoff policies, max report "
         f"deviation {worst:.3e} (tol 1e-12)"

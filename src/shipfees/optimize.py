@@ -25,6 +25,8 @@ from .policies import FeeStructure, SimpleTspParams, build_policy, demand_profil
 # Profits closer than this are treated as tied and go to the preference order.
 PROFIT_TIE_TOL = 1e-9
 
+# Candidates a search may enumerate, at T <= 8; a longer cycle allows
+# proportionally fewer, as the batch holds about T fees per candidate.
 ENUMERATION_BUDGET = 10**6
 
 FAMILIES = ("TSP_CF_star", "TSP")
@@ -107,6 +109,16 @@ def _validated_grid(
     return grid
 
 
+def _check_budget(count: int, T: int, what: str, remedy: str) -> None:
+    """Refuse count candidates of length T beyond the enumeration budget."""
+    budget = ENUMERATION_BUDGET * 8 // max(T, 8)
+    if count > budget:
+        raise ParameterError(
+            f"{count} {what} exceed the enumeration budget {budget}; use a "
+            f"smaller fee grid or {remedy}"
+        )
+
+
 def _candidates(
     scenario: Scenario, family: str, grid: SearchGrid
 ) -> tuple[list[tuple], list[tuple[float, ...]], list[tuple]]:
@@ -128,11 +140,7 @@ def _candidates(
         count = math.comb(len(grid.fee_values), 2) * (lo + hi) * (hi - lo + 1) // 2
     if not count:
         raise ParameterError("parameter grid is empty")
-    if count > ENUMERATION_BUDGET:
-        raise ParameterError(
-            f"{count} {family} candidates exceed the enumeration budget "
-            f"{ENUMERATION_BUDGET}; use a smaller fee grid or cutoff range"
-        )
+    _check_budget(count, T, f"{family} candidates", "cutoff range")
     params_list: list[tuple] = []
     vectors: list[tuple[float, ...]] = []
     keys: list[tuple] = []
@@ -245,12 +253,7 @@ def exhaustive_fee_vector_search(
     """
     grid = _validated_grid(scenario, grid)
     T = scenario.period_length
-    count = len(grid.fee_values) ** T
-    if count > ENUMERATION_BUDGET:
-        raise ParameterError(
-            f"{count} fee vectors exceed the enumeration budget "
-            f"{ENUMERATION_BUDGET}; use a smaller fee grid or shorter cycle"
-        )
+    _check_budget(len(grid.fee_values) ** T, T, "fee vectors", "shorter cycle")
     vectors = list(itertools.product(grid.fee_values, repeat=T))
     evaluator = PolicyEvaluator(scenario, bound)
     profits, _ = evaluator.profits_batch(vectors)

@@ -30,7 +30,6 @@ from shipfees import (
     is_weakly_monotone,
     optimize_family,
     simulate,
-    steady_state,
 )
 from shipfees.policies import FeeStructure
 
@@ -409,7 +408,7 @@ def test_criterion_9_workload_invariance(scenarios):
             build_policy("CSP", 4.0, T, CHOICE.u_max),
         )
         marginals = [
-            [J.sum(axis=0) for J in steady_state(sc, pol, bound)]
+            [J.sum(axis=0) for J in PolicyEvaluator(sc, bound).joints(pol.fees)]
             for pol in policies
         ]
         for other in marginals[1:]:

@@ -1,7 +1,9 @@
 """Truncated periodic chain: transitions, kernels, bounds, stationarity."""
 
+import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,7 +144,7 @@ class TestStationary:
 
     def test_structural_evaluator_matches_kernel(self, micro_scenario, solved):
         pol, _, pi = solved
-        ours = sf.steady_state(micro_scenario, pol, self.BOUND)
+        ours = sf.PolicyEvaluator(micro_scenario, self.BOUND).joints(pol.fees)
         assert len(ours) == 2
         for age in range(2):
             oracle = ko.joint_from_vector(pi[age], self.BOUND)
@@ -160,7 +162,7 @@ class TestStationary:
             sf.FeeStructure(2, (4.0, 4.0)),
         ]
         marginals = [
-            sf.steady_state(micro_scenario, pol, self.BOUND)[1].sum(axis=0)
+            sf.PolicyEvaluator(micro_scenario, self.BOUND).joints(pol.fees)[1].sum(axis=0)
             for pol in policies
         ]
         for other in marginals[1:]:
@@ -390,6 +392,21 @@ class TestScenario:
         assert "target lam/utilization = 5.0050" in msg
         assert "utilization 0.999" in msg
 
+    @pytest.mark.parametrize("source", ["support_max", "pmf"])
+    def test_capacity_support_above_the_cap_is_refused_at_once(self, choice, source):
+        """Refused before any discretization: a 10**6 support would take
+        seconds of incomplete-beta calls, and its kernels gigabytes."""
+        big = chain.BOUND_CAP + 1
+        if source == "pmf":
+            capacity = sf.Pmf(np.eye(big + 1)[big])
+        start = time.perf_counter()
+        with pytest.raises(sf.ParameterError, match=f"at most {chain.BOUND_CAP}"):
+            if source == "pmf":
+                sf.Scenario(8, 5.0, capacity, choice, 8.0)
+            else:
+                sf.Scenario.from_utilization(8, 5.0, 0.9, 0.5, 10**6, choice, 8.0)
+        assert time.perf_counter() - start < 0.1
+
     def test_equality_and_hash_by_value(self, make_scenario, micro_scenario):
         a, b = make_scenario(0.9, 8.0), make_scenario(0.9, 8.0)
         assert a is not b and a.capacity is not b.capacity
@@ -410,6 +427,15 @@ class TestPolicyEvaluator:
         policy = sf.FeeStructure(2, (1.5, 2.5))
         with pytest.raises(sf.ParameterError, match=f"0..{chain.BOUND_CAP}"):
             sf.evaluate_policy(micro_scenario, policy, bound=bound)
+
+    def test_joints_beyond_the_memory_limit_are_refused(self, micro_scenario):
+        """T joints of (bound + 1)^2 floats may take at most 1 GiB: at bound 30
+        that is 139,664 ages (T = 100000 holds 769 MB and is accepted)."""
+        for T in (100_000, 139_664):
+            sf.PolicyEvaluator(dataclasses.replace(micro_scenario, period_length=T), 30)
+        long_cycle = dataclasses.replace(micro_scenario, period_length=139_665)
+        with pytest.raises(sf.ParameterError, match="scenario.T: 139665 ages need"):
+            sf.PolicyEvaluator(long_cycle, 30)
 
     def test_batch_matches_single_evaluations(self, micro_scenario):
         fee_vectors = [

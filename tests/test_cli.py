@@ -8,6 +8,7 @@ usage errors.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -15,9 +16,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shipfees
 from shipfees.cli import PRESETS, Experiment, _build_parser, load_preset, main
@@ -43,6 +46,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_under_memory_limit(argv, limit):
+    """cli.main(argv) in a fresh interpreter whose address space is capped at
+    limit bytes, so an allocation the refusal should have prevented fails."""
+    script = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "from shipfees.cli import main; "
+        f"sys.exit(main({argv!r}))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=False, timeout=120,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(shipfees.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        },
+    )
 
 
 def parse_csv(text):
@@ -228,23 +251,38 @@ class TestBoundedInput:
         cfg["simulate"] = {"cycles": 101_000, "streams": 10**9}
         path = tmp_path / "huge_streams.json"
         path.write_text(json.dumps(cfg))
-        script = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
-            "from shipfees.cli import main; "
-            f"sys.exit(main(['simulate', '--config', {str(path)!r}]))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, check=False, timeout=120,
-            env={
-                **os.environ,
-                "PYTHONPATH": str(Path(shipfees.__file__).parents[1]),
-                "OPENBLAS_NUM_THREADS": "1",
-            },
-        )
+        proc = run_under_memory_limit(["simulate", "--config", str(path)], 1_500_000_000)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: simulate.streams: 100000 streams need")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, T, grid, message",
+        [
+            # 10**6 joints of 31 x 31 floats at the preset's bound 30: 7.2 GiB
+            ("evaluate", 10**6, None,
+             "scenario.T: 1000000 ages need 7.16 GiB of joints at bound 30"),
+            # 955,500 TSP candidates of 50 fees each: within the budget of
+            # 10**6 candidates at T <= 8, over the 160,000 it allows at T = 50
+            ("optimize", 50, {"fee_values": [k / 10 for k in range(1, 41)],
+                              "cutoff_range": [1, 49]},
+             "955500 TSP candidates exceed the enumeration budget 160000;"),
+        ],
+        ids=["joints", "candidates"],
+    )
+    def test_long_cycle_is_refused_before_allocating(
+        self, tmp_path, command, T, grid, message
+    ):
+        cfg = load_preset("rho085_c8")
+        cfg["scenario"]["T"] = T
+        if grid is not None:
+            cfg["grid"] = grid
+        path = tmp_path / "long_cycle.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_under_memory_limit([command, "--config", str(path)], 2**30)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {message}")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
@@ -584,16 +622,6 @@ class TestOutErrors:
         assert err.startswith(f"error: --out {tmp_path}:")
         assert out == ""
 
-    def test_out_dir_under_a_missing_directory(
-        self, capsys, monkeypatch, tmp_path, small_config
-    ):
-        monkeypatch.setenv("SHIPFEES_OUT_DIR", str(tmp_path / "missing"))
-        argv = ["sweep-figures", "--config", small_config, "--out", "sweep.csv"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert err.startswith(f"error: --out {tmp_path / 'missing' / 'sweep.csv'}:")
-        assert out == ""
-
     def test_verify_out_under_a_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "verify.txt"
         code, out, err = run_cli(capsys, "verify", "--out", str(target))
@@ -682,3 +710,56 @@ def test_runtime_never_imports_scipy():
         env={**os.environ, "PYTHONPATH": str(Path(shipfees.__file__).parents[1])},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def config_leaves(node, path=()):
+    """Key paths to the scalar leaves of a JSON config, array entries included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, val in items for leaf in config_leaves(val, (*path, key))]
+
+
+# verify reads no config, so it takes no part
+CONFIG_COMMANDS = ["evaluate", "optimize", "simulate", *TABLE_COMMANDS]
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e300, 1e-300, "x", True, None, [], {}]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    leaf=st.sampled_from(config_leaves(SMALL_CONFIG)),
+    value=st.sampled_from(FUZZ_VALUES),
+    command=st.sampled_from(CONFIG_COMMANDS),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_any_leaf_value_ends_in_output_or_one_error_line(leaf, value, command, fmt):
+    """A config with one leaf replaced either runs to strict JSON or CSV
+    (exit 0) or ends in one diagnostic line (exit 1 or 2); an exception
+    escaping main fails the test with its traceback."""
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    node = cfg
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)  # NaN and Infinity as JSON's extension literals
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--format", fmt])
+    if code == 0:
+        assert err.getvalue() == ""
+        if fmt == "json":
+            strict_json(out.getvalue())
+        else:
+            header, rows = parse_csv(out.getvalue())
+            assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        assert code in (1, 2)
+        assert out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(("error: ", "numerical failure: "))

@@ -1,5 +1,6 @@
 """Family searches, exhaustive fee-vector search, and dominance checks."""
 
+import dataclasses
 import itertools
 import math
 
@@ -136,6 +137,21 @@ class TestOptimizeFamily:
         with pytest.raises(sf.ParameterError, match=f"{len(vectors)} {family} cand"):
             _candidates(scenario, family, grid)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_budget_shrinks_with_the_cycle_length(self, monkeypatch, choice, family):
+        """Past T = 8 the budget counts fees: count * T against 8 * budget."""
+        scenario = sf.Scenario.from_utilization(16, 5.0, 0.9, 0.5, 20, choice, 8.0)
+        grid = sf.SearchGrid((0.5, 1.0, 2.0), (1, 15))
+        count = len(_candidates(scenario, family, grid)[1])
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 2 * count)
+        assert len(_candidates(scenario, family, grid)[1]) == count
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 2 * count - 1)
+        with pytest.raises(
+            sf.ParameterError, match=f"{count} {family} candidates exceed the "
+            f"enumeration budget {count - 1};"
+        ):
+            _candidates(scenario, family, grid)
+
     def test_fee_grid_beyond_the_budget(self, make_scenario):
         fees = tuple(np.linspace(0.001, 3.999, 3998))
         grid = sf.SearchGrid(fees, (1, 7))
@@ -235,6 +251,21 @@ class TestExhaustiveSearch:
             sf.exhaustive_fee_vector_search(
                 make_scenario(0.85, 8.0), sf.SearchGrid(fees, (1, 7)), bound=15
             )
+
+    def test_enumeration_budget_shrinks_with_the_cycle_length(
+        self, monkeypatch, micro_scenario
+    ):
+        """2**10 vectors of 10 fees pass a budget of 1280 (10240 fees) and are
+        refused at 1279."""
+        scenario = dataclasses.replace(micro_scenario, period_length=10)
+        grid = sf.SearchGrid((1.0, 2.0), (1, 1))
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 1280)
+        assert sf.exhaustive_fee_vector_search(scenario, grid, bound=8)
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 1279)
+        with pytest.raises(
+            sf.ParameterError, match="1024 fee vectors exceed the enumeration budget 1023;"
+        ):
+            sf.exhaustive_fee_vector_search(scenario, grid, bound=8)
 
     def test_overloaded_scenario_rejected(self, choice):
         with pytest.raises(sf.ParameterError):
