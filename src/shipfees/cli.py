@@ -81,54 +81,104 @@ PRESETS = (
 # ---------------------------------------------------------------------------
 # Config parsing.  Every diagnostic carries the dotted field path.
 
+REQUIRED = object()  # the default of a field that must be given
 
-def _block(cfg: dict, path: str, key: str, required: bool = True) -> dict | None:
-    if key not in cfg:
-        if required:
-            raise ParameterError(f"{path}{key}: missing required block")
-        return None
-    val = cfg[key]
-    if not isinstance(val, dict):
-        raise ParameterError(f"{path}{key}: expected an object")
-    return val
-
-
-def _value(val, where: str, integer: bool = False):
-    """val if it is a JSON number (an integer if asked), else a ParameterError
-    naming where."""
-    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
-        what = "an integer" if integer else "a number"
-        raise ParameterError(f"{where}: expected {what}, got {val!r}")
-    return val
-
-
-def _num(block: dict, path: str, key: str, default=None) -> float:
-    if key not in block:
-        if default is not None:
-            return default
-        raise ParameterError(f"{path}.{key}: missing required number")
-    return float(_value(block[key], f"{path}.{key}"))
-
-
-def _int(block: dict, path: str, key: str, default=None) -> int:
-    if key not in block:
-        if default is not None:
-            return default
-        raise ParameterError(f"{path}.{key}: missing required integer")
-    return _value(block[key], f"{path}.{key}", integer=True)
-
-
-def _entries(vals: list, path: str, integer: bool = False) -> list:
-    """Check each array entry the way _num/_int check a field."""
-    return [_value(val, f"{path}[{i}]", integer) for i, val in enumerate(vals)]
-
-
-# the policy block's fields of each build_policy family, in its params order
-POLICY_FIELDS = {
-    "CSP": {"fee": _num},
-    "TSP_CF": {"fee": _num, "cutoff_age": _int},
-    "TSP": dict(express_fee=_num, lastminute_fee=_num, switch_age=_int, cutoff_age=_int),
+# dotted path: (kind, default, capped).  A kind is "block", a key of SCALARS,
+# or (entry kind, shape) for an array.  A capped field, or an array's support
+# len - 1, must lie in 0..BOUND_CAP.
+FIELDS = {
+    "scenario": ("block", REQUIRED, False),
+    "scenario.T": ("integer", REQUIRED, False),
+    "scenario.lambda": ("number", REQUIRED, False),
+    "scenario.utilization": ("number", REQUIRED, False),
+    "scenario.scv": ("number", REQUIRED, False),
+    "scenario.capacity_support_max": ("integer", REQUIRED, True),
+    "scenario.capacity_pmf": (("number", "a nonempty array"), REQUIRED, True),
+    "scenario.truncation_bound": ("integer", None, True),
+    "choice": ("block", REQUIRED, False),
+    "choice.regular_price": ("number", REQUIRED, False),
+    "choice.u_min": ("number", REQUIRED, False),
+    "choice.u_max": ("number", REQUIRED, False),
+    "penalty": ("number", REQUIRED, False),
+    "grid": ("block", None, False),
+    "grid.fee_values": (("number", "a nonempty array"), REQUIRED, False),
+    "grid.cutoff_range": (("integer", "[low, high]"), None, False),
+    "policy": ("block", REQUIRED, False),
+    "policy.family": ("family", REQUIRED, False),
+    "policy.fee": ("number", REQUIRED, False),
+    "policy.cutoff_age": ("integer", REQUIRED, False),
+    "policy.express_fee": ("number", REQUIRED, False),
+    "policy.lastminute_fee": ("number", REQUIRED, False),
+    "policy.switch_age": ("integer", REQUIRED, False),
+    "policy.fees": (("fee", "an array"), REQUIRED, False),
+    "optimize": ("block", None, False),
+    "optimize.family": ("string", "TSP", False),
+    "simulate": ("block", None, False),
+    "simulate.cycles": ("integer", 101_000, False),
+    "simulate.warmup_cycles": ("integer", SimConfig.warmup_cycles, False),
+    "simulate.seed": ("integer", SimConfig.seed, False),
+    "simulate.streams": ("integer", SimConfig.streams, False),
 }
+
+# scalar kind: (the JSON values it takes, its name in a diagnostic); a null
+# fee is math.inf, express not offered
+SCALARS = {"number": ((int, float), "a number"), "integer": (int, "an integer"),
+           "string": (str, "a string"), "fee": ((int, float, type(None)), "a number"),
+           "family": (str, "CSP, TSP_CF, TSP, or vector")}
+# array shape: the lengths it admits
+SHAPES = {"an array": range(sys.maxsize), "a nonempty array": range(1, sys.maxsize),
+          "[low, high]": range(2, 3)}
+
+# the policy block's fields of each family, in build_policy's params order
+POLICY_FIELDS = {
+    "CSP": ("fee",),
+    "TSP_CF": ("fee", "cutoff_age"),
+    "TSP": ("express_fee", "lastminute_fee", "switch_age", "cutoff_age"),
+    "vector": ("fees",),
+}
+
+
+def _check(val, kind, path: str):
+    """val (numbers as floats) if it is of the kind, else a ParameterError."""
+    if isinstance(kind, tuple):
+        entry, shape = kind
+        if not isinstance(val, list) or len(val) not in SHAPES[shape]:
+            raise ParameterError(f"{path}: expected {shape}")
+        return [_check(v, entry, f"{path}[{i}]") for i, v in enumerate(val)]
+    types, name = SCALARS[kind]
+    if isinstance(val, bool) or not isinstance(val, types):
+        raise ParameterError(f"{path}: expected {name}, got {val!r}")
+    if val is None:
+        return math.inf
+    try:
+        return float(val) if kind in ("number", "fee") else val
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ParameterError(f"{path}: {exc}") from exc
+
+
+def _parse(cfg: dict, block: str = "") -> dict:
+    """{dotted path: value} of every field in cfg (a block's value is its
+    object), each of the kind and within the cap FIELDS gives it."""
+    fields = {}
+    for key, val in cfg.items():
+        path = f"{block}.{key}" if block else key
+        if "." in key or path not in FIELDS:
+            raise ParameterError(f"{path}: unknown field")
+        kind, _, capped = FIELDS[path]
+        if kind != "block":
+            val = _check(val, kind, path)
+        elif isinstance(val, dict):
+            fields.update(_parse(val, path))
+        else:
+            raise ParameterError(f"{path}: expected an object")
+        support = len(val) - 1 if isinstance(val, list) else val
+        if capped and not 0 <= support <= BOUND_CAP:
+            raise ParameterError(
+                f"{path}: must lie in 0..{BOUND_CAP} (the cap of find_bound), "
+                f"got {support}"
+            )
+        fields[path] = val
+    return fields
 
 
 def _load_json(text: str, origin: str) -> dict:
@@ -158,111 +208,81 @@ class Experiment:
 
     def __init__(self, name: str, cfg: dict, rejection_threshold: float):
         self.name = name
-        self.raw = cfg
-        sc = _block(cfg, "", "scenario")
-        T = _int(sc, "scenario", "T")
-        lam = _num(sc, "scenario", "lambda")
-        choice_block = _block(cfg, "", "choice")
+        self.fields = _parse(cfg)
+        get = self.get
+        T, lam = get("scenario.T"), get("scenario.lambda")
         choice = ChoiceModel(
-            regular_price=_num(choice_block, "choice", "regular_price"),
-            u_min=_num(choice_block, "choice", "u_min"),
-            u_max=_num(choice_block, "choice", "u_max"),
+            get("choice.regular_price"), get("choice.u_min"), get("choice.u_max")
         )
-        penalty = _num(cfg, "", "penalty")
-        sources = [k for k in ("utilization", "capacity_pmf") if k in sc]
+        penalty = get("penalty")
+        sources = [
+            k for k in ("utilization", "capacity_pmf") if f"scenario.{k}" in self.fields
+        ]
         if len(sources) != 1:
             raise ParameterError(
                 "scenario: exactly one of utilization, capacity_pmf is "
                 f"required, got {sources or 'none'}"
             )
         if sources[0] == "capacity_pmf":
-            arr = sc["capacity_pmf"]
-            if not isinstance(arr, list) or not arr:
-                raise ParameterError(
-                    "scenario.capacity_pmf: expected a nonempty array"
-                )
-            if len(arr) > BOUND_CAP + 1:
-                raise ParameterError(
-                    f"scenario.capacity_pmf: at most {BOUND_CAP + 1} entries "
-                    f"(support 0..{BOUND_CAP}, the cap of find_bound), got {len(arr)}"
-                )
-            capacity = Pmf(
-                np.asarray(_entries(arr, "scenario.capacity_pmf"), dtype=float)
-            )
+            # the pmf is the whole capacity model, so nothing reads these
+            for path in ("scenario.scv", "scenario.capacity_support_max"):
+                if path in self.fields:
+                    raise ParameterError(f"{path}: unknown field")
+            capacity = Pmf(np.asarray(get("scenario.capacity_pmf"), dtype=float))
             self.scenario = Scenario(
                 T, lam, capacity, choice, penalty, rejection_threshold
             )
         else:
-            utilization = _num(sc, "scenario", "utilization")
-            scv = _num(sc, "scenario", "scv")
-            support = _int(sc, "scenario", "capacity_support_max")
-            if support > BOUND_CAP:
-                raise ParameterError(
-                    f"scenario.capacity_support_max: must be at most {BOUND_CAP} "
-                    f"(the cap of find_bound), got {support}"
-                )
             self.scenario = Scenario.from_utilization(
-                T, lam, utilization, scv, support, choice, penalty,
+                T, lam, get("scenario.utilization"), get("scenario.scv"),
+                get("scenario.capacity_support_max"), choice, penalty,
                 rejection_threshold,
             )
-        self.bound = None
-        if "truncation_bound" in sc:
-            self.bound = _int(sc, "scenario", "truncation_bound")
-            if not 0 <= self.bound <= BOUND_CAP:
-                raise ParameterError(
-                    f"scenario.truncation_bound: must lie in 0..{BOUND_CAP} "
-                    f"(the cap of find_bound), got {self.bound}"
-                )
-        grid_block = _block(cfg, "", "grid", required=False)
+        self.bound = get("scenario.truncation_bound")
         self.grid = SearchGrid.default(T)
-        if grid_block is not None:
-            fees = grid_block.get("fee_values")
-            if not isinstance(fees, list) or not fees:
-                raise ParameterError("grid.fee_values: expected a nonempty array")
-            rng = grid_block.get("cutoff_range", list(self.grid.cutoff_range))
-            if not isinstance(rng, list) or len(rng) != 2:
-                raise ParameterError("grid.cutoff_range: expected [low, high]")
-            self.grid = SearchGrid(
-                tuple(_entries(fees, "grid.fee_values")),
-                tuple(_entries(rng, "grid.cutoff_range", integer=True)),
-            )
+        if "grid" in self.fields:
+            rng = get("grid.cutoff_range") or self.grid.cutoff_range
+            self.grid = SearchGrid(tuple(get("grid.fee_values")), tuple(rng))
+
+    def get(self, path: str):
+        """The value of the field at path, else its default; a missing
+        required field, or one in a missing required block, is an error."""
+        if path in self.fields:
+            return self.fields[path]
+        if "." in path:
+            self.get(path.rpartition(".")[0])
+        kind, default, _ = FIELDS[path]
+        if default is not REQUIRED:
+            return default
+        if isinstance(kind, tuple):
+            raise ParameterError(f"{path}: expected {kind[1]}")
+        raise ParameterError(f"{path}: missing required {kind}")
 
     def policy(self) -> FeeStructure:
-        block = _block(self.raw, "", "policy")
         T = self.scenario.period_length
-        family = block.get("family")
-        if isinstance(family, str) and family in POLICY_FIELDS:
-            fields = POLICY_FIELDS[family].items()
-            params = [read(block, "policy", key) for key, read in fields]
-            params = params[0] if family == "CSP" else params
-            return build_policy(family, params, T, self.scenario.choice.u_max)
+        family = self.get("policy.family")
+        if family not in POLICY_FIELDS:
+            families = SCALARS["family"][1]
+            raise ParameterError(f"policy.family: expected {families}, got {family!r}")
+        names = POLICY_FIELDS[family]
+        for key in self.get("policy"):
+            if key not in ("family", *names):
+                raise ParameterError(f"policy.{key}: not a field of the {family} family")
+        params = [self.get(f"policy.{name}") for name in names]
         if family == "vector":
-            fees = block.get("fees")
-            if not isinstance(fees, list):
-                raise ParameterError("policy.fees: expected an array")
-            vals = [math.inf if f is None else f for f in fees]
-            vals = tuple(_entries(vals, "policy.fees"))
             try:
-                return FeeStructure(T, vals)
+                return FeeStructure(T, tuple(params[0]))
             except ParameterError as exc:
                 raise ParameterError(f"policy.fees: {exc}") from exc
-        raise ParameterError(
-            f"policy.family: expected CSP, TSP_CF, TSP, or vector, got {family!r}"
-        )
+        params = params[0] if family == "CSP" else params
+        return build_policy(family, params, T, self.scenario.choice.u_max)
 
     def sim_config(self, seed_override: int | None) -> SimConfig:
-        block = _block(self.raw, "", "simulate", required=False) or {}
-        seed = seed_override
-        if seed is None:
-            seed = _int(block, "simulate", "seed", default=SimConfig.seed)
+        get = self.get
+        seed = get("simulate.seed") if seed_override is None else seed_override
         return SimConfig(
-            cycles=_int(block, "simulate", "cycles", default=101_000),
-            warmup_cycles=_int(
-                block, "simulate", "warmup_cycles", default=SimConfig.warmup_cycles
-            ),
-            seed=seed,
-            bound=self.bound,
-            streams=_int(block, "simulate", "streams", default=SimConfig.streams),
+            get("simulate.cycles"), get("simulate.warmup_cycles"), seed, self.bound,
+            get("simulate.streams"),
         )
 
 
@@ -396,9 +416,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     exp = _experiments(args)[0]
-    block = _block(exp.raw, "", "optimize", required=False) or {}
     opt = optimize_family(
-        exp.scenario, block.get("family", "TSP"), exp.grid, bound=exp.bound
+        exp.scenario, exp.get("optimize.family"), exp.grid, bound=exp.bound
     )
     params, report = _opt_params(opt), opt.report
     tail = {

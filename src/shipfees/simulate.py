@@ -54,6 +54,10 @@ CHUNK_CYCLES = 1024
 # may allocate; 200 streams at T = 8 take 52 MB.
 CHUNK_BYTES_MAX = 2**30
 
+# Most cycle-periods (streams x warm-up plus measured cycles x T) a run may
+# step; criterion 4's runs take 1.6e7.
+SIM_PERIODS_MAX = 10**9
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -107,7 +111,13 @@ def _halfwidth(stream_means: np.ndarray) -> float:
     n = len(stream_means)
     if n < 2:
         return math.inf
-    return 1.96 * float(np.std(stream_means, ddof=1)) / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(stream_means, ddof=1))
+        if not math.isfinite(sd):
+            # the squares overflowed: scale by the largest magnitude first
+            scale = float(np.max(np.abs(stream_means)))
+            sd = scale * float(np.std(stream_means / scale, ddof=1))
+    return 1.96 * sd / math.sqrt(n)
 
 
 def _draw_workers() -> int:
@@ -157,6 +167,13 @@ def simulate(
     # per stream: rows entries in each of E, R, B, O, A and F (float), rows + 1 in X
     size = np.dtype(dtype).itemsize
     stream_bytes = rows * (5 * size + 8) + (rows + 1) * size
+    periods = streams * cycles_per_stream * T
+    if periods > SIM_PERIODS_MAX:
+        raise ParameterError(
+            f"simulate.cycles: {streams} streams of {cycles_per_stream} cycles "
+            f"at T = {T} are {periods} cycle-periods, over the {SIM_PERIODS_MAX} "
+            "limit; use fewer cycles"
+        )
     if streams * stream_bytes > CHUNK_BYTES_MAX:
         raise ParameterError(
             f"simulate.streams: {streams} streams need "

@@ -10,6 +10,7 @@ usage errors.
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -17,13 +18,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shipfees
-from shipfees.cli import PRESETS, Experiment, _build_parser, load_preset, main
+from shipfees.cli import FIELDS, PRESETS, Experiment, _build_parser, load_preset, main
 
 SMALL_CONFIG = {
     "scenario": {
@@ -40,6 +42,11 @@ SMALL_CONFIG = {
     "optimize": {"family": "TSP"},
     "simulate": {"cycles": 3000, "warmup_cycles": 500, "streams": 8, "seed": 1},
 }
+
+
+GOLDEN_CONFIG = json.loads(
+    (Path(__file__).parent / "golden" / "rho085_c8_cut13.json").read_text()
+)["config"]
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +94,12 @@ class TestConfigHandling:
             assert exp.scenario.period_length == 8
             assert exp.scenario.lam == 5.0
             assert exp.grid is not None
+
+    def test_golden_config_parses(self):
+        exp = Experiment("rho085_c8_cut13", GOLDEN_CONFIG, 0.023)
+        assert exp.bound == 30
+        assert exp.grid.cutoff_range == (1, 3)
+        assert exp.policy().fees == (2.0,) * 8
 
     def test_grid_defaults_to_the_lattice(self):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -139,6 +152,94 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, "evaluate")
         assert code == 1
         assert "--config" in err and "--preset" in err
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("block", ["", "scenario", "grid", "simulate", "optimize"])
+    def test_unknown_key_in_a_block(self, capsys, tmp_path, block):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        (cfg[block] if block else cfg)["extra"] = 1
+        path = f"{block}.extra" if block else "extra"
+        code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == f"error: {path}: unknown field\n"
+        assert out == ""
+
+    def test_dotted_key_is_not_a_nested_field(self, capsys, tmp_path):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["scenario.truncation_bound"] = 12
+        code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == "error: scenario.truncation_bound: unknown field\n"
+
+    def test_typo_config_is_refused(self, capsys, tmp_path):
+        # a misspelt pinned bound, a field that is gone, a misspelt block
+        cfg = load_preset("rho085_c8")
+        scenario = cfg["scenario"]
+        scenario["truncation_bond"] = scenario.pop("truncation_bound")
+        scenario["mean_capacity"] = 5.0 / 0.85
+        cfg["simulate_"] = cfg.pop("simulate")
+        code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == "error: scenario.truncation_bond: unknown field\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ({"family": "CSP", "fee": 2.0, "cutoff_age": 3},
+             "policy.cutoff_age: not a field of the CSP family"),
+            ({"family": "TSP_CF", "fee": 2.0, "cutoff_age": 3, "switch_age": 1},
+             "policy.switch_age: not a field of the TSP_CF family"),
+            ({"family": "vector", "fee": 2.0, "fees": [1.0, 2.0, 3.0, 3.0]},
+             "policy.fee: not a field of the vector family"),
+        ],
+        ids=["CSP", "TSP_CF", "vector"],
+    )
+    def test_field_of_another_family(self, capsys, tmp_path, policy, message):
+        cfg = {**SMALL_CONFIG, "policy": policy}
+        code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["scv", "capacity_support_max"])
+    def test_utilization_field_beside_capacity_pmf(self, capsys, tmp_path, key):
+        scenario = {"T": 4, "lambda": 2.0, "capacity_pmf": [0.0, 0.1, 0.2, 0.3, 0.4]}
+        scenario[key] = SMALL_CONFIG["scenario"][key]
+        cfg = {**SMALL_CONFIG, "scenario": scenario}
+        code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == f"error: scenario.{key}: unknown field\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["evaluate", "optimize", "simulate", "reproduce-table2", "reproduce-table3",
+         "sweep-figures"],
+    )
+    def test_field_types_are_checked_at_load_for_every_command(
+        self, capsys, tmp_path, command
+    ):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["simulate"]["cycles"] = "x"
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == "error: simulate.cycles: expected an integer, got 'x'\n"
+        assert out == ""
+
+    def test_number_beyond_the_float_range(self, capsys, tmp_path):
+        cfg = {**SMALL_CONFIG, "penalty": 10**400}
+        code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
+        assert code == 1
+        assert err == "error: penalty: int too large to convert to float\n"
+        assert out == ""
 
 
 def strict_json(text):
@@ -194,8 +295,10 @@ class TestBoundedInput:
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
         assert code == 1
-        assert err.startswith("error: scenario.truncation_bound:")
-        assert str(shipfees.chain.BOUND_CAP) in err
+        assert err == (
+            "error: scenario.truncation_bound: must lie in 0..2000 "
+            "(the cap of find_bound), got 100000\n"
+        )
         assert out == ""
 
     def test_underflowing_capacity_variance(self, capsys, tmp_path):
@@ -239,8 +342,12 @@ class TestBoundedInput:
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
         assert code == 1
-        assert err.startswith(f"error: scenario.{key}:")
-        assert str(shipfees.chain.BOUND_CAP) in err
+        # a pmf's support is its length - 1
+        support = len(value) - 1 if key == "capacity_pmf" else value
+        assert err == (
+            f"error: scenario.{key}: must lie in 0..2000 (the cap of find_bound), "
+            f"got {support}\n"
+        )
         assert out == ""
 
     def test_oversized_simulation_is_refused_before_allocating(self, tmp_path):
@@ -285,6 +392,27 @@ class TestBoundedInput:
         assert proc.stderr.startswith(f"error: {message}")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_endless_simulation_is_refused_in_under_a_second(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # 2**62 cycles would step for ever; the refusal precedes every draw
+        def no_pool(*args):
+            raise AssertionError("the draws started")
+
+        monkeypatch.setattr(importlib.import_module("shipfees.simulate"),
+                            "ThreadPoolExecutor", no_pool)
+        cfg = load_preset("rho085_c8")
+        cfg["simulate"]["cycles"] = 2**62
+        path = tmp_path / "endless.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error: simulate.cycles: 200 streams of ")
+        assert err.endswith(", over the 1000000000 limit; use fewer cycles\n")
+        assert out == ""
 
     def test_negative_seed_is_a_usage_error(self):
         proc = subprocess.run(
@@ -712,38 +840,80 @@ def test_runtime_never_imports_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def config_leaves(node, path=()):
-    """Key paths to the scalar leaves of a JSON config, array entries included."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return [path]
-    return [leaf for key, val in items for leaf in config_leaves(val, (*path, key))]
+# SMALL_CONFIG and variants of it that between them hold every field of
+# cli.FIELDS: each policy family, a pinned bound, and a capacity pmf in place
+# of the utilization fields
+FUZZ_BASES = [
+    SMALL_CONFIG,
+    {**SMALL_CONFIG, "policy": {"family": "TSP_CF", "fee": 2.0, "cutoff_age": 2}},
+    {**SMALL_CONFIG, "policy": {"family": "TSP", "express_fee": 1.0,
+                                "lastminute_fee": 3.0, "switch_age": 0, "cutoff_age": 2}},
+    {
+        **SMALL_CONFIG,
+        "scenario": {"T": 4, "lambda": 2.0, "capacity_pmf": [0.0, 0.1, 0.2, 0.3, 0.4],
+                     "truncation_bound": 12},
+        "policy": {"family": "vector", "fees": [1.0, 2.0, 3.0, None]},
+    },
+]
 
 
+def fuzz_targets():
+    """(base config, key path) for every field of cli.FIELDS in each base
+    that holds it, and for every entry of its arrays."""
+    targets = []
+    for base in FUZZ_BASES:
+        for dotted in FIELDS:
+            keys = tuple(dotted.split("."))
+            node = base
+            for key in keys:
+                node = node.get(key) if isinstance(node, dict) else None
+            if node is not None:
+                targets.append((base, keys))
+                if isinstance(node, list):
+                    targets += [(base, (*keys, i)) for i in range(len(node))]
+    return targets
+
+
+FUZZ_TARGETS = fuzz_targets()
 # verify reads no config, so it takes no part
 CONFIG_COMMANDS = ["evaluate", "optimize", "simulate", *TABLE_COMMANDS]
 FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e300, 1e-300, "x", True, None, [], {}]
+# the other mutations: delete the key, or insert an unknown key beside it
+DELETE, UNKNOWN = "<delete>", "<unknown>"
+
+
+def test_fuzz_targets_cover_the_field_table():
+    fields = {".".join(k for k in keys if isinstance(k, str)) for _, keys in FUZZ_TARGETS}
+    assert fields == set(FIELDS)
+    assert len(FIELDS) == 31
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(
-    leaf=st.sampled_from(config_leaves(SMALL_CONFIG)),
-    value=st.sampled_from(FUZZ_VALUES),
+    target=st.sampled_from(FUZZ_TARGETS),
+    mutation=st.sampled_from([*FUZZ_VALUES, DELETE, UNKNOWN]),
     command=st.sampled_from(CONFIG_COMMANDS),
     fmt=st.sampled_from(["csv", "json"]),
 )
-def test_any_leaf_value_ends_in_output_or_one_error_line(leaf, value, command, fmt):
-    """A config with one leaf replaced either runs to strict JSON or CSV
-    (exit 0) or ends in one diagnostic line (exit 1 or 2); an exception
-    escaping main fails the test with its traceback."""
-    cfg = json.loads(json.dumps(SMALL_CONFIG))
+def test_any_leaf_value_ends_in_output_or_one_error_line(target, mutation, command, fmt):
+    """A config with one field or array entry replaced or deleted, or with
+    an unknown key beside it, either runs to strict JSON or CSV (exit 0) or
+    ends in one diagnostic line (exit 1 or 2); an exception escaping main
+    fails the test with its traceback."""
+    base, keys = target
+    cfg = json.loads(json.dumps(base))
     node = cfg
-    for key in leaf[:-1]:
+    for key in keys[:-1]:
         node = node[key]
-    node[leaf[-1]] = value
+    key = keys[-1]
+    if mutation is DELETE:
+        del node[key]
+    elif mutation is UNKNOWN and isinstance(node, dict):
+        node[f"{key}_"] = node[key]
+    elif mutation is UNKNOWN:
+        node.append(node[key])  # an array: one entry more
+    else:
+        node[key] = mutation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzzed.json")
@@ -751,6 +921,9 @@ def test_any_leaf_value_ends_in_output_or_one_error_line(leaf, value, command, f
             json.dump(cfg, fh)  # NaN and Infinity as JSON's extension literals
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", path, "--format", fmt])
+    if mutation is UNKNOWN and isinstance(node, dict):
+        dotted = ".".join(keys)
+        assert (code, err.getvalue()) == (1, f"error: {dotted}_: unknown field\n")
     if code == 0:
         assert err.getvalue() == ""
         if fmt == "json":

@@ -6,6 +6,8 @@ import math
 import os
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +87,51 @@ class TestConfig:
         wrong = sf.FeeStructure(3, (1.0, 2.0, 3.0))
         with pytest.raises(sf.ParameterError):
             sf.simulate(micro_scenario, wrong, sf.SimConfig(cycles=100, warmup_cycles=10))
+
+
+    def test_run_beyond_the_period_limit_is_refused_before_drawing(
+        self, monkeypatch, micro_scenario
+    ):
+        # 2**40 cycles of T = 2 on 4 streams: far over SIM_PERIODS_MAX, so the
+        # refusal must come at once, before the draw pool exists
+        def no_pool(*args):
+            raise AssertionError("the draws started")
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_pool)
+        cfg = sf.SimConfig(cycles=2**40, warmup_cycles=10, bound=8, streams=4)
+        start = time.perf_counter()
+        with pytest.raises(sf.ParameterError, match=r"^simulate\.cycles: 4 streams of "):
+            sf.simulate(micro_scenario, MICRO_POLICY, cfg)
+        assert time.perf_counter() - start < 1.0
+
+    def test_run_at_the_period_limit_is_accepted(self, monkeypatch, micro_scenario):
+        # 4 streams x (10 warm-up + 90 measured cycles) x T = 2 = 800 periods
+        cfg = sf.SimConfig(cycles=370, warmup_cycles=10, bound=8, streams=4)
+        monkeypatch.setattr(simulation, "SIM_PERIODS_MAX", 4 * 100 * 2)
+        assert sf.simulate(micro_scenario, MICRO_POLICY, cfg).measured_cycles == 360
+        monkeypatch.setattr(simulation, "SIM_PERIODS_MAX", 4 * 100 * 2 - 1)
+        with pytest.raises(sf.ParameterError, match="800 cycle-periods"):
+            sf.simulate(micro_scenario, MICRO_POLICY, cfg)
+
+
+class TestHalfwidth:
+    def test_ordinary_means_keep_the_plain_formula(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e6, 1e150):
+            x = rng.normal(3.0, 1.0, size=50) * scale
+            plain = 1.96 * float(np.std(x, ddof=1)) / math.sqrt(len(x))
+            assert simulation._halfwidth(x) == plain
+
+    def test_huge_penalty_gives_a_finite_profit_halfwidth(self, choice):
+        scenario = sf.Scenario.from_utilization(4, 2.0, 0.8, 0.5, 8, choice, 1e300)
+        policy = sf.FeeStructure(4, (2.0,) * 4)
+        cfg = sf.SimConfig(cycles=3000, warmup_cycles=500, seed=1, streams=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sf.simulate(scenario, policy, cfg)
+        assert math.isfinite(out.report.variable_profit)
+        assert math.isfinite(out.halfwidth_variable_profit)
+        assert out.halfwidth_variable_profit > 0.0
 
 
 class TestDeterminism:
