@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 from importlib import resources
 
 import numpy as np
@@ -46,6 +47,7 @@ from .distributions import Pmf
 from .errors import NumericsError, ParameterError
 from .measures import PerformanceReport, evaluate_policy, policy_report
 from .optimize import (
+    FAMILIES as SEARCH_FAMILIES,
     Optimum,
     SearchGrid,
     _search_batch,
@@ -58,6 +60,7 @@ from .optimize import (
     revenue_max_fee,
 )
 from .policies import (
+    FAMILIES,
     CumulativeDemandProfile,
     FeeStructure,
     SimpleTspParams,
@@ -83,41 +86,41 @@ PRESETS = (
 
 REQUIRED = object()  # the default of a field that must be given
 
-# dotted path: (kind, default, capped).  A kind is "block", a key of SCALARS,
-# or (entry kind, shape) for an array.  A capped field, or an array's support
-# len - 1, must lie in 0..BOUND_CAP.
+# dotted path: (kind, default, lowest).  A kind is "block", a key of SCALARS,
+# or (entry kind, shape) for an array.  A field with a lowest value, or an
+# array's support len - 1, must lie in lowest..BOUND_CAP; None is uncapped.
 FIELDS = {
-    "scenario": ("block", REQUIRED, False),
-    "scenario.T": ("integer", REQUIRED, False),
-    "scenario.lambda": ("number", REQUIRED, False),
-    "scenario.utilization": ("number", REQUIRED, False),
-    "scenario.scv": ("number", REQUIRED, False),
-    "scenario.capacity_support_max": ("integer", REQUIRED, True),
-    "scenario.capacity_pmf": (("number", "a nonempty array"), REQUIRED, True),
-    "scenario.truncation_bound": ("integer", None, True),
-    "choice": ("block", REQUIRED, False),
-    "choice.regular_price": ("number", REQUIRED, False),
-    "choice.u_min": ("number", REQUIRED, False),
-    "choice.u_max": ("number", REQUIRED, False),
-    "penalty": ("number", REQUIRED, False),
-    "grid": ("block", None, False),
-    "grid.fee_values": (("number", "a nonempty array"), REQUIRED, False),
-    "grid.cutoff_range": (("integer", "[low, high]"), None, False),
-    "policy": ("block", REQUIRED, False),
-    "policy.family": ("family", REQUIRED, False),
-    "policy.fee": ("number", REQUIRED, False),
-    "policy.cutoff_age": ("integer", REQUIRED, False),
-    "policy.express_fee": ("number", REQUIRED, False),
-    "policy.lastminute_fee": ("number", REQUIRED, False),
-    "policy.switch_age": ("integer", REQUIRED, False),
-    "policy.fees": (("fee", "an array"), REQUIRED, False),
-    "optimize": ("block", None, False),
-    "optimize.family": ("string", "TSP", False),
-    "simulate": ("block", None, False),
-    "simulate.cycles": ("integer", 101_000, False),
-    "simulate.warmup_cycles": ("integer", SimConfig.warmup_cycles, False),
-    "simulate.seed": ("integer", SimConfig.seed, False),
-    "simulate.streams": ("integer", SimConfig.streams, False),
+    "scenario": ("block", REQUIRED, None),
+    "scenario.T": ("integer", REQUIRED, None),
+    "scenario.lambda": ("number", REQUIRED, None),
+    "scenario.utilization": ("number", REQUIRED, None),
+    "scenario.scv": ("number", REQUIRED, None),
+    "scenario.capacity_support_max": ("integer", REQUIRED, 1),
+    "scenario.capacity_pmf": (("number", "a nonempty array"), REQUIRED, 0),
+    "scenario.truncation_bound": ("integer", None, 0),
+    "choice": ("block", REQUIRED, None),
+    "choice.regular_price": ("number", REQUIRED, None),
+    "choice.u_min": ("number", REQUIRED, None),
+    "choice.u_max": ("number", REQUIRED, None),
+    "penalty": ("number", REQUIRED, None),
+    "grid": ("block", None, None),
+    "grid.fee_values": (("number", "a nonempty array"), REQUIRED, None),
+    "grid.cutoff_range": (("integer", "[low, high]"), None, None),
+    "policy": ("block", REQUIRED, None),
+    "policy.family": ("family", REQUIRED, None),
+    "policy.fee": ("number", REQUIRED, None),
+    "policy.cutoff_age": ("integer", REQUIRED, None),
+    "policy.express_fee": ("number", REQUIRED, None),
+    "policy.lastminute_fee": ("number", REQUIRED, None),
+    "policy.switch_age": ("integer", REQUIRED, None),
+    "policy.fees": (("fee", "an array"), REQUIRED, None),
+    "optimize": ("block", None, None),
+    "optimize.family": ("string", "TSP", None),
+    "simulate": ("block", None, None),
+    "simulate.cycles": ("integer", 101_000, None),
+    "simulate.warmup_cycles": ("integer", SimConfig.warmup_cycles, None),
+    "simulate.seed": ("integer", SimConfig.seed, None),
+    "simulate.streams": ("integer", SimConfig.streams, None),
 }
 
 # scalar kind: (the JSON values it takes, its name in a diagnostic); a null
@@ -130,12 +133,7 @@ SHAPES = {"an array": range(sys.maxsize), "a nonempty array": range(1, sys.maxsi
           "[low, high]": range(2, 3)}
 
 # the policy block's fields of each family, in build_policy's params order
-POLICY_FIELDS = {
-    "CSP": ("fee",),
-    "TSP_CF": ("fee", "cutoff_age"),
-    "TSP": ("express_fee", "lastminute_fee", "switch_age", "cutoff_age"),
-    "vector": ("fees",),
-}
+POLICY_FIELDS = {**FAMILIES, "vector": ("fees",)}
 
 
 def _check(val, kind, path: str):
@@ -164,7 +162,7 @@ def _parse(cfg: dict, block: str = "") -> dict:
         path = f"{block}.{key}" if block else key
         if "." in key or path not in FIELDS:
             raise ParameterError(f"{path}: unknown field")
-        kind, _, capped = FIELDS[path]
+        kind, _, low = FIELDS[path]
         if kind != "block":
             val = _check(val, kind, path)
         elif isinstance(val, dict):
@@ -172,9 +170,9 @@ def _parse(cfg: dict, block: str = "") -> dict:
         else:
             raise ParameterError(f"{path}: expected an object")
         support = len(val) - 1 if isinstance(val, list) else val
-        if capped and not 0 <= support <= BOUND_CAP:
+        if low is not None and not low <= support <= BOUND_CAP:
             raise ParameterError(
-                f"{path}: must lie in 0..{BOUND_CAP} (the cap of find_bound), "
+                f"{path}: must lie in {low}..{BOUND_CAP} (the cap of find_bound), "
                 f"got {support}"
             )
         fields[path] = val
@@ -203,6 +201,14 @@ def load_preset(name: str) -> dict:
     return _load_json(text, f"preset {name}")
 
 
+def _named(path: str, build, *args):
+    """build(*args), a ParameterError from it re-raised as '<path>: <message>'."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
+
+
 class Experiment:
     """One parsed experiment: scenario plus optional command blocks."""
 
@@ -211,8 +217,9 @@ class Experiment:
         self.fields = _parse(cfg)
         get = self.get
         T, lam = get("scenario.T"), get("scenario.lambda")
-        choice = ChoiceModel(
-            get("choice.regular_price"), get("choice.u_min"), get("choice.u_max")
+        choice = _named(
+            "choice", ChoiceModel,
+            get("choice.regular_price"), get("choice.u_min"), get("choice.u_max"),
         )
         penalty = get("penalty")
         sources = [
@@ -228,12 +235,15 @@ class Experiment:
             for path in ("scenario.scv", "scenario.capacity_support_max"):
                 if path in self.fields:
                     raise ParameterError(f"{path}: unknown field")
-            capacity = Pmf(np.asarray(get("scenario.capacity_pmf"), dtype=float))
-            self.scenario = Scenario(
-                T, lam, capacity, choice, penalty, rejection_threshold
+            pmf = np.asarray(get("scenario.capacity_pmf"), dtype=float)
+            capacity = _named("scenario.capacity_pmf", Pmf, pmf)
+            self.scenario = _named(
+                "scenario", Scenario, T, lam, capacity, choice, penalty,
+                rejection_threshold,
             )
         else:
-            self.scenario = Scenario.from_utilization(
+            self.scenario = _named(
+                "scenario", Scenario.from_utilization,
                 T, lam, get("scenario.utilization"), get("scenario.scv"),
                 get("scenario.capacity_support_max"), choice, penalty,
                 rejection_threshold,
@@ -242,7 +252,9 @@ class Experiment:
         self.grid = SearchGrid.default(T)
         if "grid" in self.fields:
             rng = get("grid.cutoff_range") or self.grid.cutoff_range
-            self.grid = SearchGrid(tuple(get("grid.fee_values")), tuple(rng))
+            self.grid = _named(
+                "grid", SearchGrid, tuple(get("grid.fee_values")), tuple(rng)
+            )
 
     def get(self, path: str):
         """The value of the field at path, else its default; a missing
@@ -270,19 +282,17 @@ class Experiment:
                 raise ParameterError(f"policy.{key}: not a field of the {family} family")
         params = [self.get(f"policy.{name}") for name in names]
         if family == "vector":
-            try:
-                return FeeStructure(T, tuple(params[0]))
-            except ParameterError as exc:
-                raise ParameterError(f"policy.fees: {exc}") from exc
+            return _named("policy.fees", FeeStructure, T, tuple(params[0]))
         params = params[0] if family == "CSP" else params
-        return build_policy(family, params, T, self.scenario.choice.u_max)
+        u_max = self.scenario.choice.u_max
+        return _named("policy", build_policy, family, params, T, u_max)
 
     def sim_config(self, seed_override: int | None) -> SimConfig:
         get = self.get
         seed = get("simulate.seed") if seed_override is None else seed_override
-        return SimConfig(
-            get("simulate.cycles"), get("simulate.warmup_cycles"), seed, self.bound,
-            get("simulate.streams"),
+        return _named(
+            "simulate", SimConfig, get("simulate.cycles"),
+            get("simulate.warmup_cycles"), seed, self.bound, get("simulate.streams"),
         )
 
 
@@ -387,8 +397,7 @@ def _emit_record(args, payload: dict, row: dict) -> None:
 def _opt_params(opt: Optimum) -> dict:
     """Uniform f_E / f_LE / tau_F / tau_C view of an optimum."""
     if opt.family == "TSP":
-        p = opt.family_params
-        values = (p.express_fee, p.lastminute_fee, p.switch_age, p.cutoff_age)
+        values = astuple(opt.family_params)
     else:
         fee, cutoff = opt.family_params
         values = (fee, None, None, cutoff)
@@ -416,9 +425,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     exp = _experiments(args)[0]
-    opt = optimize_family(
-        exp.scenario, exp.get("optimize.family"), exp.grid, bound=exp.bound
-    )
+    family = exp.get("optimize.family")
+    if family not in SEARCH_FAMILIES:
+        families = " or ".join(SEARCH_FAMILIES)
+        raise ParameterError(f"optimize.family: expected {families}, got {family!r}")
+    opt = optimize_family(exp.scenario, family, exp.grid, bound=exp.bound)
     params, report = _opt_params(opt), opt.report
     tail = {
         "evaluations": opt.evaluations,
@@ -527,15 +538,15 @@ def _sweep_rows(exp: Experiment) -> list[dict]:
     """
     sc = exp.scenario
     tc = sc.period_length - 1
-    _, [(opt_params, opt_profits, keys), (params, profits, _)] = _search_batch(
+    _, [(opt_points, _, opt_profits), (points, _, profits)] = _search_batch(
         sc,
         [("TSP", exp.grid), ("TSP", SearchGrid(exp.grid.fee_values, (tc, tc)))],
         exp.bound,
     )
-    f_star = opt_params[_tie_break(opt_profits, keys)[0]][0]
+    f_star = opt_points[_tie_break(opt_profits, opt_points)[0]][0]
     envelope: dict[tuple[int, float], float] = {}
     lastminute = []
-    for (fe, fle, tf, _), profit in zip(params, profits):
+    for (fe, fle, tf, _), profit in zip(points, profits):
         if profit > envelope.get((tf, fe), -math.inf):
             envelope[tf, fe] = profit
         if fe == f_star:

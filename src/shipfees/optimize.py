@@ -20,7 +20,7 @@ from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
 from .measures import PerformanceReport, policy_report
-from .policies import FeeStructure, SimpleTspParams, build_policy, demand_profile
+from .policies import FeeStructure, SimpleTspParams, demand_profile, two_level_fees
 
 # Profits closer than this are treated as tied and go to the preference order.
 PROFIT_TIE_TOL = 1e-9
@@ -121,14 +121,13 @@ def _check_budget(count: int, T: int, what: str, remedy: str) -> None:
 
 def _candidates(
     scenario: Scenario, family: str, grid: SearchGrid
-) -> tuple[list[tuple], list[tuple[float, ...]], list[tuple]]:
-    """Enumerate (params, fee vector, preference key) for one family.
+) -> tuple[list[tuple], list[tuple[float, ...]]]:
+    """Enumerate (points, fee vectors) for one family.
 
-    Params and fee vectors are plain tuples, the fee vectors those of
-    build_policy's canonical form; the validated grid already keeps every
-    fee in [u_min, u_max] and every cutoff below T, and the pairs from
-    itertools.combinations have f_E < f_LE, so only the winner's policy is
-    built.
+    A point is (f_E, f_LE, tau_F, tau_C), a TSP_CF_star point (f, f, tau_C,
+    tau_C), and its fee vector is two_level_fees of it.  The validated grid
+    keeps every fee in [u_min, u_max] and every cutoff below T, and
+    itertools.combinations gives f_E < f_LE, so no point needs a check.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -141,33 +140,31 @@ def _candidates(
     if not count:
         raise ParameterError("parameter grid is empty")
     _check_budget(count, T, f"{family} candidates", "cutoff range")
-    params_list: list[tuple] = []
-    vectors: list[tuple[float, ...]] = []
-    keys: list[tuple] = []
     if family == "TSP_CF_star":
-        for fee in grid.fee_values:
-            for tc in range(lo, hi + 1):
-                params_list.append((fee, tc))
-                vectors.append((fee,) * (tc + 1) + (u_max,) * (T - 1 - tc))
-                keys.append((tc, tc, -fee, -fee))
+        points = [(f, f, tc, tc) for f in grid.fee_values for tc in range(lo, hi + 1)]
     else:
-        for fe, fle in itertools.combinations(grid.fee_values, 2):
-            for tc in range(lo, hi + 1):
-                tail = (u_max,) * (T - 1 - tc)
-                for tf in range(tc):
-                    params_list.append((fe, fle, tf, tc))
-                    vectors.append((fe,) * (tf + 1) + (fle,) * (tc - tf) + tail)
-                    keys.append((tc, tf, -fe, -fle))
-    return params_list, vectors, keys
+        points = [
+            (fe, fle, tf, tc)
+            for fe, fle in itertools.combinations(grid.fee_values, 2)
+            for tc in range(lo, hi + 1)
+            for tf in range(tc)
+        ]
+    return points, [two_level_fees(*point, T, u_max) for point in points]
 
 
-def _tie_break(profits, keys: list[tuple]) -> tuple[int, float, bool]:
+def _tie_break(profits, points: list[tuple]) -> tuple[int, float, bool]:
     """(winner, runner_up_gap, tie_broken) of one search: profits within
-    PROFIT_TIE_TOL of the maximum go to the largest preference key, and the
-    gap is the winner's margin over the best other candidate (or inf)."""
+    PROFIT_TIE_TOL of the maximum go to the point with the latest tau_C,
+    then tau_F, then the cheapest f_E, then f_LE, and the gap is the
+    winner's margin over the best other candidate (or inf)."""
     pmax = float(np.max(profits))
     tied = [i for i in range(len(profits)) if profits[i] >= pmax - PROFIT_TIE_TOL]
-    winner = max(tied, key=lambda i: keys[i])
+
+    def preference(i: int) -> tuple:
+        f_e, f_le, tau_f, tau_c = points[i]
+        return tau_c, tau_f, -f_e, -f_le
+
+    winner = max(tied, key=preference)
     others = [profits[i] for i in range(len(profits)) if i != winner]
     gap = float(profits[winner] - max(others)) if others else math.inf
     return winner, gap, len(tied) > 1
@@ -175,18 +172,18 @@ def _tie_break(profits, keys: list[tuple]) -> tuple[int, float, bool]:
 
 def _search_batch(
     scenario: Scenario, searches: list[tuple[str, SearchGrid | None]], bound: int | None
-) -> tuple[PolicyEvaluator, list[tuple[list, list[float], list]]]:
-    """The evaluator and, per search, (params, profits, preference keys),
-    from one batch over the union of the searches' fee vectors."""
+) -> tuple[PolicyEvaluator, list[tuple[list, list, list[float]]]]:
+    """The evaluator and, per search, (points, fee vectors, profits), from
+    one batch over the union of the searches' fee vectors."""
     found = [
         _candidates(scenario, family, _validated_grid(scenario, grid))
         for family, grid in searches
     ]
     evaluator = PolicyEvaluator(scenario, bound)
-    vectors = list(dict.fromkeys(v for _, vecs, _ in found for v in vecs))
-    profit_of = dict(zip(vectors, evaluator.profits_batch(vectors)[0].tolist()))
+    unique = list(dict.fromkeys(v for _, vectors in found for v in vectors))
+    profit_of = dict(zip(unique, evaluator.profits_batch(unique)[0].tolist()))
     return evaluator, [
-        (params, [profit_of[v] for v in vecs], keys) for params, vecs, keys in found
+        (points, vectors, [profit_of[v] for v in vectors]) for points, vectors in found
     ]
 
 
@@ -207,16 +204,11 @@ def optimize_families(
     """
     evaluator, results = _search_batch(scenario, searches, bound)
     optima = []
-    for (family, _), (params_list, profits, keys) in zip(searches, results):
-        winner, gap, tie_broken = _tie_break(profits, keys)
-        params = params_list[winner]
-        if family == "TSP":
-            params = SimpleTspParams(*params)
-        # TSP_CF_star searches the TSP_CF policies
-        policy = build_policy(
-            family.removesuffix("_star"), params, scenario.period_length,
-            scenario.choice.u_max,
-        )
+    for (family, _), (points, vectors, profits) in zip(searches, results):
+        winner, gap, tie_broken = _tie_break(profits, points)
+        f_e, _, _, tau_c = point = points[winner]
+        params = SimpleTspParams(*point) if family == "TSP" else (f_e, tau_c)
+        policy = FeeStructure(scenario.period_length, vectors[winner])
         report = policy_report(evaluator, policy)
         optima.append(
             Optimum(family, params, policy, report, len(profits), gap, tie_broken)

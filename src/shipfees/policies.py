@@ -10,13 +10,18 @@ profit-invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .choice import ChoiceModel, split_rates
 from .errors import ParameterError
 
-FAMILIES = ("CSP", "TSP_CF", "TSP")
+# family: its parameter names, in build_policy's params order
+FAMILIES = {
+    "CSP": ("fee",),
+    "TSP_CF": ("fee", "cutoff_age"),
+    "TSP": ("express_fee", "lastminute_fee", "switch_age", "cutoff_age"),
+}
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,14 @@ def cutoff_form(
     return canonicalize(cutoff, partial_fees, period_length, math.inf)
 
 
+def two_level_fees(
+    f_e: float, f_le: float, tau_f: int, tau_c: int, T: int, u_max: float
+) -> tuple[float, ...]:
+    """The two-level schedule at the point (f_E, f_LE, tau_F, tau_C): f_e
+    at ages 0..tau_f, f_le through tau_c, then the sentinel u_max."""
+    return (f_e,) * (tau_f + 1) + (f_le,) * (tau_c - tau_f) + (u_max,) * (T - 1 - tau_c)
+
+
 def build_policy(
     family: str,
     params,
@@ -129,39 +142,28 @@ def build_policy(
 ) -> FeeStructure:
     """Construct a benchmark-family policy as a canonical FeeStructure.
 
-    CSP:    params is the constant fee, posted at every age.
-    TSP_CF: params is (fee, cutoff_age); fee through the cutoff, then u_max.
-    TSP:    params is a SimpleTspParams two-level schedule.
+    Each family is a point (f_E, f_LE, tau_F, tau_C) of two_level_fees:
+    CSP:    params is the constant fee f, the point (f, f, T-1, T-1).
+    TSP_CF: params is (f, cutoff_age), the point (f, f, tau_C, tau_C).
+    TSP:    params is a SimpleTspParams, the point itself.
     """
-    if family == "CSP":
-        fee = float(params)
-        _check_fee_range(fee, u_max)
-        return FeeStructure(period_length, (fee,) * period_length)
-    if family == "TSP_CF":
-        fee, cutoff = params
-        fee = float(fee)
-        _check_fee_range(fee, u_max)
-        if not 0 <= int(cutoff) <= period_length - 1:
-            raise ParameterError("cutoff_age must lie in 0..period_length-1")
-        return canonicalize(int(cutoff), (fee,) * (int(cutoff) + 1), period_length, u_max)
-    if family == "TSP":
-        if not isinstance(params, SimpleTspParams):
-            params = SimpleTspParams(*params)
-        _check_fee_range(params.express_fee, u_max)
-        _check_fee_range(params.lastminute_fee, u_max)
-        if not params.cutoff_age <= period_length - 1:
-            raise ParameterError("cutoff_age must lie in 0..period_length-1")
-        fees = tuple(
-            params.express_fee if tau <= params.switch_age else params.lastminute_fee
-            for tau in range(params.cutoff_age + 1)
+    if family not in FAMILIES:
+        raise ParameterError(
+            f"unknown policy family {family!r}; expected one of {tuple(FAMILIES)}"
         )
-        return canonicalize(params.cutoff_age, fees, period_length, u_max)
-    raise ParameterError(f"unknown policy family {family!r}; expected one of {FAMILIES}")
-
-
-def _check_fee_range(fee: float, u_max: float) -> None:
-    if not 0.0 <= fee <= u_max:
-        raise ParameterError(f"fee {fee!r} outside [0, u_max={u_max!r}]")
+    T = period_length
+    if family == "TSP":
+        tsp = params if isinstance(params, SimpleTspParams) else SimpleTspParams(*params)
+        point = astuple(tsp)
+    else:
+        fee, cutoff = (params, T - 1) if family == "CSP" else params
+        point = (float(fee), float(fee), int(cutoff), int(cutoff))
+    for fee in point[:2]:
+        if not 0.0 <= fee <= u_max:
+            raise ParameterError(f"fee {fee!r} outside [0, u_max={u_max!r}]")
+    if not 0 <= point[3] <= T - 1:
+        raise ParameterError("cutoff_age must lie in 0..period_length-1")
+    return FeeStructure(T, two_level_fees(*point, T, u_max))
 
 
 def demand_profile(

@@ -317,7 +317,13 @@ def simulate(
         ),
         bound=bound,
     )
-    profit_means = (sum_rev - scenario.penalty * sum_m) / per_stream
+    with np.errstate(over="ignore", invalid="ignore"):
+        profit_means = (sum_rev - scenario.penalty * sum_m) / per_stream
+        # where the penalty sums overflowed, divide by per_stream first
+        bad = ~np.isfinite(profit_means)
+        profit_means[bad] = (
+            sum_rev[bad] / per_stream - scenario.penalty * (sum_m[bad] / per_stream)
+        )
     return SimulationReport(
         report=report,
         halfwidth_backorders=_halfwidth(sum_m / per_stream),

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,31 @@ class TestNonFiniteInput:
         assert out == ""
 
 
+class TestRangeErrors:
+    @pytest.mark.parametrize(
+        "command, block, key, value, prefix",
+        [
+            ("optimize", "optimize", "family", "x", "optimize.family"),
+            ("simulate", "simulate", "cycles", 100, "simulate"),
+            ("evaluate", "scenario", "utilization", 1.5, "scenario"),
+            ("evaluate", "choice", "u_min", 5.0, "choice"),
+            ("optimize", "grid", "fee_values", [3.0, 2.0, 1.0], "grid"),
+            ("evaluate", "policy", "fee", 5.0, "policy"),
+        ],
+    )
+    def test_library_range_errors_name_their_block(
+        self, capsys, tmp_path, command, block, key, value, prefix
+    ):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg[block][key] = value
+        path = tmp_path / "out_of_range.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {prefix}: ")
+
+
 class TestBoundedInput:
     def test_pinned_bound_above_the_cap(self, capsys, tmp_path):
         cfg = load_preset("rho085_c8")
@@ -308,7 +334,7 @@ class TestBoundedInput:
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
         assert code == 1
-        assert err.startswith("error: Beta shapes")
+        assert err.startswith("error: scenario: Beta shapes")
         assert out == ""
 
     def test_fee_grid_beyond_the_enumeration_budget(self, capsys, tmp_path):
@@ -330,6 +356,7 @@ class TestBoundedInput:
         [
             ("capacity_support_max", 10**7),
             ("capacity_pmf", [1.0] + [0.0] * (shipfees.chain.BOUND_CAP + 1)),
+            ("capacity_support_max", 0),
         ],
     )
     def test_capacity_support_above_the_cap(self, capsys, tmp_path, key, value):
@@ -344,9 +371,11 @@ class TestBoundedInput:
         assert code == 1
         # a pmf's support is its length - 1
         support = len(value) - 1 if key == "capacity_pmf" else value
+        # capacity_support_max starts at 1, a pmf's support at 0
+        low = 0 if key == "capacity_pmf" else 1
         assert err == (
-            f"error: scenario.{key}: must lie in 0..2000 (the cap of find_bound), "
-            f"got {support}\n"
+            f"error: scenario.{key}: must lie in {low}..2000 (the cap of "
+            f"find_bound), got {support}\n"
         )
         assert out == ""
 
@@ -621,6 +650,20 @@ class TestSimulate:
             code, out, _ = run_cli(capsys, "simulate", "--config", str(path), *flags)
             assert code == 0
             assert json.loads(out)["seed"] == seed
+
+    def test_penalty_near_the_float_limit(self, capsys, tmp_path):
+        # the per-stream penalty sums overflow at 1e307, the per-cycle means not
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["penalty"] = 1e307
+        path = tmp_path / "huge_penalty.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, err) == (0, "")
+        res = json.loads(out)
+        assert math.isfinite(res["report"]["variable_profit"])
+        assert math.isfinite(res["halfwidth_variable_profit"])
 
 
 class TestModuleEntry:

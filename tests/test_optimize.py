@@ -10,13 +10,14 @@ import pytest
 import shipfees as sf
 from shipfees.cli import Experiment, load_preset
 from shipfees import optimize
-from shipfees.optimize import FAMILIES, _candidates
+from shipfees.optimize import FAMILIES, _candidates, _tie_break
 
 import kernel_oracle as ko
 
 
 GRID = sf.SearchGrid((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (1, 1))
 LATTICE = sf.SearchGrid.default(8).fee_values
+GRID_WIDE = sf.SearchGrid((0.5, 1.0, 1.5), (2, 7))
 
 
 def tsp_cf_star_policies(grid, period_length, u_max):
@@ -157,6 +158,43 @@ class TestOptimizeFamily:
         grid = sf.SearchGrid(fees, (1, 7))
         with pytest.raises(sf.ParameterError, match="223720084 TSP candidates"):
             sf.optimize_family(make_scenario(0.85, 8.0), "TSP", grid)
+
+
+class TestTieBreak:
+    """With every profit tied, the points alone decide: the latest tau_C,
+    then the latest tau_F, then the cheapest f_E, then the cheapest f_LE."""
+
+    @pytest.mark.parametrize(
+        "points, winner",
+        [
+            # a later cutoff beats a later switch and cheaper fees
+            ([(1.0, 2.0, 1, 2), (3.0, 3.5, 0, 3)], 1),
+            # a later switch beats cheaper fees
+            ([(1.0, 2.0, 0, 3), (3.0, 3.5, 1, 3)], 1),
+            # a cheaper f_E beats a cheaper f_LE
+            ([(2.0, 2.5, 1, 3), (1.0, 3.5, 1, 3)], 1),
+            # then a cheaper f_LE
+            ([(1.0, 3.0, 1, 3), (1.0, 2.0, 1, 3)], 1),
+            # TSP_CF_star points (f, f, tau_C, tau_C)
+            ([(1.0, 1.0, 2, 2), (3.0, 3.0, 3, 3), (2.0, 2.0, 3, 3)], 2),
+        ],
+    )
+    def test_preference_order(self, points, winner):
+        for order in (1, -1):
+            ranked = points[::order]
+            won, gap, tie_broken = _tie_break([7.0] * len(ranked), ranked)
+            assert ranked[won] == points[winner]
+            assert (gap, tie_broken) == (0.0, True)
+
+    @pytest.mark.parametrize(
+        "family, expected", [("TSP", (0.5, 1.0, 6, 7)), ("TSP_CF_star", (0.5, 0.5, 7, 7))]
+    )
+    def test_all_tied_candidates(self, make_scenario, family, expected):
+        points = _candidates(make_scenario(0.9, 8.0), family, GRID_WIDE)[0]
+        for ranked in (points, points[::-1]):
+            won, gap, tie_broken = _tie_break([7.0] * len(ranked), ranked)
+            assert ranked[won] == expected
+            assert (gap, tie_broken) == (0.0, True)
 
 
 class TestOptimizeFamilies:
