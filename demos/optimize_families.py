@@ -17,7 +17,7 @@ BOUND = 40
 def describe(name, opt):
     rep = opt.report
     print(
-        f"{name:8} params={opt.family_params}  E[M]={rep.expected_backorders:.3f}"
+        f"{name:8} point={opt.point}  E[M]={rep.expected_backorders:.3f}"
         f"  E[G^V]={rep.variable_profit:.3f}  ({opt.evaluations} evaluations)"
     )
 
@@ -43,10 +43,10 @@ def main():
     describe("TSP-CF", fixed_fee)
     describe("TSP-CF*", single)
     describe("TSP", two_level)
-    p = two_level.family_params
+    f_e, f_le, tau_f, tau_c = two_level.point
     print()
-    print(f"two-level optimum: express fee {p.express_fee:g} through age "
-          f"{p.switch_age}, then {p.lastminute_fee:g} at age {p.cutoff_age}")
+    print(f"two-level optimum: express fee {f_e:g} through age {tau_f}, "
+          f"then {f_le:g} through age {tau_c}")
     print(f"runner-up trails by {two_level.runner_up_gap:.4f} profit")
     print(f"total search time {elapsed:.1f}s")
 

@@ -35,7 +35,6 @@ from .simulate import SimConfig, SimulationReport, simulate
 from .policies import (
     CumulativeDemandProfile,
     FeeStructure,
-    SimpleTspParams,
     build_policy,
     canonicalize,
     cutoff_form,
@@ -59,7 +58,6 @@ __all__ = [
     "Scenario",
     "SearchGrid",
     "SimConfig",
-    "SimpleTspParams",
     "SimulationReport",
     "UndefinedMeasureError",
     "build_policy",

@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
 from importlib import resources
 
 import numpy as np
@@ -52,6 +51,7 @@ from .optimize import (
     SearchGrid,
     _search_batch,
     _tie_break,
+    _validated_grid,
     dominance_experiment,
     exhaustive_fee_vector_search,
     is_weakly_monotone,
@@ -63,7 +63,6 @@ from .policies import (
     FAMILIES,
     CumulativeDemandProfile,
     FeeStructure,
-    SimpleTspParams,
     build_policy,
     canonicalize,
     cutoff_form,
@@ -252,9 +251,8 @@ class Experiment:
         self.grid = SearchGrid.default(T)
         if "grid" in self.fields:
             rng = get("grid.cutoff_range") or self.grid.cutoff_range
-            self.grid = _named(
-                "grid", SearchGrid, tuple(get("grid.fee_values")), tuple(rng)
-            )
+            grid = _named("grid", SearchGrid, get("grid.fee_values"), rng)
+            self.grid = _named("grid", _validated_grid, self.scenario, grid)
 
     def get(self, path: str):
         """The value of the field at path, else its default; a missing
@@ -395,13 +393,11 @@ def _emit_record(args, payload: dict, row: dict) -> None:
 
 
 def _opt_params(opt: Optimum) -> dict:
-    """Uniform f_E / f_LE / tau_F / tau_C view of an optimum."""
-    if opt.family == "TSP":
-        values = astuple(opt.family_params)
-    else:
-        fee, cutoff = opt.family_params
-        values = (fee, None, None, cutoff)
-    return dict(zip(("f_E", "f_LE", "tau_F", "tau_C"), values))
+    """f_E, f_LE, tau_F, tau_C of an optimum's point; only TSP fills f_LE, tau_F."""
+    f_e, f_le, tau_f, tau_c = opt.point
+    if opt.family != "TSP":
+        f_le = tau_f = None
+    return {"f_E": f_e, "f_LE": f_le, "tau_F": tau_f, "tau_C": tau_c}
 
 
 BENEFIT_NOTE = "percent benefit = 100 * (a - b) / abs(b); sign-safe for negative baselines"
@@ -476,10 +472,9 @@ def _table2_rows(exp: Experiment) -> list[dict]:
         ("TSP", exp.grid),
     ]
     optima = optimize_families(sc, searches, bound=exp.bound)
-    csp_params = {"f_E": f_rm, "f_LE": None, "tau_F": None, "tau_C": None}
     rows: list[dict] = []
     for name, opt in zip(("CSP", "TSP-CF", "TSP-CF*", "TSP"), optima):
-        params = _opt_params(opt) if rows else csp_params
+        params = _opt_params(opt) if rows else {**_opt_params(opt), "tau_C": None}
         g = opt.report.variable_profit
         benefits = [_benefit(g, row["E[G^V]"]) for row in rows] + [None] * 3
         rows.append({
@@ -663,7 +658,7 @@ def _verify_kernel(sc: Scenario) -> tuple[bool, str]:
     bound = ev.bound
     pols = [
         build_policy("CSP", 2.0, 4, _CHOICE.u_max),
-        build_policy("TSP", SimpleTspParams(1.0, 3.0, 1, 2), 4, _CHOICE.u_max),
+        build_policy("TSP", (1.0, 3.0, 1, 2), 4, _CHOICE.u_max),
         FeeStructure(4, (0.0, 4.0, 2.5, math.inf)),
     ]
     worst_mass = max(
@@ -691,7 +686,7 @@ def _verify_workload(sc: Scenario) -> tuple[bool, str]:
     pols = [
         build_policy("CSP", 0.4, 4, _CHOICE.u_max),
         build_policy("CSP", 3.6, 4, _CHOICE.u_max),
-        build_policy("TSP", SimpleTspParams(1.0, 2.0, 1, 3), 4, _CHOICE.u_max),
+        build_policy("TSP", (1.0, 2.0, 1, 3), 4, _CHOICE.u_max),
     ]
     # x_s marginal of each age's joint J[x_c, x_s]
     marginals = [[J.sum(axis=0) for J in ev.joints(p.fees)] for p in pols]

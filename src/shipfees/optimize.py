@@ -20,7 +20,7 @@ from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
 from .measures import PerformanceReport, policy_report
-from .policies import FeeStructure, SimpleTspParams, demand_profile, two_level_fees
+from .policies import FeeStructure, demand_profile, two_level_fees
 
 # Profits closer than this are treated as tied and go to the preference order.
 PROFIT_TIE_TOL = 1e-9
@@ -68,15 +68,15 @@ class SearchGrid:
 class Optimum:
     """Winning candidate of a family search.
 
-    family_params is (fee, cutoff_age) for TSP_CF_star and a SimpleTspParams
-    for TSP.  runner_up_gap is the profit margin over the best candidate
-    with different parameters (inf when the grid has a single candidate);
-    tie_broken records whether the preference order had to decide among
-    profits within PROFIT_TIE_TOL of the maximum.
+    point is the winner's (f_E, f_LE, tau_F, tau_C), (f, f, tau_C, tau_C) for
+    TSP_CF_star, and best_policy's fees are its two_level_fees.  runner_up_gap
+    is the profit margin over the best candidate with different parameters
+    (inf when the grid has a single candidate); tie_broken records whether the
+    preference order had to decide among profits within PROFIT_TIE_TOL.
     """
 
     family: str
-    family_params: object
+    point: tuple[float, float, int, int]
     best_policy: FeeStructure
     report: PerformanceReport
     evaluations: int
@@ -206,13 +206,11 @@ def optimize_families(
     optima = []
     for (family, _), (points, vectors, profits) in zip(searches, results):
         winner, gap, tie_broken = _tie_break(profits, points)
-        f_e, _, _, tau_c = point = points[winner]
-        params = SimpleTspParams(*point) if family == "TSP" else (f_e, tau_c)
         policy = FeeStructure(scenario.period_length, vectors[winner])
         report = policy_report(evaluator, policy)
-        optima.append(
-            Optimum(family, params, policy, report, len(profits), gap, tie_broken)
-        )
+        optima.append(Optimum(
+            family, points[winner], policy, report, len(profits), gap, tie_broken
+        ))
     return optima
 
 

@@ -10,7 +10,7 @@ profit-invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .choice import ChoiceModel, split_rates
@@ -47,25 +47,6 @@ class FeeStructure:
             if math.isnan(f) or f < 0.0:
                 raise ParameterError("fees must be nonnegative (or math.inf)")
         object.__setattr__(self, "fees", fees)
-
-
-@dataclass(frozen=True)
-class SimpleTspParams:
-    """Two-level fee schedule: express_fee through switch_age, then
-    lastminute_fee through cutoff_age, then no express."""
-
-    express_fee: float
-    lastminute_fee: float
-    switch_age: int
-    cutoff_age: int
-
-    def __post_init__(self) -> None:
-        if self.express_fee < 0.0 or self.lastminute_fee < 0.0:
-            raise ParameterError("fees must be nonnegative")
-        if not self.lastminute_fee > self.express_fee:
-            raise ParameterError("lastminute_fee must exceed express_fee")
-        if not 0 <= self.switch_age <= self.cutoff_age:
-            raise ParameterError("ages must satisfy 0 <= switch_age <= cutoff_age")
 
 
 @dataclass(frozen=True)
@@ -145,7 +126,7 @@ def build_policy(
     Each family is a point (f_E, f_LE, tau_F, tau_C) of two_level_fees:
     CSP:    params is the constant fee f, the point (f, f, T-1, T-1).
     TSP_CF: params is (f, cutoff_age), the point (f, f, tau_C, tau_C).
-    TSP:    params is a SimpleTspParams, the point itself.
+    TSP:    params is the point itself, with f_E < f_LE.
     """
     if family not in FAMILIES:
         raise ParameterError(
@@ -153,17 +134,24 @@ def build_policy(
         )
     T = period_length
     if family == "TSP":
-        tsp = params if isinstance(params, SimpleTspParams) else SimpleTspParams(*params)
-        point = astuple(tsp)
+        f_e, f_le, tau_f, tau_c = params
     else:
-        fee, cutoff = (params, T - 1) if family == "CSP" else params
-        point = (float(fee), float(fee), int(cutoff), int(cutoff))
-    for fee in point[:2]:
+        f_e, tau_c = (params, T - 1) if family == "CSP" else params
+        f_le, tau_f = f_e, tau_c
+    f_e, f_le = float(f_e), float(f_le)
+    for fee in (f_e, f_le):
         if not 0.0 <= fee <= u_max:
             raise ParameterError(f"fee {fee!r} outside [0, u_max={u_max!r}]")
-    if not 0 <= point[3] <= T - 1:
+    if family == "TSP" and not f_le > f_e:
+        raise ParameterError("lastminute_fee must exceed express_fee")
+    for name, age in (("cutoff_age", tau_c), ("switch_age", tau_f)):
+        if not isinstance(age, int) or isinstance(age, bool):
+            raise ParameterError(f"{name} must be an integer, got {age!r}")
+    if not 0 <= tau_c <= T - 1:
         raise ParameterError("cutoff_age must lie in 0..period_length-1")
-    return FeeStructure(T, two_level_fees(*point, T, u_max))
+    if not 0 <= tau_f <= tau_c:
+        raise ParameterError("ages must satisfy 0 <= switch_age <= cutoff_age")
+    return FeeStructure(T, two_level_fees(f_e, f_le, tau_f, tau_c, T, u_max))
 
 
 def demand_profile(

@@ -203,25 +203,25 @@ def test_criterion_2_family_ranking_and_optima(table_reports, optima):
         )
 
         cf_tau, star_t, tsp_t = STARRED[name]
-        p = tsp.family_params
+        f_e, f_le, tau_f, tau_c = tsp.point
         misses = []
-        if cf.family_params[1] != cf_tau:
+        if cf.point[3] != cf_tau:
             misses.append(
-                ("TSP-CF", (2.0, cf.family_params[1]), g_cf)
+                ("TSP-CF", (2.0, cf.point[3]), g_cf)
             )
+        star_found = (star.point[0], star.point[3])
         if not (
-            close(star.family_params[0], star_t[0])
-            and star.family_params[1] == star_t[1]
+            close(star_found[0], star_t[0])
+            and star_found[1] == star_t[1]
         ):
-            misses.append(("TSP-CF*", tuple(star.family_params), g_star))
+            misses.append(("TSP-CF*", star_found, g_star))
         if not (
-            close(p.express_fee, tsp_t[0])
-            and close(p.lastminute_fee, tsp_t[1])
-            and p.switch_age == tsp_t[2]
-            and p.cutoff_age == tsp_t[3]
+            close(f_e, tsp_t[0])
+            and close(f_le, tsp_t[1])
+            and tau_f == tsp_t[2]
+            and tau_c == tsp_t[3]
         ):
-            found = (p.express_fee, p.lastminute_fee, p.switch_age, p.cutoff_age)
-            misses.append(("TSP", found, g_tsp))
+            misses.append(("TSP", tsp.point, g_tsp))
         if not misses:
             matched += 1
         table_g = {row[0]: row[4] for row in TABLE2[name]}
@@ -247,9 +247,9 @@ def test_criterion_2_family_ranking_and_optima(table_reports, optima):
 def test_criterion_3_profit_maximizing_cutoff_and_switch(optima):
     """Unconstrained two-level optimum sits at cutoff 7 with switch 6."""
     for name, _, _, _ in SETTINGS:
-        p = optima[name][2].family_params
-        assert p.cutoff_age == 7, f"{name}: cutoff {p.cutoff_age} != 7"
-        assert p.switch_age == 6, f"{name}: switch {p.switch_age} != 6"
+        _, _, tau_f, tau_c = optima[name][2].point
+        assert tau_c == 7, f"{name}: cutoff {tau_c} != 7"
+        assert tau_f == 6, f"{name}: switch {tau_f} != 6"
     print("criterion 3: cutoff* = 7 and switch* = 6 in 6/6 settings")
 
 

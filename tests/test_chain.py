@@ -306,7 +306,7 @@ class TestWorkloadMemo:
     def test_equal_scenario_reuses_law_and_bound(self, make_scenario, solves):
         sf.evaluate_policy(make_scenario(0.9, 8.0), sf.build_policy("CSP", 2.0, 8, 4.0))
         assert solves
-        tsp = sf.build_policy("TSP", sf.SimpleTspParams(1.0, 3.0, 2, 6), 8, 4.0)
+        tsp = sf.build_policy("TSP", (1.0, 3.0, 2, 6), 8, 4.0)
         queries = [
             (make_scenario(0.9, 8.0), tsp),  # equal scenario, another policy
             (make_scenario(0.9, 2.5), tsp),  # another penalty, same (lam, capacity)

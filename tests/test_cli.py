@@ -45,6 +45,11 @@ SMALL_CONFIG = {
 }
 
 
+# a valid TSP policy block for SMALL_CONFIG's T = 4
+TSP_POLICY = {"family": "TSP", "express_fee": 1.0, "lastminute_fee": 2.0,
+              "switch_age": 1, "cutoff_age": 2}
+
+
 GOLDEN_CONFIG = json.loads(
     (Path(__file__).parent / "golden" / "rho085_c8_cut13.json").read_text()
 )["config"]
@@ -298,19 +303,60 @@ class TestRangeErrors:
             ("evaluate", "choice", "u_min", 5.0, "choice"),
             ("optimize", "grid", "fee_values", [3.0, 2.0, 1.0], "grid"),
             ("evaluate", "policy", "fee", 5.0, "policy"),
+            # key None: value is the whole block
+            ("evaluate", "policy", None, TSP_POLICY | {"switch_age": 3}, "policy"),
+            ("simulate", "policy", None, TSP_POLICY | {"lastminute_fee": 1.0},
+             "policy"),
+            ("evaluate", "policy", None, TSP_POLICY | {"lastminute_fee": 0.5},
+             "policy"),
         ],
     )
     def test_library_range_errors_name_their_block(
         self, capsys, tmp_path, command, block, key, value, prefix
     ):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
-        cfg[block][key] = value
+        if key is None:
+            cfg[block] = value
+        else:
+            cfg[block][key] = value
         path = tmp_path / "out_of_range.json"
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert (code, out) == (1, "")
         [line] = err.splitlines()
         assert line.startswith(f"error: {prefix}: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "optimize", "reproduce-table2"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("fee_values", [2.0, 4.5],
+             "fee_values must lie within the utility range [0.0, 4.0]"),
+            ("cutoff_range", [1, 9], "cutoff ages must lie in 0..period_length-1"),
+        ],
+    )
+    def test_grid_is_checked_when_the_config_loads(
+        self, capsys, tmp_path, command, key, value, message
+    ):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["grid"][key] = value
+        path = tmp_path / "grid_out_of_range.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out, err) == (1, "", f"error: grid: {message}\n")
+
+    def test_default_lattice_is_not_checked_when_the_config_loads(
+        self, capsys, tmp_path
+    ):
+        # the default lattice reaches 3.8, past this u_max, but only a search
+        # uses it, so evaluate runs
+        cfg = {k: v for k, v in SMALL_CONFIG.items() if k != "grid"}
+        cfg["choice"] = {"regular_price": 4.0, "u_min": 0.0, "u_max": 3.0}
+        path = tmp_path / "no_grid.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bound"] >= 1
 
 
 class TestBoundedInput:

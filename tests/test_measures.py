@@ -21,7 +21,7 @@ class TestBenchmarkValues:
         assert report.expected_backorders == pytest.approx(1.29, abs=0.005)
 
     def test_tsp_variable_profit(self, make_scenario):
-        pol = sf.build_policy("TSP", sf.SimpleTspParams(2.4, 3.0, 6, 7), 8, 4.0)
+        pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
         report = sf.evaluate_policy(make_scenario(0.85, 8.0), pol, bound=30)
         assert report.variable_profit == pytest.approx(32.86, abs=0.005)
 

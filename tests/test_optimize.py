@@ -11,6 +11,7 @@ import shipfees as sf
 from shipfees.cli import Experiment, load_preset
 from shipfees import optimize
 from shipfees.optimize import FAMILIES, _candidates, _tie_break
+from shipfees.policies import two_level_fees
 
 import kernel_oracle as ko
 
@@ -37,7 +38,7 @@ def tsp_policies(grid, period_length, u_max):
     for fe, fle in itertools.combinations(grid.fee_values, 2):
         for tc in range(lo, hi + 1):
             for tf in range(tc):
-                params = sf.SimpleTspParams(fe, fle, tf, tc)
+                params = (fe, fle, tf, tc)
                 out[params] = sf.build_policy("TSP", params, period_length, u_max)
     return out
 
@@ -72,7 +73,7 @@ class TestOptimizeFamily:
         capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
         scenario = sf.Scenario(2, 1.5, capacity, choice, 0.0)
         opt = sf.optimize_family(scenario, "TSP_CF_star", GRID, bound=8)
-        fee, cutoff = opt.family_params
+        fee, _, _, cutoff = opt.point
         assert fee == sf.revenue_max_fee(choice)
         assert cutoff == scenario.period_length - 1
 
@@ -84,8 +85,8 @@ class TestOptimizeFamily:
         opt = sf.optimize_family(scenario, "TSP", grid, bound=8)
         assert opt.tie_broken is True
         assert opt.runner_up_gap == 0.0
-        params = opt.family_params
-        assert (params.express_fee, params.lastminute_fee) == (1.0, 2.0)
+        f_e, f_le, _, _ = opt.point
+        assert (f_e, f_le) == (1.0, 2.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_same_optimum_as_prefix_oracle(self, monkeypatch, family):
@@ -97,7 +98,7 @@ class TestOptimizeFamily:
             sf.PolicyEvaluator, "profits_batch", ko.prefix_profits_batch
         )
         ref = sf.optimize_family(*args)
-        assert opt.family_params == ref.family_params
+        assert opt.point == ref.point
         assert opt.tie_broken == ref.tie_broken
         assert opt.evaluations == ref.evaluations
         assert abs(opt.runner_up_gap - ref.runner_up_gap) <= 1e-12
@@ -221,12 +222,14 @@ class TestOptimizeFamilies:
         together = sf.optimize_families(scenario, self.SEARCHES, bound=30)
         assert len(made) == 1
         for one, opt in zip(alone, together):
-            assert opt.family_params == one.family_params
+            assert opt.point == one.point
             assert opt.evaluations == one.evaluations
             assert opt.runner_up_gap == one.runner_up_gap
             assert opt.tie_broken == one.tie_broken
             assert opt.best_policy == one.best_policy
             assert opt.report.as_dict() == one.report.as_dict()
+            T, u_max = scenario.period_length, scenario.choice.u_max
+            assert two_level_fees(*opt.point, T, u_max) == opt.best_policy.fees
 
     def test_ties_break_per_search(self, choice):
         capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))

@@ -53,7 +53,7 @@ class TestBuildPolicy:
         assert sf.build_policy("CSP", 2.0, 8, 4.0).fees == (2.0,) * 8
 
     def test_tsp(self):
-        pol = sf.build_policy("TSP", sf.SimpleTspParams(2.4, 3.0, 6, 7), 8, 4.0)
+        pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
         assert pol.fees == (2.4,) * 7 + (3.0,)
 
     def test_tsp_cf(self):
@@ -61,12 +61,42 @@ class TestBuildPolicy:
         assert pol.fees == (2.0,) * 7 + (4.0,)
 
     def test_tsp_requires_fee_order(self):
-        with pytest.raises(sf.ParameterError):
-            sf.SimpleTspParams(3.0, 2.4, 6, 7)
+        with pytest.raises(sf.ParameterError, match="lastminute_fee must exceed"):
+            sf.build_policy("TSP", (3.0, 2.4, 6, 7), 8, 4.0)
+        with pytest.raises(sf.ParameterError, match="lastminute_fee must exceed"):
+            sf.build_policy("TSP", (2.4, 2.4, 6, 7), 8, 4.0)
 
     def test_tsp_requires_age_order(self):
-        with pytest.raises(sf.ParameterError):
-            sf.SimpleTspParams(2.4, 3.0, 7, 6)
+        with pytest.raises(sf.ParameterError, match="0 <= switch_age <= cutoff_age"):
+            sf.build_policy("TSP", (2.4, 3.0, 7, 6), 8, 4.0)
+        with pytest.raises(sf.ParameterError, match="0 <= switch_age <= cutoff_age"):
+            sf.build_policy("TSP", (2.4, 3.0, -1, 6), 8, 4.0)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("TSP_CF", (2.0, 9)), ("TSP_CF", (2.0, -1)), ("TSP", (2.4, 3.0, 6, 8))],
+    )
+    def test_cutoff_range_enforced(self, family, params):
+        with pytest.raises(sf.ParameterError, match="cutoff_age must lie in 0..period"):
+            sf.build_policy(family, params, 8, 4.0)
+
+    @pytest.mark.parametrize(
+        "family, params, name, age",
+        [
+            ("TSP_CF", (2.0, 6.5), "cutoff_age", "6.5"),
+            ("TSP_CF", (2.0, 6.0), "cutoff_age", "6.0"),
+            ("TSP_CF", (2.0, True), "cutoff_age", "True"),
+            ("TSP", (2.0, 3.0, 2.5, 6), "switch_age", "2.5"),
+            ("TSP", (2.0, 3.0, False, 6), "switch_age", "False"),
+            ("TSP", (2.0, 3.0, 2, 6.0), "cutoff_age", "6.0"),
+            ("TSP", (2.0, 3.0, 2.5, 6.0), "cutoff_age", "6.0"),
+        ],
+    )
+    def test_non_integer_age_rejected(self, family, params, name, age):
+        with pytest.raises(
+            sf.ParameterError, match=rf"^{name} must be an integer, got {age}$"
+        ):
+            sf.build_policy(family, params, 8, 4.0)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(sf.ParameterError):
@@ -91,7 +121,7 @@ class TestDemandProfile:
             assert val == pytest.approx(2.5 * (tau + 1), abs=1e-12)
 
     def test_tsp_final_value(self, choice):
-        pol = sf.build_policy("TSP", sf.SimpleTspParams(2.4, 3.0, 6, 7), 8, 4.0)
+        pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
         prof = sf.demand_profile(pol, choice, 5.0)
         assert prof.values[7] == pytest.approx(7 * 5 * 0.4 + 5 * 0.25, abs=1e-12)
 
@@ -102,14 +132,14 @@ class TestDemandProfile:
             sf.CumulativeDemandProfile(5.0, (2.0, 8.0))
 
     def test_profile_to_fees_round_trip(self, choice):
-        pol = sf.build_policy("TSP", sf.SimpleTspParams(2.4, 3.0, 5, 6), 8, 4.0)
+        pol = sf.build_policy("TSP", (2.4, 3.0, 5, 6), 8, 4.0)
         back = sf.profile_to_fees(sf.demand_profile(pol, choice, 5.0), choice)
         assert back.fees == pytest.approx(pol.fees, abs=1e-12)
 
 
 class TestMonotonicity:
     def test_flat_prefix_is_not_strict(self):
-        pol = sf.build_policy("TSP", sf.SimpleTspParams(2.4, 3.0, 6, 7), 8, 4.0)
+        pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
         assert pol.fees[0] == pol.fees[1]
         assert sf.is_weakly_monotone(pol) is True
 
@@ -118,8 +148,8 @@ class TestMonotonicity:
 
     def test_canonical_tail_ties_break_strictness(self):
         # one sentinel age: a last offered fee at u_max ties with the tail
-        below = sf.build_policy("TSP", sf.SimpleTspParams(1.0, 2.0, 0, 1), 3, 4.0)
-        at_max = sf.build_policy("TSP", sf.SimpleTspParams(1.0, 4.0, 0, 1), 3, 4.0)
+        below = sf.build_policy("TSP", (1.0, 2.0, 0, 1), 3, 4.0)
+        at_max = sf.build_policy("TSP", (1.0, 4.0, 0, 1), 3, 4.0)
         assert below.fees[1] < below.fees[2] and at_max.fees[1] == at_max.fees[2]
         assert sf.is_weakly_monotone(below) is True
         assert sf.is_weakly_monotone(at_max) is True

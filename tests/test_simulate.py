@@ -207,9 +207,7 @@ class TestLoopOracle:
         scenario = make_scenario(rho, 8.0)
         policies = [
             sf.build_policy("CSP", 2.0, 8, scenario.choice.u_max),
-            sf.build_policy(
-                "TSP", sf.SimpleTspParams(3.0, 3.4, 6, 7), 8, scenario.choice.u_max
-            ),
+            sf.build_policy("TSP", (3.0, 3.4, 6, 7), 8, scenario.choice.u_max),
             sf.FeeStructure(8, self.VECTOR),
         ]
         # 1100 cycles per stream: one full chunk and a partial one
