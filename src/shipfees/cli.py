@@ -15,11 +15,14 @@ verify runs on built-in scenarios and takes only --seed and --out.
 JSON uses Python float repr (shortest round-trip, at most 17 significant
 digits), so emitted reports re-parse bit-exactly; non-finite values (an
 undefined mean delay, the runner-up gap of a one-candidate grid) are written
-as null, so the output is strict JSON.  CSV uses '.' decimals,
-comma delimiters, and a header row.  "Benefit" columns are relative profit
-deviations 100*(a-b)/|b|; the absolute value keeps the sign meaningful for
-loss-making baselines.  Exit codes: 0 success, 1 validation failure, 2
-numerical failure.
+as null, so the output is strict JSON.  CSV uses '.' decimals, comma
+delimiters, a header row and one cell rule: empty for a missing value, %g
+for the fees f_E and f_LE, and repr for other floats, or 4 decimals in the
+tables.  sweep-figures writes fee (%g) and variable_profit (6 decimals) as
+strings, in its JSON too.  "Benefit" columns are relative profit deviations
+100*(a-b)/|b|; the absolute value keeps the sign meaningful for loss-making
+baselines.  Exit codes: 0 success, 1 validation failure, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -44,7 +48,7 @@ from .chain import (
 from .choice import ChoiceModel
 from .distributions import Pmf
 from .errors import NumericsError, ParameterError
-from .measures import PerformanceReport, evaluate_policy, policy_report
+from .measures import evaluate_policy, policy_report
 from .optimize import (
     FAMILIES as SEARCH_FAMILIES,
     Optimum,
@@ -234,8 +238,7 @@ class Experiment:
             for path in ("scenario.scv", "scenario.capacity_support_max"):
                 if path in self.fields:
                     raise ParameterError(f"{path}: unknown field")
-            pmf = np.asarray(get("scenario.capacity_pmf"), dtype=float)
-            capacity = _named("scenario.capacity_pmf", Pmf, pmf)
+            capacity = _named("scenario.capacity_pmf", Pmf, get("scenario.capacity_pmf"))
             self.scenario = _named(
                 "scenario", Scenario, T, lam, capacity, choice, penalty,
                 rejection_threshold,
@@ -340,56 +343,44 @@ def _strict(obj):
     return obj
 
 
-def _cell(val) -> str:
-    """CSV cell: repr floats round-trip, empty for missing."""
+def _cell(key: str, val, places: int | None) -> str:
+    """CSV cell: empty for missing, the fees f_E and f_LE as %g, other
+    floats as their round-trip repr or to places decimals."""
     if val is None:
         return ""
+    if key in ("f_E", "f_LE"):
+        return f"{val:g}"
     if isinstance(val, float):
         # float() strips numpy scalar wrappers so the repr round-trips
-        return repr(float(val))
+        return repr(float(val)) if places is None else f"{val:.{places}f}"
     return str(val)
 
 
-def _flat_report(report: PerformanceReport) -> dict:
+def _flat(record: dict) -> dict:
+    """record with nested dicts spliced in place and each tuple entry as
+    key_0, key_1, ..."""
     out = {}
-    for key, val in report.as_dict().items():
-        if isinstance(val, list):
-            for i, v in enumerate(val):
-                out[f"{key}_{i}"] = v
+    for key, val in record.items():
+        if isinstance(val, dict):
+            out.update(_flat(val))
+        elif isinstance(val, tuple):
+            out.update((f"{key}_{i}", v) for i, v in enumerate(val))
         else:
             out[key] = val
     return out
 
 
-def _fee_cell(value: float | None) -> str:
-    return "" if value is None else f"{value:g}"
-
-
-def _table_cell(key: str, val) -> str:
-    """Table cell: fees as %g, other floats to 4 decimals, empty for missing."""
-    if key in ("f_E", "f_LE"):
-        return _fee_cell(val)
-    if isinstance(val, float):
-        return f"{val:.4f}"
-    return "" if val is None else str(val)
-
-
-def _emit_output(args, default: str, payload, header: list[str], cells) -> None:
-    """The JSON payload or the CSV header and cells, by --format, else by
-    default."""
+def _emit_rows(args, default: str, payload, rows: list[dict], places=None) -> None:
+    """The JSON payload, or the rows as CSV with their keys as the header, by
+    --format, else by default."""
     if (args.format or default) == "json":
         text = json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
     else:
+        cells = [[_cell(key, val, places) for key, val in row.items()] for row in rows]
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *cells])
+        csv.writer(buf, lineterminator="\n").writerows([list(rows[0]), *cells])
         text = buf.getvalue()
     _emit(text, args.out)
-
-
-def _emit_record(args, payload: dict, row: dict) -> None:
-    """The JSON payload (the default format), or row as a one-row CSV."""
-    cells = [[_cell(v) for v in row.values()]]
-    _emit_output(args, "json", payload, list(row), cells)
 
 
 def _opt_params(opt: Optimum) -> dict:
@@ -414,8 +405,8 @@ def _benefit(a: float, b: float) -> float:
 
 def cmd_evaluate(args) -> int:
     exp = _experiments(args)[0]
-    report = evaluate_policy(exp.scenario, exp.policy(), bound=exp.bound)
-    _emit_record(args, report.as_dict(), _flat_report(report))
+    report = asdict(evaluate_policy(exp.scenario, exp.policy(), bound=exp.bound))
+    _emit_rows(args, "json", report, [_flat(report)])
     return 0
 
 
@@ -433,21 +424,17 @@ def cmd_optimize(args) -> int:
         "tie_broken": opt.tie_broken,
     }
     payload = {"family": opt.family, **params, "fees": list(opt.best_policy.fees)}
-    payload.update(tail, report=report.as_dict())
+    payload.update(tail, report=asdict(report))
     row = {"family": opt.family, **params, "E[M]": report.expected_backorders}
     row.update({"E[G^V]": report.variable_profit, **tail})
-    row.update((key, _fee_cell(params[key])) for key in ("f_E", "f_LE"))
-    _emit_record(args, payload, row)
+    _emit_rows(args, "json", payload, [row])
     return 0
 
 
 def cmd_simulate(args) -> int:
     exp = _experiments(args)[0]
-    rec = simulate(exp.scenario, exp.policy(), exp.sim_config(args.seed))
-    payload = {**vars(rec), "report": rec.report.as_dict()}
-    row = _flat_report(rec.report)
-    row.update((key, val) for key, val in payload.items() if key != "report")
-    _emit_record(args, payload, row)
+    rec = asdict(simulate(exp.scenario, exp.policy(), exp.sim_config(args.seed)))
+    _emit_rows(args, "json", rec, [_flat(rec)])
     return 0
 
 
@@ -488,12 +475,6 @@ def _table2_rows(exp: Experiment) -> list[dict]:
     return rows
 
 
-TABLE3_HEADER = [
-    "setting", "tau_C", "f_E", "f_LE", "tau_F",
-    "E[M]", "E[G^V]", "benefit-of-best%",
-]
-
-
 def _table3_rows(exp: Experiment) -> list[dict]:
     """Optimal TSP at each fixed cutoff T-1, T-2, T-3 (those >= 1)."""
     sc = exp.scenario
@@ -508,6 +489,7 @@ def _table3_rows(exp: Experiment) -> list[dict]:
     return [
         {
             "setting": exp.name,
+            "tau_C": None,  # the cutoff is the second column; _opt_params fills it
             **_opt_params(opt),
             "E[M]": opt.report.expected_backorders,
             "E[G^V]": opt.report.variable_profit,
@@ -556,26 +538,21 @@ def _sweep_rows(exp: Experiment) -> list[dict]:
     ]
 
 
-# command: (rows of one experiment, header, JSON note; None emits a bare list)
+# command: (rows of one experiment, JSON note; None emits a bare list)
 TABLES = {
-    "reproduce-table2": (_table2_rows, TABLE2_HEADER, BENEFIT_NOTE),
-    "reproduce-table3": (_table3_rows, TABLE3_HEADER, BENEFIT_NOTE),
-    "sweep-figures": (_sweep_rows, SWEEP_HEADER, None),
+    "reproduce-table2": (_table2_rows, BENEFIT_NOTE),
+    "reproduce-table3": (_table3_rows, BENEFIT_NOTE),
+    "sweep-figures": (_sweep_rows, None),
 }
 
 
 def cmd_table(args) -> int:
-    """One table over the selected experiments (every preset if none),
-    its JSON rows keyed in the CSV header's order."""
-    rows_fn, header, note = TABLES[args.command]
-    rows = [
-        {key: row[key] for key in header}
-        for exp in _experiments(args, all_presets=True)
-        for row in rows_fn(exp)
-    ]
+    """One table over the selected experiments (every preset if none); each
+    row's keys, in order, are the CSV header and the JSON row's keys."""
+    rows_fn, note = TABLES[args.command]
+    rows = [row for exp in _experiments(args, all_presets=True) for row in rows_fn(exp)]
     payload = rows if note is None else {"benefit_convention": note, "rows": rows}
-    cells = [[_table_cell(key, row[key]) for key in header] for row in rows]
-    _emit_output(args, "csv", payload, header, cells)
+    _emit_rows(args, "csv", payload, rows, places=4)
     return 0
 
 
@@ -595,7 +572,7 @@ def _verify_form_invariance(sc: Scenario, rng: np.random.Generator) -> tuple[boo
         )
         canon = canonicalize(cutoff, partial, sc.period_length, _CHOICE.u_max)
         cut = cutoff_form(cutoff, partial, sc.period_length)
-        a, b = (_flat_report(policy_report(ev, p)) for p in (canon, cut))
+        a, b = (_flat(asdict(policy_report(ev, p))) for p in (canon, cut))
         worst = max(worst, *(abs(a[key] - b[key]) for key in a))
     return worst <= 1e-12, (
         "cutoff-form-invariance: 50 random cutoff policies, max report "

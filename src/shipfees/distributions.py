@@ -140,8 +140,6 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
         raise ParameterError("poisson rate must be nonnegative")
     if not 0.0 < tail_eps <= 1e-6:
         raise ParameterError("tail_eps must lie in (0, 1e-6]")
-    if rate == 0.0:
-        return Pmf(np.array([1.0]))
 
     terms = [np.exp(-rate)]
     cdf = terms[0]

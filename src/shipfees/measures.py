@@ -12,7 +12,7 @@ convention is the default; the raw variant is carried in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class PerformanceReport:
     per_age_express_rate: tuple[float, ...]
     per_age_express_rate_adjusted: tuple[float, ...]
     bound: int
-
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[f.name] = list(val) if isinstance(val, tuple) else val
-        return out
 
 
 def evaluate_policy(

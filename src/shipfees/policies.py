@@ -10,6 +10,7 @@ profit-invariant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,10 +134,18 @@ def build_policy(
             f"unknown policy family {family!r}; expected one of {tuple(FAMILIES)}"
         )
     T = period_length
+    names = FAMILIES[family]
+    values = (params,) if family == "CSP" else params
+    if not isinstance(values, (tuple, list)) or len(values) != len(names):
+        raise ParameterError(f"{family} takes ({', '.join(names)}), got {params!r}")
+    for name, val in zip(names, values):
+        real = isinstance(val, numbers.Real) and not isinstance(val, bool)
+        if name.endswith("fee") and not real:
+            raise ParameterError(f"{name} must be a real number, got {val!r}")
     if family == "TSP":
-        f_e, f_le, tau_f, tau_c = params
+        f_e, f_le, tau_f, tau_c = values
     else:
-        f_e, tau_c = (params, T - 1) if family == "CSP" else params
+        f_e, tau_c = (params, T - 1) if family == "CSP" else values
         f_le, tau_f = f_e, tau_c
     f_e, f_le = float(f_e), float(f_le)
     for fee in (f_e, f_le):

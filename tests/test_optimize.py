@@ -227,7 +227,7 @@ class TestOptimizeFamilies:
             assert opt.runner_up_gap == one.runner_up_gap
             assert opt.tie_broken == one.tie_broken
             assert opt.best_policy == one.best_policy
-            assert opt.report.as_dict() == one.report.as_dict()
+            assert opt.report == one.report
             T, u_max = scenario.period_length, scenario.choice.u_max
             assert two_level_fees(*opt.point, T, u_max) == opt.best_policy.fees
 

@@ -98,6 +98,26 @@ class TestBuildPolicy:
         ):
             sf.build_policy(family, params, 8, 4.0)
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("TSP", (2.4, 3.0, 6), "TSP takes (express_fee, lastminute_fee, "
+             "switch_age, cutoff_age), got (2.4, 3.0, 6)"),
+            ("TSP_CF", (2.0,), "TSP_CF takes (fee, cutoff_age), got (2.0,)"),
+            ("TSP_CF", 2.0, "TSP_CF takes (fee, cutoff_age), got 2.0"),
+            ("CSP", (2.0,), "fee must be a real number, got (2.0,)"),
+            ("CSP", "2.0", "fee must be a real number, got '2.0'"),
+            ("CSP", True, "fee must be a real number, got True"),
+            ("TSP_CF", ("2", 3), "fee must be a real number, got '2'"),
+            ("TSP", (True, 3.0, 1, 2), "express_fee must be a real number, got True"),
+            ("TSP", (2.0, None, 1, 2), "lastminute_fee must be a real number, got None"),
+        ],
+    )
+    def test_malformed_params_rejected(self, family, params, message):
+        with pytest.raises(sf.ParameterError) as info:
+            sf.build_policy(family, params, 8, 4.0)
+        assert str(info.value) == message
+
     def test_unknown_family_rejected(self):
         with pytest.raises(sf.ParameterError):
             sf.build_policy("FLAT", 2.0, 8, 4.0)
