@@ -17,7 +17,6 @@ from .errors import (
     CapacityInfeasibleError,
     NumericsError,
     ParameterError,
-    UndefinedMeasureError,
 )
 from .measures import PerformanceReport, evaluate_policy
 from .optimize import (
@@ -59,7 +58,6 @@ __all__ = [
     "SearchGrid",
     "SimConfig",
     "SimulationReport",
-    "UndefinedMeasureError",
     "build_policy",
     "canonicalize",
     "cutoff_form",

@@ -58,8 +58,8 @@ from .errors import CapacityInfeasibleError, NumericsError, ParameterError
 # Largest truncation bound, searched or pinned (a joint there holds 32 MB).
 BOUND_CAP = 2000
 
-# Largest set of per-age joints one policy may hold: T of them, (bound + 1)^2
-# floats each (T = 100000 at bound 30 holds 769 MB).
+# Most joints of (bound + 1)^2 floats one policy (T) or one batch (its run
+# joints and pull stack) may hold; T = 100000 at bound 30 holds 769 MB.
 JOINT_BYTES_MAX = 2**30
 
 # Poisson supports are truncated at this residual tail mass (folded onto the
@@ -447,6 +447,14 @@ class PolicyEvaluator:
                 m += 1
             by_suffix.setdefault(tuple(fees[m:]), []).append((i, (fees[0], m)))
             run_length[fees[0]] = max(run_length.get(fees[0], 0), m)
+        held = sum(run_length.values()) + T - 1  # run joints, then the pull stack
+        need = held * 8 * (self.bound + 1) ** 2
+        if need > JOINT_BYTES_MAX:
+            raise ParameterError(
+                f"a batch holding {held} joints at bound {self.bound} needs "
+                f"{need / 2**30:.4g} GiB, over the {JOINT_BYTES_MAX / 2**30:g} GiB "
+                "limit; use a smaller truncation bound or fee grid"
+            )
         runs: dict[tuple[float, int], np.ndarray] = {}
         for fee, longest in run_length.items():
             J = self._root

@@ -16,9 +16,10 @@ JSON uses Python float repr (shortest round-trip, at most 17 significant
 digits), so emitted reports re-parse bit-exactly; non-finite values (an
 undefined mean delay, the runner-up gap of a one-candidate grid) are written
 as null, so the output is strict JSON.  CSV uses '.' decimals, comma
-delimiters, a header row and one cell rule: empty for a missing value, %g
-for the fees f_E and f_LE, and repr for other floats, or 4 decimals in the
-tables.  sweep-figures writes fee (%g) and variable_profit (6 decimals) as
+delimiters, a header row and one cell rule: empty for a missing value, the
+fee text (%g where it reads back as the same float, else repr) for the fees
+f_E and f_LE, and repr for other floats, or 4 decimals in the tables.
+sweep-figures writes fee (fee text) and variable_profit (6 decimals) as
 strings, in its JSON too.  "Benefit" columns are relative profit deviations
 100*(a-b)/|b|; the absolute value keeps the sign meaningful for loss-making
 baselines.  Exit codes: 0 success, 1 validation failure, 2 numerical
@@ -53,8 +54,6 @@ from .optimize import (
     FAMILIES as SEARCH_FAMILIES,
     Optimum,
     SearchGrid,
-    _search_batch,
-    _tie_break,
     _validated_grid,
     dominance_experiment,
     exhaustive_fee_vector_search,
@@ -251,11 +250,21 @@ class Experiment:
                 rejection_threshold,
             )
         self.bound = get("scenario.truncation_bound")
-        self.grid = SearchGrid.default(T)
+        self._grid = None  # no grid block: the default lattice, checked when read
         if "grid" in self.fields:
-            rng = get("grid.cutoff_range") or self.grid.cutoff_range
+            rng = get("grid.cutoff_range") or SearchGrid.default(T).cutoff_range
             grid = _named("grid", SearchGrid, get("grid.fee_values"), rng)
-            self.grid = _named("grid", _validated_grid, self.scenario, grid)
+            self._grid = _named("grid", _validated_grid, self.scenario, grid)
+
+    @property
+    def grid(self) -> SearchGrid:
+        """The grid block's grid, else the default lattice checked against
+        the scenario, as only the searches read it."""
+        if self._grid is not None:
+            return self._grid
+        default = SearchGrid.default(self.scenario.period_length)
+        path = "grid: the default lattice 0.2..3.8 (no grid block)"
+        return _named(path, _validated_grid, self.scenario, default)
 
     def get(self, path: str):
         """The value of the field at path, else its default; a missing
@@ -343,13 +352,18 @@ def _strict(obj):
     return obj
 
 
+def _fee_text(fee: float) -> str:
+    """fee in %g form if that reads back as the same float, else its repr."""
+    return f"{fee:g}" if float(f"{fee:g}") == fee else repr(float(fee))
+
+
 def _cell(key: str, val, places: int | None) -> str:
-    """CSV cell: empty for missing, the fees f_E and f_LE as %g, other
+    """CSV cell: empty for missing, the fees f_E and f_LE as fee text, other
     floats as their round-trip repr or to places decimals."""
     if val is None:
         return ""
     if key in ("f_E", "f_LE"):
-        return f"{val:g}"
+        return _fee_text(val)
     if isinstance(val, float):
         # float() strips numpy scalar wrappers so the repr round-trips
         return repr(float(val)) if places is None else f"{val:.{places}f}"
@@ -418,11 +432,8 @@ def cmd_optimize(args) -> int:
         raise ParameterError(f"optimize.family: expected {families}, got {family!r}")
     opt = optimize_family(exp.scenario, family, exp.grid, bound=exp.bound)
     params, report = _opt_params(opt), opt.report
-    tail = {
-        "evaluations": opt.evaluations,
-        "runner_up_gap": opt.runner_up_gap,
-        "tie_broken": opt.tie_broken,
-    }
+    keys = ("evaluations", "runner_up_gap", "tie_broken")
+    tail = {key: getattr(opt, key) for key in keys}
     payload = {"family": opt.family, **params, "fees": list(opt.best_policy.fees)}
     payload.update(tail, report=asdict(report))
     row = {"family": opt.family, **params, "E[M]": report.expected_backorders}
@@ -438,11 +449,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-TABLE2_HEADER = [
-    "setting", "policy", "f_E", "f_LE", "tau_F", "tau_C",
-    "E[M]", "E[G^V]",
-    "benefit-vs-CSP%", "benefit-vs-TSP-CF%", "benefit-vs-TSP-CF*%",
-]
+TABLE2_BENEFITS = ("benefit-vs-CSP%", "benefit-vs-TSP-CF%", "benefit-vs-TSP-CF*%")
 
 
 def _table2_rows(exp: Experiment) -> list[dict]:
@@ -470,7 +477,7 @@ def _table2_rows(exp: Experiment) -> list[dict]:
             **params,
             "E[M]": opt.report.expected_backorders,
             "E[G^V]": g,
-            **dict(zip(TABLE2_HEADER[-3:], benefits)),
+            **dict(zip(TABLE2_BENEFITS, benefits)),
         })
     return rows
 
@@ -508,28 +515,28 @@ def _sweep_rows(exp: Experiment) -> list[dict]:
     """Profit sweeps at the latest cutoff age.
 
     One batch holds the grid's TSP search, whose winner fixes the optimal
-    f_E, and the TSP candidates at cutoff T - 1, which the grid's cutoff
-    range need not include.  The express-fee sweep reports, per (f_E,
-    tau_F), the profit envelope over all admissible f_LE; the last-minute
-    sweep fixes f_E at the optimum and varies f_LE directly.
+    f_E, and the TSP search at cutoff T - 1, in the grid's cutoff range or
+    not, whose scored candidates the sweeps read.  The express-fee sweep
+    reports, per (f_E, tau_F), the profit envelope over all admissible
+    f_LE; the last-minute sweep fixes f_E at the optimum and varies f_LE.
     """
     sc = exp.scenario
     tc = sc.period_length - 1
-    _, [(opt_points, _, opt_profits), (points, _, profits)] = _search_batch(
+    best, cut = optimize_families(
         sc,
         [("TSP", exp.grid), ("TSP", SearchGrid(exp.grid.fee_values, (tc, tc)))],
-        exp.bound,
+        bound=exp.bound,
     )
-    f_star = opt_points[_tie_break(opt_profits, opt_points)[0]][0]
+    f_star = best.point[0]
     envelope: dict[tuple[int, float], float] = {}
     lastminute = []
-    for (fe, fle, tf, _), profit in zip(points, profits):
+    for (fe, fle, tf, _), profit in zip(cut.points, cut.profits):
         if profit > envelope.get((tf, fe), -math.inf):
             envelope[tf, fe] = profit
         if fe == f_star:
             lastminute.append(((tf, fle), profit))
     return [
-        dict(zip(SWEEP_HEADER, (exp.name, sweep, f"{fee:g}", tf, f"{g:.6f}")))
+        dict(zip(SWEEP_HEADER, (exp.name, sweep, _fee_text(fee), tf, f"{g:.6f}")))
         for sweep, points in (
             ("express_fee", sorted(envelope.items())),
             ("lastminute_fee", sorted(lastminute)),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, UndefinedMeasureError
+from .errors import NumericsError, ParameterError
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
@@ -85,10 +85,10 @@ class Pmf:
         return float(((k - m) ** 2) @ self.mass)
 
     def scv(self) -> float:
-        """Squared coefficient of variation; undefined (error) at mean 0."""
+        """Squared coefficient of variation; undefined at mean 0 (a ParameterError)."""
         m = self.mean()
         if m == 0.0:
-            raise UndefinedMeasureError("scv undefined for a distribution with mean 0")
+            raise ParameterError("scv undefined for a distribution with mean 0")
         return self.variance() / m**2
 
     @classmethod

@@ -11,10 +11,6 @@ class ParameterError(ValueError):
     """Invalid or inadmissible input parameters."""
 
 
-class UndefinedMeasureError(ParameterError):
-    """A performance measure is undefined for the given parameters."""
-
-
 class NumericsError(RuntimeError):
     """A numerical procedure failed (non-convergence, loss of precision)."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,15 +73,22 @@ class Optimum:
     is the profit margin over the best candidate with different parameters
     (inf when the grid has a single candidate); tie_broken records whether the
     preference order had to decide among profits within PROFIT_TIE_TOL.
+    points and profits are every candidate of the search, in enumeration
+    order, with its profit from the shared batch; evaluations counts them.
     """
 
     family: str
     point: tuple[float, float, int, int]
     best_policy: FeeStructure
     report: PerformanceReport
-    evaluations: int
     runner_up_gap: float
     tie_broken: bool
+    points: tuple[tuple[float, float, int, int], ...] = field(repr=False)
+    profits: tuple[float, ...] = field(repr=False)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.profits)
 
 
 def revenue_max_fee(choice: ChoiceModel) -> float:
@@ -170,23 +177,6 @@ def _tie_break(profits, points: list[tuple]) -> tuple[int, float, bool]:
     return winner, gap, len(tied) > 1
 
 
-def _search_batch(
-    scenario: Scenario, searches: list[tuple[str, SearchGrid | None]], bound: int | None
-) -> tuple[PolicyEvaluator, list[tuple[list, list, list[float]]]]:
-    """The evaluator and, per search, (points, fee vectors, profits), from
-    one batch over the union of the searches' fee vectors."""
-    found = [
-        _candidates(scenario, family, _validated_grid(scenario, grid))
-        for family, grid in searches
-    ]
-    evaluator = PolicyEvaluator(scenario, bound)
-    unique = list(dict.fromkeys(v for _, vectors in found for v in vectors))
-    profit_of = dict(zip(unique, evaluator.profits_batch(unique)[0].tolist()))
-    return evaluator, [
-        (points, vectors, [profit_of[v] for v in vectors]) for points, vectors in found
-    ]
-
-
 def optimize_families(
     scenario: Scenario,
     searches: list[tuple[str, SearchGrid | None]],
@@ -202,14 +192,22 @@ def optimize_families(
     that evaluator.  Within each search, profit ties within PROFIT_TIE_TOL
     go to the latest cutoff, then the latest switch, then the cheapest fees.
     """
-    evaluator, results = _search_batch(scenario, searches, bound)
+    found = [
+        _candidates(scenario, family, _validated_grid(scenario, grid))
+        for family, grid in searches
+    ]
+    evaluator = PolicyEvaluator(scenario, bound)
+    unique = list(dict.fromkeys(v for _, vectors in found for v in vectors))
+    profit_of = dict(zip(unique, evaluator.profits_batch(unique)[0].tolist()))
     optima = []
-    for (family, _), (points, vectors, profits) in zip(searches, results):
+    for (family, _), (points, vectors) in zip(searches, found):
+        profits = tuple(profit_of[v] for v in vectors)
         winner, gap, tie_broken = _tie_break(profits, points)
         policy = FeeStructure(scenario.period_length, vectors[winner])
         report = policy_report(evaluator, policy)
         optima.append(Optimum(
-            family, points[winner], policy, report, len(profits), gap, tie_broken
+            family, points[winner], policy, report, gap, tie_broken,
+            tuple(points), profits,
         ))
     return optima
 
@@ -262,10 +260,6 @@ class DominanceRecord:
     backorders: float
     backorders_prime: float
     bound: int
-
-    @property
-    def margin(self) -> float:
-        return self.backorders_prime - self.backorders
 
 
 def dominance_experiment(

@@ -353,6 +353,34 @@ class TestWorkloadLaw:
                     dev = np.max(np.abs(J.sum(axis=0) - ev.workload))
                     assert dev <= 1e-12, (fees, dev)
 
+    @settings(max_examples=60, deadline=None)
+    @example(weights=[0, 0, 0, 0, 1], load=0.7, bound=0, fees=[0.0, 4.0])
+    @example(weights=[1, 0, 0, 3], load=0.0, bound=3, fees=[math.inf, 1.3, 4.5])
+    @example(weights=[3, 0, 1], load=0.95, bound=12, fees=[0.2, 0.2, 3.8, math.inf, 2.0])
+    @given(
+        weights=st.lists(st.integers(0, 3), min_size=1, max_size=7).filter(
+            lambda w: sum(k * x for k, x in enumerate(w)) > 0
+        ),
+        load=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        bound=st.integers(0, 12),
+        fees=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 4.0, 4.5, math.inf]),
+                st.floats(0.0, 4.0, allow_nan=False),
+            ),
+            min_size=2, max_size=6,
+        ),
+    )
+    def test_periodic_fixed_point(self, choice, weights, load, bound, fees):
+        """The last age's joint pushed through the last fee's step (the
+        deadline reset keeps x_s) has the age-0 x_s law, the workload."""
+        capacity = sf.Pmf(np.array(weights, dtype=float) / sum(weights))
+        scenario = sf.Scenario(len(fees), load * capacity.mean(), capacity, choice, 8.0)
+        ev = sf.PolicyEvaluator(scenario, bound)
+        closed = ev._step(fees[-1]).push(ev.joints(tuple(fees))[-1])
+        dev = np.max(np.abs(closed.sum(axis=0) - ev.workload))
+        assert dev <= 1e-12, dev
+
     @pytest.mark.parametrize("period", [2, 3])
     def test_found_bound_is_minimal_for_brute_force(self, choice, period):
         capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
@@ -436,6 +464,19 @@ class TestPolicyEvaluator:
         long_cycle = dataclasses.replace(micro_scenario, period_length=139_665)
         with pytest.raises(sf.ParameterError, match="scenario.T: 139665 ages need"):
             sf.PolicyEvaluator(long_cycle, 30)
+
+    def test_batch_beyond_the_memory_limit_is_refused(self, micro_scenario, monkeypatch):
+        """A batch holds its run joints and at most T - 1 pulled matrices:
+        here runs (1.0 x 3, 2.0 x 2) and a stack of 3, 8 joints of 9 x 9."""
+        scenario = dataclasses.replace(micro_scenario, period_length=4)
+        vectors = [(1.0, 1.0, 1.0, 2.0), (1.0, 2.0, 2.0, 2.0), (2.0, 2.0, 3.0, 3.0)]
+        monkeypatch.setattr(chain, "JOINT_BYTES_MAX", 8 * 8 * 81)
+        sf.PolicyEvaluator(scenario, 8).profits_batch(vectors)
+        monkeypatch.setattr(chain, "JOINT_BYTES_MAX", 8 * 8 * 81 - 1)
+        ev = sf.PolicyEvaluator(scenario, 8)
+        with pytest.raises(sf.ParameterError, match="a batch holding 8 joints at bound 8"):
+            ev.profits_batch(vectors)
+        assert not ev._steps  # refused before the first push
 
     def test_batch_matches_single_evaluations(self, micro_scenario):
         fee_vectors = [

@@ -345,6 +345,21 @@ class TestRangeErrors:
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert (code, out, err) == (1, "", f"error: grid: {message}\n")
 
+    @pytest.mark.parametrize(
+        "command", ["optimize", "reproduce-table2", "reproduce-table3", "sweep-figures"]
+    )
+    def test_default_lattice_is_checked_by_the_searches(self, capsys, tmp_path, command):
+        cfg = {k: v for k, v in SMALL_CONFIG.items() if k != "grid"}
+        cfg["choice"] = {"regular_price": 4.0, "u_min": 2.0, "u_max": 2.0}
+        path = tmp_path / "no_grid.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: grid: the default lattice 0.2..3.8 (no grid block): "
+            "fee_values must lie within the utility range [2.0, 2.0]\n"
+        )
+
     def test_default_lattice_is_not_checked_when_the_config_loads(
         self, capsys, tmp_path
     ):
@@ -437,6 +452,21 @@ class TestBoundedInput:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: simulate.streams: 100000 streams need")
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_large_bound_batch_is_refused_before_allocating(self, tmp_path):
+        # the preset grid's TSP batch holds 126 run joints and a stack of 7:
+        # 133 joints of 1005 x 1005 floats are 1.001 GiB (bound 1003 passes)
+        cfg = load_preset("rho085_c8")
+        cfg["scenario"]["truncation_bound"] = 1004
+        path = tmp_path / "large_bound.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_under_memory_limit(["optimize", "--config", str(path)], 2**30)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            "error: a batch holding 133 joints at bound 1004 needs 1.001 GiB, over "
+            "the 1 GiB limit; use a smaller truncation bound or fee grid\n"
+        )
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(
@@ -736,18 +766,30 @@ def optimize_row(res):
     return row
 
 
+# fees whose %g form rounds: 1.23457, 2.34568, 3.12346
+LONG_FEES = [1.23456789, 2.34567891, 3.1234567]
+
+
 @pytest.mark.parametrize(
-    "command, family, expected_row",
+    "command, family, expected_row, fee_values",
     [
-        ("optimize", "TSP", optimize_row),
-        ("optimize", "TSP_CF_star", optimize_row),
-        ("simulate", None, flat_json),
+        pytest.param("optimize", "TSP", optimize_row, None, id="optimize-TSP-optimize_row"),
+        pytest.param("optimize", "TSP_CF_star", optimize_row, None,
+                     id="optimize-TSP_CF_star-optimize_row"),
+        pytest.param("simulate", None, flat_json, None, id="simulate-None-flat_json"),
+        pytest.param("optimize", "TSP", optimize_row, LONG_FEES, id="optimize-TSP-long_fees"),
+        pytest.param("optimize", "TSP_CF_star", optimize_row, LONG_FEES,
+                     id="optimize-TSP_CF_star-long_fees"),
     ],
 )
-def test_record_csv_cells_match_json(capsys, tmp_path, command, family, expected_row):
+def test_record_csv_cells_match_json(
+    capsys, tmp_path, command, family, expected_row, fee_values
+):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     if family is not None:
         cfg["optimize"]["family"] = family
+    if fee_values is not None:
+        cfg["grid"]["fee_values"] = fee_values
     path = tmp_path / "record.json"
     path.write_text(json.dumps(cfg))
     outs = {}
@@ -763,7 +805,10 @@ def test_record_csv_cells_match_json(capsys, tmp_path, command, family, expected
         if val is None:
             assert cell == "", key
         elif key in ("f_E", "f_LE"):
-            assert cell == f"{val:g}"
+            # %g where it reads back as the JSON value, else repr
+            text = f"{val:g}"
+            assert float(cell) == val, key
+            assert cell == (text if float(text) == val else repr(val)), key
         elif isinstance(val, bool):
             assert cell in ("True", "False") and cell == str(val)
         elif isinstance(val, float):
@@ -774,6 +819,25 @@ def test_record_csv_cells_match_json(capsys, tmp_path, command, family, expected
         assert expected["f_LE"] is None and expected["tau_F"] is None
     if family == "TSP":
         assert expected["f_LE"] is not None and expected["tau_F"] is not None
+    if fee_values is not None:
+        assert expected["f_E"] in fee_values
+
+
+def test_sweep_fees_read_back_as_grid_fees(capsys, tmp_path):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["grid"]["fee_values"] = LONG_FEES
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "sweep-figures", "--config", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            rows = json.loads(out)
+        else:
+            header, cells = parse_csv(out)
+            rows = [dict(zip(header, cell)) for cell in cells]
+        assert rows and all(float(row["fee"]) in LONG_FEES for row in rows)
+        assert all(row["fee"] == repr(float(row["fee"])) for row in rows)
 
 
 class TestModuleEntry:

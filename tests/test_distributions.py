@@ -45,6 +45,19 @@ class TestPmf:
         assert pmf != np.array([0.5, 0.5]).tobytes()
 
 
+class TestScv:
+    def test_known_pmf(self):
+        # Binomial(3, 1/2): mean 3/2, variance 3/4, scv 1/3
+        pmf = sf.Pmf(np.array([0.125, 0.375, 0.375, 0.125]))
+        assert (pmf.mean(), pmf.variance()) == (1.5, 0.75)
+        assert pmf.scv() == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_mean_zero_is_a_parameter_error(self):
+        with pytest.raises(sf.ParameterError, match="mean 0"):
+            sf.Pmf.point_mass(0).scv()
+        assert sf.Pmf.point_mass(3).scv() == 0.0
+
+
 class TestPoisson:
     def test_rate_zero_is_point_mass(self):
         assert sf.poisson_pmf(0.0).mass.tolist() == [1.0]
