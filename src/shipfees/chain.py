@@ -433,7 +433,10 @@ class PolicyEvaluator:
         the distinct suffixes are walked depth first by reversed suffix with
         a stack of at most T - 1 pulled matrices.  For CSP, TSP_CF and TSP
         every prefix is f_E^m and every suffix f_LE^b u_max^c, so a batch
-        costs one push per run and one pull per distinct suffix tail.
+        costs one push per run and one pull per distinct suffix tail.  The
+        JOINT_BYTES_MAX check counts the run joints and the pull stack only,
+        not each stepped fee's H and R nor the last fees' backorder matrices
+        (about 0.5 GB more at bound 1003 on the preset grid's TSP search).
         """
         T = self.scenario.period_length
         if any(len(fees) != T for fees in fee_vectors):

@@ -672,12 +672,9 @@ def _verify_workload(sc: Scenario) -> tuple[bool, str]:
         build_policy("CSP", 3.6, 4, _CHOICE.u_max),
         build_policy("TSP", (1.0, 2.0, 1, 3), 4, _CHOICE.u_max),
     ]
-    # x_s marginal of each age's joint J[x_c, x_s]
-    marginals = [[J.sum(axis=0) for J in ev.joints(p.fees)] for p in pols]
-    worst = 0.0
-    for other in marginals[1:]:
-        for ref, m in zip(marginals[0], other):
-            worst = max(worst, float(np.max(np.abs(m - ref))))
+    # x_s marginal of each age's joint J[x_c, x_s], stacked over the ages
+    marginals = [np.array([J.sum(axis=0) for J in ev.joints(p.fees)]) for p in pols]
+    worst = max(float(np.max(np.abs(m - marginals[0]))) for m in marginals[1:])
     return worst <= 1e-9, (
         f"workload-invariance: max marginal deviation across policies "
         f"{worst:.3e} (tol 1e-09)"

@@ -259,7 +259,6 @@ class DominanceRecord:
 
     backorders: float
     backorders_prime: float
-    bound: int
 
 
 def dominance_experiment(
@@ -297,4 +296,4 @@ def dominance_experiment(
             "dominating profile produced more backorders "
             f"({backorders} > {backorders_prime})"
         )
-    return DominanceRecord(backorders, backorders_prime, evaluator.bound)
+    return DominanceRecord(backorders, backorders_prime)

@@ -12,20 +12,20 @@ Reproducibility contract: identical seeds give bit-identical reports.
 
 - Draw order.  Cycles are drawn in chunks of ``CHUNK_CYCLES`` = 1024 per
   stream; per chunk each stream draws its express counts E, then its
-  regular counts R, then its capacities B for the whole chunk.
-- Parallel draws.  A chunk's draws run on a thread pool with one
-  contiguous block of streams per worker (as many workers as CPUs the
-  process may use, at most one per stream); each worker fills its streams'
-  rows in stream order.  Every stream owns its generator and its E, R, B
-  order per chunk is unchanged, so which thread draws a stream, and when,
-  cannot change a variate; the walk and the tallies start once the whole
-  chunk is drawn.
+  regular counts R, then one uniform per period that the capacity cdf
+  inverts to B (the numbers ``Generator.choice(p=mass)`` gives).
+- The pool.  A thread pool with one contiguous block of streams per worker
+  (as many workers as CPUs the process may use, at most one per stream)
+  draws each chunk and forms its increments E + R - B, then, after the
+  walk, its tallies.  A block writes only its own streams' rows and
+  columns, and every stream owns its generator, so which thread runs a
+  block, and when, cannot change a variate or a sum.
 - One sequential state.  The total workload x_s is the only quantity
   carried from period to period: its reflected walk
-  x_s' = clamp(x_s + E + R - B, 0, bound) is the one loop over time.  The
-  overflow, the adjusted express counts, the due backlog x_c (a walk
-  restarted at every cycle's opening x_s) and the tallies are computed from
-  that path, vectorized over (cycle, stream).
+  x_s' = clamp(x_s + E + R - B, 0, bound) is the one loop over time, run
+  on the main thread.  The overflow, the adjusted express counts, the due
+  backlog x_c (a walk restarted at every cycle's opening x_s) and the
+  tallies are computed from that path, vectorized over (cycle, stream).
 - Time-ordered sums.  Counts are exact integer sums.  The two revenue sums
   are floats and are reduced per stream in time order, one period after
   the other (a running accumulate, never a pairwise sum), so they equal a
@@ -38,6 +38,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -128,6 +129,34 @@ def _draw_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _capacity_sampler(mass: np.ndarray, dtype: type) -> Callable:
+    """A function filling an int row with B as ``Generator.choice(p=mass)``.
+
+    choice builds this cdf, draws ``random(shape)`` and returns
+    ``cdf.searchsorted(u, "right")``, the count of cdf values <= u; so does
+    the function, leaving the generator in the same state.  For u in
+    [0, 1), b = floor(u K) is exact (K = 2^k) and b / K <= u < (b + 1) / K.
+    If no cdf value lies in (b / K, (b + 1) / K), the values <= u are those
+    <= b / K, whose count is table[b].  Buckets holding one are marked -1
+    and their u searched.  K is the power of two above 64 (support + 1), at
+    most 2^14, so under 1/64 of the buckets hold one below support 256.
+    """
+    cdf = mass.cumsum()
+    cdf /= cdf[-1]
+    K = 1 << min(14, (64 * len(cdf)).bit_length())
+    table = cdf.searchsorted(np.arange(K) / K, "right").astype(dtype)
+    cuts = cdf * K
+    table[cuts[cuts % 1 > 0].astype(np.intp)] = -1
+
+    def draw(g: np.random.Generator, out: np.ndarray) -> None:
+        u = g.random(out.size)
+        np.take(table, (u * K).astype(np.intp), out=out)  # u K >= 0: floor
+        near = np.flatnonzero(out < 0)
+        out[near] = cdf.searchsorted(u[near], "right")
+
+    return draw
+
+
 def simulate(
     scenario: Scenario, policy: FeeStructure, config: SimConfig
 ) -> SimulationReport:
@@ -140,12 +169,8 @@ def simulate(
     cycle owes everything still unprocessed.  Revenue uses the raw express
     draws; the adjusted express counts are tracked alongside.
 
-    The draws follow the module's contract (per stream and 1024-cycle
-    chunk: E, then R, then B, on a thread pool with one block of streams
-    per worker; each stream owns its generator, so the pool's size cannot
-    change a variate); only x_s is stepped period by period, and the
-    revenue sums are reduced in time order, so a seed fixes the report bit
-    for bit.  The pool lives for this call only.
+    Draws, walk and tallies follow the module's contract, so a seed fixes
+    the report bit for bit.  The pool lives for this call only.
     """
     if policy.period_length != scenario.period_length:
         raise ParameterError("policy and scenario cycle lengths differ")
@@ -182,16 +207,11 @@ def simulate(
             f"most {CHUNK_BYTES_MAX // stream_bytes} streams"
         )
 
-    e_rates = np.empty(T)
-    r_rates = np.empty(T)
-    for t, fee in enumerate(policy.fees):
-        e_rates[t], r_rates[t] = split_rates(scenario.choice, scenario.lam, fee)
+    rates = [split_rates(scenario.choice, scenario.lam, f) for f in policy.fees]
+    e_rates, r_rates = np.array(rates).T
     # inf fees never see an express draw; zero the weight so inf*0 is avoided
-    fee_weights = np.array(
-        [f if e > 0.0 else 0.0 for f, e in zip(policy.fees, e_rates)]
-    )
-    cap_vals = np.arange(scenario.capacity.support_max + 1)
-    cap_mass = scenario.capacity.mass
+    fee_weights = np.where(e_rates > 0.0, policy.fees, 0.0)
+    draw_capacity = _capacity_sampler(scenario.capacity.mass, dtype)
 
     root = np.random.SeedSequence(config.seed)
     gens = [np.random.Generator(np.random.Philox(s)) for s in root.spawn(streams)]
@@ -215,20 +235,66 @@ def simulate(
     sum_m_raw = np.zeros(streams, np.int64)
     sum_rejected = np.zeros(streams, np.int64)
     overflow_periods = np.zeros(streams, np.int64)
-    acc_e = np.zeros(T, np.int64)
-    acc_e_adj = np.zeros(T, np.int64)
+    acc_e = np.zeros((streams, T), np.int64)
+    acc_e_adj = np.zeros((streams, T), np.int64)
     sum_rev = np.zeros(streams)
     sum_rev_adj = np.zeros(streams)
 
     def draw(lo: int, hi: int, n_cyc: int) -> None:
-        # one block of streams, each filling its own rows in stream order
+        # one block of streams, each filling its own rows in stream order,
+        # then the block's increments E + R - B into O and X's columns
         n = n_cyc * T
         for g, e_s, r_s, b_s in zip(
             gens[lo:hi], E[lo:hi, :n], R[lo:hi, :n], B[lo:hi, :n]
         ):
             e_s[:] = g.poisson(e_rates, size=(n_cyc, T)).ravel()
             r_s[:] = g.poisson(r_rates, size=(n_cyc, T)).ravel()
-            b_s[:] = g.choice(cap_vals, size=(n_cyc, T), p=cap_mass).ravel()
+            draw_capacity(g, b_s)
+        d = O[lo:hi, :n]
+        np.add(E[lo:hi, :n], R[lo:hi, :n], out=d)
+        np.subtract(d, B[lo:hi, :n], out=d)
+        # 32 columns at a time; one whole transposing copy is several times
+        # slower
+        for s0 in range(lo, hi, 32):
+            s1 = min(s0 + 32, hi)
+            X[1 : n + 1, s0:s1] = O[s0:s1, :n].T
+
+    def tally(lo: int, hi: int, j0: int, n: int) -> None:
+        # one block's measured periods j0..n of the chunk
+        e, r, b, o, a = (buf[lo:hi, j0:n] for buf in (E, R, B, O, A))
+        xs = X[j0:n, lo:hi].T
+        # overflow O = (x_s + E + R - B - bound)^+, the increments being in o
+        o += xs
+        o -= bound
+        np.maximum(o, 0, out=o)
+        # adjusted express E - (O - R)^+
+        np.subtract(o, r, out=a)
+        np.maximum(a, 0, out=a)
+        np.subtract(e, a, out=a)
+
+        # x_c restarts at each cycle's opening x_s; m_raw reads the last age
+        xc = xs[:, ::T].copy()
+        for t in range(T):
+            if t == T - 1:
+                m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
+            xc += a[:, t::T]
+            xc -= b[:, t::T]
+            np.maximum(xc, 0, out=xc)
+
+        sum_m[lo:hi] += xc.sum(axis=1, dtype=np.int64)
+        sum_m_raw[lo:hi] += m_raw.sum(axis=1, dtype=np.int64)
+        sum_rejected[lo:hi] += o.sum(axis=1, dtype=np.int64)
+        overflow_periods[lo:hi] += np.count_nonzero(o, axis=1)
+        terms = F[lo:hi, : n - j0]
+        for counts, acc, total in ((e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)):
+            by_age = counts.reshape(hi - lo, -1, T)
+            acc[lo:hi] += by_age.sum(axis=1, dtype=np.int64)
+            # running revenue: seed the first term, then accumulate in
+            # time order
+            np.multiply(by_age, fee_weights, out=terms.reshape(hi - lo, -1, T))
+            terms[:, 0] += total[lo:hi]
+            np.add.accumulate(terms, axis=1, out=terms)
+            total[lo:hi] = terms[:, -1]
 
     n = 0
     with ThreadPoolExecutor(workers) as pool:
@@ -238,64 +304,16 @@ def simulate(
             n = n_cyc * T
             for job in [pool.submit(draw, lo, hi, n_cyc) for lo, hi in blocks]:
                 job.result()
-
-            # the walk: X[j + 1] = clamp(X[j] + E[j] + R[j] - B[j], 0, bound).
-            # The increments go to X a block of streams at a time; one whole
-            # transposing copy is several times slower.
-            d = O[:, :n]
-            np.add(E[:, :n], R[:, :n], out=d)
-            np.subtract(d, B[:, :n], out=d)
-            for s0 in range(0, streams, 32):
-                X[1 : n + 1, s0 : s0 + 32] = d[s0 : s0 + 32].T
+            # the walk: X[j + 1] = clamp(X[j] + E[j] + R[j] - B[j], 0, bound)
             for cur, nxt in zip(X_rows[:n], X_rows[1 : n + 1]):
                 np.add(cur, nxt, out=nxt)
                 np.minimum(nxt, top, out=nxt)
                 np.maximum(nxt, zero, out=nxt)
-
             # warm-up cycles need only the walk
             k0 = min(max(config.warmup_cycles - start, 0), n_cyc)
-            if k0 == n_cyc:
-                continue
-            j0 = k0 * T
-            e, r, b, o, a = (buf[:, j0:n] for buf in (E, R, B, O, A))
-            xs = X[j0:n].T
-            # overflow O = (x_s + E + R - B - bound)^+, the increments being in o
-            o += xs
-            o -= bound
-            np.maximum(o, 0, out=o)
-            # adjusted express E - (O - R)^+
-            np.subtract(o, r, out=a)
-            np.maximum(a, 0, out=a)
-            np.subtract(e, a, out=a)
-
-            # x_c restarts at each cycle's opening x_s; m_raw reads the last age
-            xc = xs[:, ::T].copy()
-            for t in range(T):
-                if t == T - 1:
-                    m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
-                xc += a[:, t::T]
-                xc -= b[:, t::T]
-                np.maximum(xc, 0, out=xc)
-
-            sum_m += xc.sum(axis=1, dtype=np.int64)
-            sum_m_raw += m_raw.sum(axis=1, dtype=np.int64)
-            sum_rejected += o.sum(axis=1, dtype=np.int64)
-            overflow_periods += np.count_nonzero(o, axis=1)
-            terms = F[:, : n - j0]
-            for counts, acc, total in (
-                (e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)
-            ):
-                acc += counts.sum(axis=0, dtype=np.int64).reshape(-1, T).sum(axis=0)
-                # running revenue: seed the first term, then accumulate in
-                # time order
-                np.multiply(
-                    counts.reshape(streams, -1, T),
-                    fee_weights,
-                    out=terms.reshape(streams, -1, T),
-                )
-                terms[:, 0] += total
-                np.add.accumulate(terms, axis=1, out=terms)
-                total[:] = terms[:, -1]
+            if k0 < n_cyc:
+                for job in [pool.submit(tally, lo, hi, k0 * T, n) for lo, hi in blocks]:
+                    job.result()
 
     lam = scenario.lam
     mean_m = float(sum_m.sum()) / total_measured
@@ -311,9 +329,9 @@ def simulate(
         / (total_measured * T),
         expected_rejected_per_cycle=float(sum_rejected.sum()) / total_measured,
         mean_delay=mean_m / lam if lam > 0.0 else math.nan,
-        per_age_express_rate=tuple(float(v) for v in acc_e / total_measured),
+        per_age_express_rate=tuple(float(v) for v in acc_e.sum(0) / total_measured),
         per_age_express_rate_adjusted=tuple(
-            float(v) for v in acc_e_adj / total_measured
+            float(v) for v in acc_e_adj.sum(0) / total_measured
         ),
         bound=bound,
     )

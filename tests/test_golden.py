@@ -6,6 +6,8 @@ fee lattice, and, in ``rho085_c8_cut13.json``, the CSV and JSON output of
 all three commands for rho085_c8 on a six-fee lattice with cutoff range
 [1, 3], which leaves out the cutoffs T-1..T-3 that Table 3 and the sweeps
 read.  A change to the evaluator that moves any printed digit fails here.
+The ``simulate_*.json`` files pin the simulator's JSON report for two
+presets and seeds, so a change to its draws or tallies fails here too.
 """
 
 import json
@@ -46,3 +48,14 @@ def test_narrow_cutoff_range_is_byte_identical(tmp_path, command, fmt):
     argv = [command, "--config", str(config), "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes().decode("utf-8") == CUT13[f"{command}.{fmt}"]
+
+
+@pytest.mark.parametrize(
+    "preset, seed", [("rho085_c8", 1), ("rho095_c8", 7)]
+)
+def test_simulator_report_is_byte_identical(tmp_path, preset, seed):
+    out = tmp_path / "out.json"
+    argv = ["simulate", "--preset", preset, "--seed", str(seed), "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 0
+    name = f"simulate_{preset}_seed{seed}.json"
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -262,6 +262,46 @@ class TestLoopOracle:
         assert_same_as_oracle(scenario, policy, cfg)
 
 
+class TestCapacityDraws:
+    """The bucket-table inversion of the capacity draws against
+    ``Generator.choice(p=mass)``, which ``sim_oracle`` keeps drawing with."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(weights=[1.0], tail=0, tiny=0.0, lengths=[5], seed=0,
+             dtype=np.int32)
+    @example(weights=[0.0, 0.0, 0.0, 1.0], tail=0, tiny=0.0, lengths=[8191],
+             seed=1, dtype=np.int32)
+    @example(weights=[0.5, 0.0, 0.5], tail=3, tiny=1e-300, lengths=[1, 8192, 3],
+             seed=2, dtype=np.int64)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=300
+        ).filter(lambda w: sum(w) > 0),
+        tail=st.integers(0, 4),
+        tiny=st.sampled_from([1e-13, 1e-17, 1e-300, 5e-324]),
+        lengths=st.lists(st.integers(1, 9000), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    def test_same_draws_and_state_as_choice(self, weights, tail, tiny, lengths,
+                                            seed, dtype):
+        """Zero masses, point masses and tail masses below 1e-12, supports
+        of up to 304 points (from 256 on the table stops growing at 2^14)
+        and chunk lengths that need not be multiples of T, drawn one after
+        another from one stream."""
+        mass = np.array(weights + [tiny] * tail)
+        mass /= mass.sum()
+        draw = simulation._capacity_sampler(mass, dtype)
+        ref = np.random.Generator(np.random.Philox(seed))
+        got = np.random.Generator(np.random.Philox(seed))
+        for n in lengths:
+            want = ref.choice(np.arange(mass.size), size=n, p=mass)
+            out = np.empty(n, dtype)
+            draw(got, out)
+            np.testing.assert_array_equal(out, want)
+        assert got.random() == ref.random()
+
+
 class TestDrawPool:
     """The draws run on a pool of threads, one block of streams each."""
 
@@ -323,11 +363,11 @@ class TestDrawPool:
         calls = []
 
         class Failing(np.random.Generator):
-            def choice(self, *args, **kwargs):
+            def random(self, *args, **kwargs):
                 calls.append(None)
                 if len(calls) == 5 + 5:
                     raise RuntimeError("draw failed")
-                return super().choice(*args, **kwargs)
+                return super().random(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Generator", Failing)
         monkeypatch.setattr(simulation, "_draw_workers", lambda: 2)
