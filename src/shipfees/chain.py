@@ -20,15 +20,11 @@ The evaluator rests on two facts of the model:
   ``PolicyEvaluator.workload`` vector is read-only;
 * at age 0 the joint state is diagonal (the deadline reset makes x_c = x_s)
   with that law on the diagonal, and what one period does depends on the
-  posted fee only.  ``_AgeStep`` owns it: the express law, the pmf of
-  u = express - capacity, the regular-order kernel, the deadline
-  backorder matrices and the overflow E[(u - (bound - x_s))^+], read both
-  as the express loss (its min with E never binds, as x_s <= bound and
-  capacity >= 0) and by the adjusted backorders.  In headroom
-  coordinates h = bound - x_s, d = x_s - x_c, the u part of a step is
-  h' = max(h - u, 0) for every d (the clamp at 0 is the rejection of heavy
-  express overflow); regular orders then shift x_s.  A push is two matrix
-  products and a policy is T - 1 pushes;
+  posted fee only through its express rate.  ``_AgeStep`` owns it, one per
+  rate (``u_max`` and ``inf`` share one): the pmf of u = express -
+  capacity, the headroom and regular-order kernels, the deadline backorder
+  matrices and the overflow E[(u - (bound - x_s))^+], the express loss.
+  A push is two matrix products and a policy is T - 1 pushes;
 * E[M] is linear in the joint at every age, so it is the inner product
   <J_m, W_m> at any split age m: J_m is the joint after the first m
   pushes, W_m the last fee's backorder matrix pulled back through the
@@ -40,7 +36,11 @@ The evaluator rests on two facts of the model:
 One kernel, ``_shift_matrix``, builds every clamped shift: the workload
 chain's x' = clamp(x + demand - capacity, 0, bound), a step's headroom
 shift h' = clamp(h - u, 0, bound + nb) and its regular-order shift
-x_s' = clamp(x_s + regular, 0, bound).
+x_s' = clamp(x_s + regular, 0, bound).  It is one gather from
+[pmf | 0 | cdf | tails] at an index that depends only on the kernel's
+shape, cached like the push's headroom index: u and the regular pmf are
+padded to the size of V = demand - capacity, so every fee's step at one
+(bound, nb) shares the two indices.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .choice import ChoiceModel, split_rates
-from .distributions import CapacitySpec, Pmf, discretized_beta, poisson_pmf
+from .distributions import CapacitySpec, Pmf, _poisson_mass, discretized_beta
 from .errors import CapacityInfeasibleError, NumericsError, ParameterError
 
 # Largest truncation bound, searched or pinned (a joint there holds 32 MB).
@@ -174,20 +174,49 @@ def _suffix_tails(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_matrix(
-    p: np.ndarray, origin: int, rows: np.ndarray, bound: int
-) -> np.ndarray:
+def _overshoot(p: np.ndarray, origin: int, bound: int) -> tuple[np.ndarray, ...]:
+    """E[(V - bound + x)^+] and E[(V + x)^+], x = 0..bound, p[origin] = P(V = 0):
+    two products with one matrix of (V - k)^+, k = bound..-bound, each of
+    the shape that fixes BLAS's order of summation (one would regroup it)."""
+    k = np.arange(bound, -bound - 1, -1)
+    excess = np.maximum(np.arange(p.size) - origin - k[:, None], 0.0)
+    return excess[: bound + 1] @ p, excess[bound:] @ p
+
+
+def _shift_matrix(p: np.ndarray, origin: int, rows: range, bound: int) -> np.ndarray:
     """Kernel K[i, y] = P(clamp(rows[i] + V, 0, bound) = y), p[origin] = P(V = 0)."""
-    width = bound + 1
-    dest = np.clip(rows[:, None] + (np.arange(p.size) - origin), 0, bound)
-    flat = np.arange(rows.size)[:, None] * width + dest
-    K = np.bincount(flat.ravel(), np.tile(p, rows.size), minlength=rows.size * width)
-    return K.reshape(rows.size, width)
+    return _gather(p, *_kernel_index(p.size, origin, rows, bound))
 
 
-def _overshoot(p: np.ndarray, origin: int, headroom: np.ndarray) -> np.ndarray:
-    """E[(V - h)^+] for each h in headroom, p[origin] = P(V = 0)."""
-    return np.maximum(np.arange(p.size) - origin - headroom[:, None], 0) @ p
+def _gather(p: np.ndarray, index: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """The kernel as [p | 0 | cdf | tails] at index.  tails[j] sums p[window[j]]
+    (p padded with zeros); like cdf it adds in ascending order, as the
+    per-entry accumulation it replaces did, so K is the same to the bit."""
+    tails = np.concatenate((p, np.zeros(len(window))))[window].cumsum(axis=1)[:, -1]
+    return np.concatenate((p, [0.0], p.cumsum(), tails)).take(index)
+
+
+@lru_cache(maxsize=32)
+def _kernel_index(n: int, origin: int, rows: range, bound: int) -> tuple:
+    """(index, window) of ``_gather`` for a pmf of n entries.  With k = y -
+    rows[i] + origin, inner columns read p[k] (g[n] = 0 off the support),
+    column 0 cdf[k] and column bound tails[k - first] = p[k] + ... + p[-1],
+    first the least k read there; past the support both read 0, before it
+    all the mass, which a bound of 0 reads alone."""
+    x = np.array(rows)[:, None]
+    k = np.arange(bound + 1) + origin - x
+    low, high = k[:, 0], k[:, -1]
+    first = min(max(int(high.min()), 0), n - 1)
+    index = np.where((k >= 0) & (k < n), k, n)
+    index[:, -1] = np.where(high < n, 2 * n + 1 + np.maximum(high, first) - first, n)
+    index[:, 0] = np.where(low >= 0, n + 1 + np.minimum(low, n - 1), n)
+    if bound == 0:
+        index[:, 0] = 2 * n
+    window = first + np.add.outer(np.arange(n - first), np.arange(n - first))
+    index = index.astype(np.int32)
+    for arr in (index, window):  # shared by every kernel of this shape
+        arr.flags.writeable = False
+    return index, window
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +236,11 @@ def _workload_law(
     of x' = clamp(x + V, 0, bound).
     """
     nb = capacity.support_max
-    shift = np.convolve(poisson_pmf(lam, TAIL_EPS).mass, capacity.mass[::-1])
-    workload = _gth_stationary(_shift_matrix(shift, nb, np.arange(bound + 1), bound))
+    shift = np.convolve(_poisson_mass(lam, TAIL_EPS), capacity.mass[::-1])
+    # a law is built once per bound, so its kernel's index is not kept: the
+    # bound probes would fill the cache the steps' kernels share
+    index = _kernel_index.__wrapped__(shift.size, nb, range(bound + 1), bound)
+    workload = _gth_stationary(_gather(shift, *index))
     for arr in (shift, workload):
         arr.flags.writeable = False
     return shift, workload
@@ -247,7 +279,7 @@ def _headroom_index(bound: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class _AgeStep:
-    """What one period posting one fee does to the joint pmf J[x_c, x_s].
+    """What one period posting a fee of one express rate does to J[x_c, x_s].
 
     J (upper triangular) evolves by conditioning on u = express - capacity
     and the regular count r, which are independent.  In headroom
@@ -263,31 +295,35 @@ class _AgeStep:
     * negative rows fold to zero (idle capacity is lost), in the scatter
       back from headroom coordinates, before ``R``.
 
-    The step also holds the fee's express rate and pmf and, built from u on
-    first use, the backorder matrices and the overflow E[(u - h)^+], the
-    express loss at x_s (its min with E never binds: x_s <= bound, B >= 0).
+    The step holds its express rate and pmf and u; ``H``, ``R``, the
+    overflow and the backorder matrices are built on first use.
     """
 
-    def __init__(self, scenario: Scenario, fee: float, bound: int):
+    def __init__(self, scenario: Scenario, rate: float, bound: int, reach: int):
         self.bound = bound
         self.nb = scenario.capacity.support_max
-        self.rate, regular_rate = split_rates(scenario.choice, scenario.lam, fee)
-        self.express = poisson_pmf(self.rate, TAIL_EPS)
-        self.u = np.convolve(self.express.mass, scenario.capacity.mass[::-1])
-        # rows: the column index x_s in -nb..bound once u has shifted it
-        self.R = _shift_matrix(
-            poisson_pmf(regular_rate, TAIL_EPS).mass,
-            0,
-            np.arange(-self.nb, bound + 1),
-            bound,
-        )
+        self.reach = reach  # the size of V = demand - capacity's pmf
+        self.rate, self.regular_rate = rate, scenario.lam - rate
+        self.express = _poisson_mass(rate, TAIL_EPS)
+        self.u = np.convolve(self.express, scenario.capacity.mass[::-1])
 
     @cached_property
     def H(self) -> np.ndarray:
         """H[h, h'] = P(max(h - u, 0) = h') for headroom h in 0..bound."""
-        rows = np.arange(self.bound + 1)
-        origin = self.u.size - 1 - self.nb  # index of P(-u = 0) in u[::-1]
-        return _shift_matrix(self.u[::-1], origin, rows, self.bound + self.nb)
+        # padded to V's size, which bounds u's, so the index is every fee's
+        u = np.concatenate((self.u, np.zeros(max(self.reach - self.u.size, 0))))
+        origin = u.size - 1 - self.nb  # index of P(-u = 0) in u[::-1]
+        rows = range(self.bound + 1)
+        return _shift_matrix(u[::-1], origin, rows, self.bound + self.nb)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """R[x_s + nb, x_s'] = P(clamp(x_s + r, 0, bound) = x_s') for x_s in
+        -nb..bound, the column index once u has shifted it."""
+        regular = _poisson_mass(self.regular_rate, TAIL_EPS)
+        pad = np.zeros(max(self.reach - self.nb - regular.size, 0))
+        rows = range(-self.nb, self.bound + 1)
+        return _shift_matrix(np.concatenate((regular, pad)), 0, rows, self.bound)
 
     def push(self, J: np.ndarray) -> np.ndarray:
         N = self.bound + 1
@@ -315,17 +351,19 @@ class _AgeStep:
         return out.reshape(N, N)
 
     @cached_property
+    def _overshoot(self) -> tuple[np.ndarray, np.ndarray]:
+        return _overshoot(self.u, self.nb, self.bound)
+
+    @cached_property
     def backorders_raw(self) -> np.ndarray:
         """G[x_c, x_s] = E[(x_c + u)^+] at the deadline age, rejections ignored."""
         N = self.bound + 1
-        per_row = _overshoot(self.u, self.nb, -np.arange(N))
-        return np.broadcast_to(per_row[:, None], (N, N))
+        return np.broadcast_to(self._overshoot[1][:, None], (N, N))
 
     @cached_property
     def overflow(self) -> np.ndarray:
         """E[(u - (bound - x_s))^+] per x_s: the express orders rejected."""
-        headroom = self.bound - np.arange(self.bound + 1)
-        return _overshoot(self.u, self.nb, headroom)
+        return self._overshoot[0]
 
     @cached_property
     def backorders_adjusted(self) -> np.ndarray:
@@ -341,7 +379,7 @@ class _AgeStep:
 class PolicyEvaluator:
     """Steady-state evaluation of many policies at a shared truncation bound.
 
-    Holds one ``_AgeStep`` per fee.  A batch of fee vectors shares the
+    Holds one ``_AgeStep`` per express rate.  A batch of fee vectors shares the
     forward pushes of their opening fee runs and the adjoint pulls of their
     remaining fees (``profits_batch``).
     ``workload`` is the stationary law of the total workload x_s, which is
@@ -365,8 +403,8 @@ class PolicyEvaluator:
             )
         self.scenario = scenario
         self.bound = bound
-        self._steps: dict[float, _AgeStep] = {}
-        self._nb = scenario.capacity.support_max
+        self._steps: dict[float, _AgeStep] = {}  # by express rate
+        self._fee_steps: dict[float, _AgeStep] = {}
         # read-only and shared by every evaluator at (lam, capacity, bound)
         self._shift, self.workload = _workload_law(
             scenario.lam, scenario.capacity, bound
@@ -374,9 +412,14 @@ class PolicyEvaluator:
         self._root = np.diag(self.workload)
 
     def _step(self, fee: float) -> _AgeStep:
-        if fee not in self._steps:
-            self._steps[fee] = _AgeStep(self.scenario, fee, self.bound)
-        return self._steps[fee]
+        """The fee's step, shared by the fees of one express rate (u_max, inf)."""
+        if fee not in self._fee_steps:
+            rate = split_rates(self.scenario.choice, self.scenario.lam, fee)[0]
+            if rate not in self._steps:
+                reach = self._shift.size
+                self._steps[rate] = _AgeStep(self.scenario, rate, self.bound, reach)
+            self._fee_steps[fee] = self._steps[rate]
+        return self._fee_steps[fee]
 
     # -- rejection measures (policy free) ------------------------------------
 
@@ -388,9 +431,8 @@ class PolicyEvaluator:
 
     def expected_rejected_per_cycle(self) -> float:
         """Expected number of rejected orders per operating cycle."""
-        headroom = self.bound - np.arange(self.bound + 1)
-        excess = _overshoot(self._shift, self._nb, headroom)
-        return self.scenario.period_length * float(self.workload @ excess)
+        nb, T = self.scenario.capacity.support_max, self.scenario.period_length
+        return T * float(self.workload @ _overshoot(self._shift, nb, self.bound)[0])
 
     def express_loss(self, fee: float) -> float:
         """Expected express orders rejected in one period posting this fee.

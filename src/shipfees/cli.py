@@ -650,7 +650,7 @@ def _verify_kernel(sc: Scenario) -> tuple[bool, str]:
     )
     # the workload chain's kernel and every stepped fee's headroom and
     # regular-order kernels
-    kernels = [_shift_matrix(ev._shift, ev._nb, np.arange(bound + 1), bound)]
+    kernels = [_shift_matrix(ev._shift, sc.capacity.support_max, range(bound + 1), bound)]
     kernels += [K for step in ev._steps.values() for K in (step.H, step.R)]
     worst_row = max(float(np.max(np.abs(K.sum(axis=1) - 1.0))) for K in kernels)
     thr = sc.rejection_threshold

@@ -140,18 +140,23 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
         raise ParameterError("poisson rate must be nonnegative")
     if not 0.0 < tail_eps <= 1e-6:
         raise ParameterError("tail_eps must lie in (0, 1e-6]")
+    return Pmf(_poisson_mass(rate, tail_eps))
 
-    terms = [np.exp(-rate)]
-    cdf = terms[0]
-    k = 0
+
+def _poisson_mass(rate: float, tail_eps: float) -> np.ndarray:
+    """``poisson_pmf``'s mass, unchecked, for the chain's own rates.  Python
+    floats from float(np.exp(-rate)) give numpy scalars' bits, faster."""
+    term = cdf = float(np.exp(-rate))
+    terms, k = [term], 0
     while cdf < 1.0 - tail_eps:
         k += 1
-        terms.append(terms[-1] * rate / k)
-        cdf += terms[-1]
+        term = term * rate / k
+        terms.append(term)
+        cdf += term
     arr = np.array(terms)
     arr[-1] += max(1.0 - float(arr.sum()), 0.0)
     arr /= arr.sum()
-    return Pmf(arr)
+    return arr
 
 
 def beta_shape_parameters(spec: CapacitySpec) -> tuple[float, float]:

@@ -243,7 +243,7 @@ def loop_push(step, J: np.ndarray) -> np.ndarray:
         if k <= 0:
             continue
         A[nb + uv : nb + uv + k, nb + uv : nb + uv + k] += w * J[:k, :k]
-    for s in range(max(X - step.express.support_max + 1, 0), N):
+    for s in range(max(X - (step.express.size - 1) + 1, 0), N):
         t = u_tails[min(X - s + nb + 1, u.size)]  # P(u > X - s)
         if t == 0.0:
             continue
@@ -299,7 +299,7 @@ def broadcast_express_loss(ev, fee: float) -> float:
     x |B| array, weighted by the express and capacity pmfs and then by the
     workload law.
     """
-    e = ev._step(fee).express.mass
+    e = ev._step(fee).express
     cap = ev.scenario.capacity.mass
     e_vals = np.arange(e.size)[:, None]
     excess = (

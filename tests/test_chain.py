@@ -564,12 +564,76 @@ class TestShiftMatrix:
     )
     @pytest.mark.parametrize("bound", [0, 1, 6])
     def test_matches_direct_loop(self, p, origin, bound):
-        rows = np.arange(-4, bound + 1)
+        rows = range(-4, bound + 1)
         K = _shift_matrix(p, origin, rows, bound)
         np.testing.assert_allclose(
             K, self.loop_kernel(p, origin, rows, bound), rtol=0, atol=1e-15
         )
         assert np.max(np.abs(K.sum(axis=1) - 1.0)) <= 1e-12
+
+    @staticmethod
+    def bincount_kernel(p, origin, rows, bound):
+        """The kernel as one accumulation per entry, in order of p."""
+        rows, width = np.array(rows), bound + 1
+        dest = np.clip(rows[:, None] + (np.arange(p.size) - origin), 0, bound)
+        flat = np.arange(rows.size)[:, None] * width + dest
+        K = np.bincount(flat.ravel(), np.tile(p, rows.size), minlength=rows.size * width)
+        return K.reshape(rows.size, width)
+
+    @settings(max_examples=150, deadline=None)
+    @example(weights=[1], origin_at=0.0, bound=0, below=0)
+    @example(weights=[0, 0, 3, 0, 1, 0, 0], origin_at=0.5, bound=1, below=12)
+    @example(weights=[2, 1, 0, 1], origin_at=1.0, bound=90, below=0)
+    @given(
+        weights=st.lists(st.integers(0, 4), min_size=1, max_size=40).filter(any),
+        origin_at=st.floats(0.0, 1.0),
+        bound=st.integers(0, 90),
+        below=st.integers(0, 45),
+    )
+    def test_gather_matches_loop(self, weights, origin_at, bound, below):
+        """Pmfs with zero masses and supports past the reach, every origin,
+        rows from below -len(p) up to the bound: the loop form to 1e-15,
+        and the per-entry accumulation to the bit."""
+        p = np.array(weights, dtype=float) / sum(weights)
+        origin = round(origin_at * (p.size - 1))
+        rows = range(min(-below, bound), bound + 1)
+        K = _shift_matrix(p, origin, rows, bound)
+        ref = self.loop_kernel(p, origin, rows, bound)
+        np.testing.assert_allclose(K, ref, rtol=0, atol=1e-15)
+        assert np.array_equal(K, self.bincount_kernel(p, origin, rows, bound))
+        assert np.max(np.abs(K.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_index_cache_does_not_grow_with_fees(self, make_scenario):
+        """Eight fees at one (bound, nb) share the cached kernel indices, so
+        at most three are kept whatever the fee count."""
+        scenario = make_scenario(0.90, 8.0)
+        chain._kernel_index.cache_clear()
+        chain._workload_law.cache_clear()
+        ev = sf.PolicyEvaluator(scenario, 35)
+        for fee in (0.2, 0.9, 1.3, 2.0, 2.6, 3.1, 3.7, scenario.choice.u_max):
+            step = ev._step(fee)
+            step.pull(step.push(ev._root))
+        assert len(ev._steps) == 8
+        assert chain._kernel_index.cache_info().currsize <= 3
+
+
+class TestStepsByRate:
+    def test_fees_of_one_rate_share_a_step(self, make_scenario):
+        scenario = make_scenario(0.90, 8.0)
+        ev = sf.PolicyEvaluator(scenario, 20)
+        u_max = scenario.choice.u_max
+        assert ev._step(u_max) is ev._step(math.inf)
+        assert ev._step(u_max + 1.0) is ev._step(math.inf)
+        assert ev._step(0.0) is not ev._step(math.inf)
+        assert ev._step(u_max).rate == 0.0
+        assert len(ev._steps) == 2 and len(ev._fee_steps) == 4
+
+    def test_reports_equal_across_fees_of_one_rate(self, make_scenario):
+        scenario = make_scenario(0.95, 8.0)
+        u_max = scenario.choice.u_max
+        a = sf.evaluate_policy(scenario, sf.FeeStructure(8, (1.0,) * 7 + (u_max,)))
+        b = sf.evaluate_policy(scenario, sf.FeeStructure(8, (1.0,) * 7 + (math.inf,)))
+        assert a == b
 
 
 class TestAgeStepBackorders:
@@ -587,7 +651,7 @@ class TestAgeStepBackorders:
             ev = sf.PolicyEvaluator(micro_scenario, bound)
             for fee in self.fees(micro_scenario.choice):
                 step = ev._step(fee)
-                e = step.express.mass
+                e = step.express
                 raw = np.zeros((bound + 1, bound + 1))
                 adj = np.zeros((bound + 1, bound + 1))
                 for xc in range(bound + 1):

@@ -83,6 +83,21 @@ class TestPoisson:
         n = min(ours.size, ref.size) - 1
         assert np.max(np.abs(ours[:n] - ref[:n])) < 1e-13
 
+    @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.37, 1.25, 3.75, 5.0, 9.99, 40.0])
+    def test_float_recurrence_is_bit_identical(self, rate):
+        """The recurrence on Python floats against it on numpy scalars."""
+        terms = [np.exp(-rate)]
+        cdf = terms[0]
+        k = 0
+        while cdf < 1.0 - 1e-12:
+            k += 1
+            terms.append(terms[-1] * rate / k)
+            cdf += terms[-1]
+        ref = np.array(terms)
+        ref[-1] += max(1.0 - float(ref.sum()), 0.0)
+        ref /= ref.sum()
+        assert np.array_equal(sf.poisson_pmf(rate, 1e-12).mass, ref)
+
     def test_sums_to_one(self):
         for rate in (0.0, 0.3, 2.5, 5.0, 11.0):
             mass = sf.poisson_pmf(rate).mass

@@ -8,9 +8,14 @@ all three commands for rho085_c8 on a six-fee lattice with cutoff range
 read.  A change to the evaluator that moves any printed digit fails here.
 The ``simulate_*.json`` files pin the simulator's JSON report for two
 presets and seeds, so a change to its draws or tallies fails here too.
+``evaluate.json`` holds ``evaluate --format json`` on the six presets and,
+with its config, on an off-lattice fee vector with ``u_max`` and ``inf``
+ages at a searched bound: every float within 1e-12 relative, every other
+value equal.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -59,3 +64,40 @@ def test_simulator_report_is_byte_identical(tmp_path, preset, seed):
     assert main([*argv, "--out", str(out)]) == 0
     name = f"simulate_{preset}_seed{seed}.json"
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+EVALUATE = json.loads((GOLDEN / "evaluate.json").read_text(encoding="utf-8"))
+
+
+def assert_close_leaves(got, want, path="report"):
+    """Float leaves within 1e-12 relative, every other leaf equal."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close_leaves(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_leaves(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("preset", sorted(EVALUATE["presets"]))
+def test_preset_reports_match_golden(tmp_path, preset):
+    out = tmp_path / "out.json"
+    argv = ["evaluate", "--preset", preset, "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert_close_leaves(json.loads(out.read_text()), EVALUATE["presets"][preset])
+
+
+def test_vector_report_matches_golden(tmp_path):
+    config = tmp_path / "vector.json"
+    config.write_text(json.dumps(EVALUATE["vector"]["config"]))
+    out = tmp_path / "out.json"
+    argv = ["evaluate", "--config", str(config), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert_close_leaves(json.loads(out.read_text()), EVALUATE["vector"]["report"])
