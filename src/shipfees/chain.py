@@ -12,12 +12,12 @@ The evaluator rests on two facts of the model:
 * express plus regular arrivals always total Poisson(lam), whatever the fee,
   so the total workload x_s is a policy-free 1-D chain clamped at the bound.
   Its stationary law (one GTH solve) is the x_s marginal at every age, and
-  it alone fixes the truncation bound and every rejection measure.  Both
-  are memoized by value: the law on (lam, capacity, bound), the bound on
-  (lam, capacity, rejection threshold, hard cap), so scenarios that differ
-  only in T, choice or penalty, and every policy, share them.  ``Pmf``
-  compares and hashes by value to key them, and the shared
-  ``PolicyEvaluator.workload`` vector is read-only;
+  it alone fixes the truncation bound and both rejection measures.  The law
+  holds the measures, and both are memoized by value: the law on (lam,
+  capacity, bound), the bound on (lam, capacity, rejection threshold, hard
+  cap), so scenarios that differ only in T, choice or penalty, and every
+  policy, share them.  ``Pmf`` compares and hashes by value to key them,
+  and the shared ``PolicyEvaluator.workload`` vector is read-only;
 * at age 0 the joint state is diagonal (the deadline reset makes x_c = x_s)
   with that law on the diagonal, and what one period does depends on the
   posted fee only through its express rate.  ``_AgeStep`` owns it, one per
@@ -167,13 +167,6 @@ def _gth_stationary(P: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _suffix_tails(arr: np.ndarray) -> np.ndarray:
-    """tails[i] = sum over arr[i:], with one extra trailing zero."""
-    out = np.zeros(arr.size + 1)
-    out[:-1] = np.cumsum(arr[::-1])[::-1]
-    return out
-
-
 def _overshoot(p: np.ndarray, origin: int, bound: int) -> tuple[np.ndarray, ...]:
     """E[(V - bound + x)^+] and E[(V + x)^+], x = 0..bound, p[origin] = P(V = 0):
     two products with one matrix of (V - k)^+, k = bound..-bound, each of
@@ -221,19 +214,22 @@ def _kernel_index(n: int, origin: int, rows: range, bound: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Policy-free workload law.  Pure in (lam, capacity, bound), so memoized by
-# value: the bound probes, the evaluator at the found bound and every
-# evaluator of an experiment at one bound share one GTH solve.
+# value with both rejection measures: the bound probes, the evaluator at the
+# found bound and every evaluator of an experiment at one bound share one
+# GTH solve and one overshoot product.
 
 
 @lru_cache(maxsize=256)
 def _workload_law(
     lam: float, capacity: Pmf, bound: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, workload), both read-only.
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(shift, workload, rejection, rejected), the arrays read-only.
 
     shift is the pmf of the one-period change V = demand - capacity, with
     shift[capacity.support_max] = P(V = 0); workload is the stationary law
-    of x' = clamp(x + V, 0, bound).
+    of x' = clamp(x + V, 0, bound).  rejection is the stationary
+    per-period probability that the bound rejects an order, P(x + V >
+    bound), and rejected the expected orders it rejects, E[(x + V - bound)^+].
     """
     nb = capacity.support_max
     shift = np.convolve(_poisson_mass(lam, TAIL_EPS), capacity.mass[::-1])
@@ -243,16 +239,11 @@ def _workload_law(
     workload = _gth_stationary(_gather(shift, *index))
     for arr in (shift, workload):
         arr.flags.writeable = False
-    return shift, workload
-
-
-def _rejection_probability(lam: float, capacity: Pmf, bound: int) -> float:
-    """Stationary per-period probability that the bound rejects an order."""
-    shift, workload = _workload_law(lam, capacity, bound)
-    tails = _suffix_tails(shift)
+    tails = np.append(np.cumsum(shift[::-1])[::-1], 0.0)  # [i]: P(V >= i - nb)
     headroom = bound - np.arange(bound + 1)
-    idx = np.minimum(headroom + capacity.support_max + 1, shift.size)
-    return float(workload @ tails[idx])
+    rejection = workload @ tails[np.minimum(headroom + nb + 1, shift.size)]
+    rejected = workload @ _overshoot(shift, nb, bound)[0]
+    return shift, workload, float(rejection), float(rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +376,8 @@ class PolicyEvaluator:
     ``workload`` is the stationary law of the total workload x_s, which is
     the same at every age and for every policy: express plus regular
     arrivals always total Poisson(lam) regardless of the fee.  It is the
-    age-0 state, diag(workload), and the only input of the rejection
-    measures.  A ``bound`` of None is ``find_bound(scenario)``.
+    age-0 state, diag(workload); the rejection measures are read off the
+    memoized law with it.  A ``bound`` of None is ``find_bound(scenario)``.
     """
 
     def __init__(self, scenario: Scenario, bound: int | None):
@@ -406,7 +397,7 @@ class PolicyEvaluator:
         self._steps: dict[float, _AgeStep] = {}  # by express rate
         self._fee_steps: dict[float, _AgeStep] = {}
         # read-only and shared by every evaluator at (lam, capacity, bound)
-        self._shift, self.workload = _workload_law(
+        self._shift, self.workload, self._rejection, self._rejected = _workload_law(
             scenario.lam, scenario.capacity, bound
         )
         self._root = np.diag(self.workload)
@@ -425,14 +416,11 @@ class PolicyEvaluator:
 
     def rejection_probability(self) -> float:
         """Stationary per-period probability that the bound rejects an order."""
-        return _rejection_probability(
-            self.scenario.lam, self.scenario.capacity, self.bound
-        )
+        return self._rejection
 
     def expected_rejected_per_cycle(self) -> float:
         """Expected number of rejected orders per operating cycle."""
-        nb, T = self.scenario.capacity.support_max, self.scenario.period_length
-        return T * float(self.workload @ _overshoot(self._shift, nb, self.bound)[0])
+        return self.scenario.period_length * self._rejected
 
     def express_loss(self, fee: float) -> float:
         """Expected express orders rejected in one period posting this fee.
@@ -560,11 +548,8 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
 
 @lru_cache(maxsize=64)
 def _search_bound(lam: float, capacity: Pmf, threshold: float, hard_cap: int) -> int:
-    def rej(b: int) -> float:
-        return _rejection_probability(lam, capacity, b)
-
     lo, hi = 0, 1
-    while (r := rej(hi)) > threshold:
+    while (r := _workload_law(lam, capacity, hi)[2]) > threshold:
         if hi >= hard_cap:
             raise CapacityInfeasibleError(
                 f"rejection probability {r:.4g} still above "
@@ -573,7 +558,7 @@ def _search_bound(lam: float, capacity: Pmf, threshold: float, hard_cap: int) ->
         lo, hi = hi, min(hi * 2, hard_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rej(mid) <= threshold:
+        if _workload_law(lam, capacity, mid)[2] <= threshold:
             hi = mid
         else:
             lo = mid

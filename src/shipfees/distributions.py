@@ -19,6 +19,7 @@ exp(lgamma ...) difference, which cancels badly when a + b is large.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .errors import NumericsError, ParameterError
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
+
+# Largest Poisson rate the pmf recurrence takes: above it exp(-rate) is
+# subnormal, which truncates the pmf wrongly, or 0, which never reaches 1.
+POISSON_RATE_MAX = -math.log(sys.float_info.min)
 
 # Continued-fraction terms allowed per I_x(a, b).  The count grows like
 # sqrt(a + b) near the mean: about 10,000 at shapes 2.6e10.
@@ -134,7 +139,8 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
 
     The support is the smallest prefix {0, ..., n} whose total mass reaches
     1 - tail_eps; the leftover tail probability is added to mass[n] so the
-    result sums to one exactly.  rate = 0 gives the point mass at 0.
+    result sums to one exactly.  rate = 0 gives the point mass at 0; a rate
+    over ``POISSON_RATE_MAX`` is a ParameterError.
     """
     if rate < 0.0:
         raise ParameterError("poisson rate must be nonnegative")
@@ -144,9 +150,14 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
 
 
 def _poisson_mass(rate: float, tail_eps: float) -> np.ndarray:
-    """``poisson_pmf``'s mass, unchecked, for the chain's own rates.  Python
+    """``poisson_pmf``'s mass, checked only against the rate limit.  Python
     floats from float(np.exp(-rate)) give numpy scalars' bits, faster."""
     term = cdf = float(np.exp(-rate))
+    if term < sys.float_info.min:
+        raise ParameterError(
+            f"poisson rate {rate:g} is over the limit {POISSON_RATE_MAX:.6g}, "
+            "past which exp(-rate) underflows the normal floats"
+        )
     terms, k = [term], 0
     while cdf < 1.0 - tail_eps:
         k += 1

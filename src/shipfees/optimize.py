@@ -46,7 +46,10 @@ class SearchGrid:
     def __post_init__(self) -> None:
         fees = tuple(float(f) for f in self.fee_values)
         object.__setattr__(self, "fee_values", fees)
-        object.__setattr__(self, "cutoff_range", tuple(self.cutoff_range))
+        cut = self.cutoff_range
+        if not isinstance(cut, (tuple, list)) or [type(c) for c in cut] != [int, int]:
+            raise ParameterError(f"cutoff_range must be two integers, got {cut!r}")
+        object.__setattr__(self, "cutoff_range", tuple(cut))
         if not fees:
             raise ParameterError("fee_values must not be empty")
         if any(b <= a for a, b in zip(fees, fees[1:])):

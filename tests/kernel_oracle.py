@@ -22,11 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from shipfees.chain import TAIL_EPS, Scenario, _suffix_tails
+from shipfees.chain import TAIL_EPS, Scenario
 from shipfees.choice import split_rates
 from shipfees.distributions import Pmf, poisson_pmf
 from shipfees.errors import NumericsError, ParameterError
 from shipfees.policies import FeeStructure
+
+
+def _suffix_tails(arr: np.ndarray) -> np.ndarray:
+    """tails[i] = sum over arr[i:], with one extra trailing zero."""
+    out = np.zeros(arr.size + 1)
+    out[:-1] = np.cumsum(arr[::-1])[::-1]
+    return out
 
 
 @dataclass(frozen=True)

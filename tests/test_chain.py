@@ -323,6 +323,29 @@ class TestWorkloadMemo:
             assert solves
             assert warm == cold
 
+    def test_warm_law_holds_the_rejection_measures(
+        self, make_scenario, solves, monkeypatch
+    ):
+        """A second policy on a warm law makes no overshoot product on its shift;
+        the steps' own products, on their express pmfs, still run."""
+        scenario = make_scenario(0.9, 8.0)
+        bound = sf.evaluate_policy(scenario, sf.build_policy("CSP", 2.0, 8, 4.0)).bound
+        shift = chain._workload_law(scenario.lam, scenario.capacity, bound)[0]
+        on_shift = []
+        overshoot = chain._overshoot
+
+        def counting(p, origin, b):
+            on_shift.append(p is shift)
+            return overshoot(p, origin, b)
+
+        monkeypatch.setattr(chain, "_overshoot", counting)
+        tsp = sf.build_policy("TSP", (1.0, 3.0, 2, 6), 8, 4.0)
+        report = sf.evaluate_policy(scenario, tsp)
+        ev = sf.PolicyEvaluator(scenario, bound)
+        assert report.rejection_probability == ev.rejection_probability()
+        assert report.expected_rejected_per_cycle == ev.expected_rejected_per_cycle()
+        assert on_shift and not any(on_shift)
+
     def test_workload_is_read_only_and_shared(self, micro_scenario):
         ev = sf.PolicyEvaluator(micro_scenario, 8)
         with pytest.raises(ValueError):

@@ -469,6 +469,27 @@ class TestBoundedInput:
         )
         assert proc.stdout == ""
 
+    def test_poisson_rate_over_the_limit_is_one_error_line(self, tmp_path):
+        # exp(-800) underflows to 0, on which the Poisson recurrence never ended
+        cfg = load_preset("rho085_c8")
+        del cfg["scenario"]["truncation_bound"]
+        cfg["scenario"].update(
+            {"lambda": 800.0, "utilization": 0.9, "scv": 0.1, "capacity_support_max": 2000}
+        )
+        path = tmp_path / "lambda800.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shipfees", "evaluate", "--config", str(path)],
+            capture_output=True, text=True, check=False, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(shipfees.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: poisson rate 800 is over the limit 708.396, past which "
+            "exp(-rate) underflows the normal floats\n"
+        )
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         "command, T, grid, message",
         [

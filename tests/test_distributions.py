@@ -1,6 +1,7 @@
 """Truncated Poisson and discretized Beta capacity pmfs."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import special
 
 import shipfees as sf
 from shipfees.cli import PRESETS, Experiment, load_preset
-from shipfees.distributions import CapacitySpec, _betainc
+from shipfees.distributions import POISSON_RATE_MAX, CapacitySpec, _betainc
 
 from bruteforce import poisson_masses
 
@@ -83,7 +84,9 @@ class TestPoisson:
         n = min(ours.size, ref.size) - 1
         assert np.max(np.abs(ours[:n] - ref[:n])) < 1e-13
 
-    @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.37, 1.25, 3.75, 5.0, 9.99, 40.0])
+    @pytest.mark.parametrize(
+        "rate", [0.0, 1e-300, 0.37, 1.25, 3.75, 5.0, 9.99, 40.0, 700.0]
+    )
     def test_float_recurrence_is_bit_identical(self, rate):
         """The recurrence on Python floats against it on numpy scalars."""
         terms = [np.exp(-rate)]
@@ -103,6 +106,22 @@ class TestPoisson:
             mass = sf.poisson_pmf(rate).mass
             assert mass.sum() == pytest.approx(1.0, abs=1e-12)
             assert (mass >= 0).all()
+
+
+class TestPoissonRateLimit:
+    """Past -log of the least normal float, exp(-rate) is subnormal, which
+    truncates the pmf wrongly, or 0, on which the recurrence never ends."""
+
+    def test_limit_is_the_last_rate_with_a_normal_exp(self):
+        assert np.exp(-POISSON_RATE_MAX) >= sys.float_info.min
+        assert np.exp(-math.nextafter(POISSON_RATE_MAX, math.inf)) < sys.float_info.min
+        pmf = sf.poisson_pmf(POISSON_RATE_MAX)
+        assert pmf.mean() == pytest.approx(POISSON_RATE_MAX, abs=1e-9)
+
+    @pytest.mark.parametrize("rate", [708.5, 730.0, 760.0, 1e6, math.inf])
+    def test_rate_over_the_limit_is_refused(self, rate):
+        with pytest.raises(sf.ParameterError, match="over the limit 708.396"):
+            sf.poisson_pmf(rate)
 
 
 class TestDiscretizedBeta:

@@ -279,6 +279,15 @@ class TestSearchGrid:
             sf.SearchGrid((1.0, 2.0), (2, 1))
 
 
+    @pytest.mark.parametrize(
+        "cutoffs",
+        [(1.0, 2.0), (1.5, 3), (1, 2, 3), (1,), (True, 2), ("1", 2), 5, None, "12"],
+    )
+    def test_cutoff_range_is_two_integers(self, cutoffs):
+        with pytest.raises(sf.ParameterError, match="cutoff_range must be two int"):
+            sf.SearchGrid((1.0, 2.0), cutoffs)
+
+
 class TestExhaustiveSearch:
     def test_matches_manual_enumeration(self, micro_scenario):
         grid = sf.SearchGrid((0.5, 1.25, 2.0, 2.75, 3.5), (1, 1))
