@@ -30,7 +30,7 @@ from .errors import NumericsError, ParameterError
 MASS_TOL = 1e-12
 
 # Largest Poisson rate the pmf recurrence takes: above it exp(-rate) is
-# subnormal, which truncates the pmf wrongly, or 0, which never reaches 1.
+# subnormal, which truncates the pmf wrongly, or 0, on which it never ends.
 POISSON_RATE_MAX = -math.log(sys.float_info.min)
 
 # Continued-fraction terms allowed per I_x(a, b).  The count grows like
