@@ -20,7 +20,6 @@ from .errors import (
 )
 from .measures import PerformanceReport, evaluate_policy
 from .optimize import (
-    DominanceRecord,
     Optimum,
     SearchGrid,
     dominance_experiment,
@@ -32,21 +31,17 @@ from .optimize import (
 )
 from .simulate import SimConfig, SimulationReport, simulate
 from .policies import (
-    CumulativeDemandProfile,
     FeeStructure,
     build_policy,
     canonicalize,
     cutoff_form,
     demand_profile,
-    profile_to_fees,
 )
 
 __all__ = [
     "CapacityInfeasibleError",
     "CapacitySpec",
     "ChoiceModel",
-    "CumulativeDemandProfile",
-    "DominanceRecord",
     "FeeStructure",
     "NumericsError",
     "Optimum",
@@ -72,7 +67,6 @@ __all__ = [
     "optimize_families",
     "optimize_family",
     "poisson_pmf",
-    "profile_to_fees",
     "revenue_max_fee",
     "simulate",
     "split_rates",

@@ -62,6 +62,9 @@ BOUND_CAP = 2000
 # joints and pull stack) may hold; T = 100000 at bound 30 holds 769 MB.
 JOINT_BYTES_MAX = 2**30
 
+# Default stationary per-period rejection probability the bound must reach.
+REJECTION_THRESHOLD = 0.023
+
 # Poisson supports are truncated at this residual tail mass (folded onto the
 # last support point), keeping every transition exactly mass-conserving.
 TAIL_EPS = 1e-12
@@ -76,7 +79,7 @@ class Scenario:
     capacity: Pmf
     choice: ChoiceModel
     penalty: float
-    rejection_threshold: float = 0.023
+    rejection_threshold: float = REJECTION_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.period_length < 2:
@@ -109,7 +112,7 @@ class Scenario:
         capacity_support_max: int,
         choice: ChoiceModel,
         penalty: float,
-        rejection_threshold: float = 0.023,
+        rejection_threshold: float = REJECTION_THRESHOLD,
     ) -> "Scenario":
         """Build a scenario with discretized-Beta capacity hitting a target load."""
         if not 0.0 < utilization < 1.0:
@@ -167,13 +170,12 @@ def _gth_stationary(P: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _overshoot(p: np.ndarray, origin: int, bound: int) -> tuple[np.ndarray, ...]:
-    """E[(V - bound + x)^+] and E[(V + x)^+], x = 0..bound, p[origin] = P(V = 0):
-    two products with one matrix of (V - k)^+, k = bound..-bound, each of
-    the shape that fixes BLAS's order of summation (one would regroup it)."""
-    k = np.arange(bound, -bound - 1, -1)
+def _overshoot(p: np.ndarray, origin: int, k: np.ndarray) -> np.ndarray:
+    """E[(V - k)^+] for each entry of k, p[origin] = P(V = 0): one product
+    with the matrix of (V - k)^+, whose shape fixes BLAS's order of summation
+    (stacking the callers' bound + 1 rows would regroup it)."""
     excess = np.maximum(np.arange(p.size) - origin - k[:, None], 0.0)
-    return excess[: bound + 1] @ p, excess[bound:] @ p
+    return excess @ p
 
 
 def _shift_matrix(p: np.ndarray, origin: int, rows: range, bound: int) -> np.ndarray:
@@ -242,7 +244,7 @@ def _workload_law(
     tails = np.append(np.cumsum(shift[::-1])[::-1], 0.0)  # [i]: P(V >= i - nb)
     headroom = bound - np.arange(bound + 1)
     rejection = workload @ tails[np.minimum(headroom + nb + 1, shift.size)]
-    rejected = workload @ _overshoot(shift, nb, bound)[0]
+    rejected = workload @ _overshoot(shift, nb, np.arange(bound, -1, -1))
     return shift, workload, float(rejection), float(rejected)
 
 
@@ -342,19 +344,16 @@ class _AgeStep:
         return out.reshape(N, N)
 
     @cached_property
-    def _overshoot(self) -> tuple[np.ndarray, np.ndarray]:
-        return _overshoot(self.u, self.nb, self.bound)
-
-    @cached_property
     def backorders_raw(self) -> np.ndarray:
         """G[x_c, x_s] = E[(x_c + u)^+] at the deadline age, rejections ignored."""
         N = self.bound + 1
-        return np.broadcast_to(self._overshoot[1][:, None], (N, N))
+        raw = _overshoot(self.u, self.nb, -np.arange(N))
+        return np.broadcast_to(raw[:, None], (N, N))
 
     @cached_property
     def overflow(self) -> np.ndarray:
         """E[(u - (bound - x_s))^+] per x_s: the express orders rejected."""
-        return self._overshoot[0]
+        return _overshoot(self.u, self.nb, np.arange(self.bound, -1, -1))
 
     @cached_property
     def backorders_adjusted(self) -> np.ndarray:

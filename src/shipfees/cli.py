@@ -64,12 +64,10 @@ from .optimize import (
 )
 from .policies import (
     FAMILIES,
-    CumulativeDemandProfile,
     FeeStructure,
     build_policy,
     canonicalize,
     cutoff_form,
-    profile_to_fees,
 )
 from .simulate import SimConfig, simulate
 
@@ -596,13 +594,11 @@ def _verify_dominance(rng: np.random.Generator) -> tuple[bool, str]:
         sc = Scenario.from_utilization(
             T, lam, float(rng.uniform(0.8, 0.95)), 0.5, 10, _CHOICE, 8.0
         )
+        # the fee of take rate w; ascending fees front-load express demand
         w = rng.uniform(0.0, 1.0, size=T)
-        dominating = np.sort(w)[::-1]
-        perm = rng.permutation(w)
-        prof = CumulativeDemandProfile(lam, tuple(np.cumsum(dominating * lam)))
-        prof_p = CumulativeDemandProfile(lam, tuple(np.cumsum(perm * lam)))
-        f = profile_to_fees(prof, _CHOICE)
-        f_p = profile_to_fees(prof_p, _CHOICE)
+        fees = _CHOICE.u_min + (1.0 - w) * (_CHOICE.u_max - _CHOICE.u_min)
+        f = FeeStructure(T, tuple(np.sort(fees)))
+        f_p = FeeStructure(T, tuple(rng.permutation(fees)))
         try:
             dominance_experiment(sc, f, f_p)
         except NumericsError:

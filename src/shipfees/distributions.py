@@ -19,6 +19,7 @@ exp(lgamma ...) difference, which cancels badly when a + b is large.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -140,10 +141,11 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
     The support is the smallest prefix {0, ..., n} whose total mass reaches
     1 - tail_eps; the leftover tail probability is added to mass[n] so the
     result sums to one exactly.  rate = 0 gives the point mass at 0; a rate
-    over ``POISSON_RATE_MAX`` is a ParameterError.
+    that is not a number >= 0, NaN included, or is over ``POISSON_RATE_MAX``
+    is a ParameterError.
     """
-    if rate < 0.0:
-        raise ParameterError("poisson rate must be nonnegative")
+    if not (isinstance(rate, numbers.Real) and rate >= 0.0):
+        raise ParameterError(f"poisson rate must be a number >= 0, got {rate!r}")
     if not 0.0 < tail_eps <= 1e-6:
         raise ParameterError("tail_eps must lie in (0, 1e-6]")
     return Pmf(_poisson_mass(rate, tail_eps))

@@ -256,38 +256,30 @@ def exhaustive_fee_vector_search(
     )
 
 
-@dataclass(frozen=True)
-class DominanceRecord:
-    """Backorder comparison of a dominating profile pair."""
-
-    backorders: float
-    backorders_prime: float
-
-
 def dominance_experiment(
     scenario: Scenario,
     policy: FeeStructure,
     policy_prime: FeeStructure,
     bound: int | None = None,
-) -> DominanceRecord:
+) -> tuple[float, float]:
     """Check that cumulative-demand dominance implies fewer backorders.
 
-    Requires the cumulative express demand profile of policy to dominate
-    that of policy_prime componentwise with equal final values (raises a
-    parameter error otherwise, since that is a hypothesis violation rather
-    than a finding).  Raises a numerics error if the backorder inequality
-    itself fails beyond PROFIT_TIE_TOL.
+    Returns (E[M], E[M']) of policy and policy_prime.  Requires the
+    cumulative express demand of policy to dominate that of policy_prime
+    componentwise with equal final values (raises a parameter error
+    otherwise, since that is a hypothesis violation rather than a finding).
+    Raises a numerics error if the backorder inequality itself fails beyond
+    PROFIT_TIE_TOL.
     """
     prof = demand_profile(policy, scenario.choice, scenario.lam)
     prof_prime = demand_profile(policy_prime, scenario.choice, scenario.lam)
     slack = 1e-9
-    pairs = list(zip(prof.values, prof_prime.values))
-    if any(a < b - slack for a, b in pairs):
+    if any(a < b - slack for a, b in zip(prof, prof_prime)):
         raise ParameterError(
             "cumulative demand profile of policy must dominate "
             "policy_prime componentwise"
         )
-    if abs(pairs[-1][0] - pairs[-1][1]) > slack:
+    if abs(prof[-1] - prof_prime[-1]) > slack:
         raise ParameterError(
             "profiles must accumulate equal total express demand"
         )
@@ -299,4 +291,4 @@ def dominance_experiment(
             "dominating profile produced more backorders "
             f"({backorders} > {backorders_prime})"
         )
-    return DominanceRecord(backorders, backorders_prime)
+    return backorders, backorders_prime

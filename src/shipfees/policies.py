@@ -9,6 +9,7 @@ profit-invariant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,36 +49,6 @@ class FeeStructure:
             if math.isnan(f) or f < 0.0:
                 raise ParameterError("fees must be nonnegative (or math.inf)")
         object.__setattr__(self, "fees", fees)
-
-
-@dataclass(frozen=True)
-class CumulativeDemandProfile:
-    """Cumulative expected express demand through each age, inclusive.
-
-    values[k] is the expected express arrival rate accumulated over ages
-    0..k, so the vector has one entry per age and values[0] is age 0's own
-    contribution.  Every per-age increment (values[0] included) lies in
-    [0, lam] because each age contributes lam times a take rate.
-    """
-
-    lam: float
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise ParameterError("arrival rate must be nonnegative")
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ParameterError("profile needs at least one age")
-        slack = 1e-9 * max(1.0, self.lam)
-        for a, b in zip((0.0,) + vals, vals):
-            if b - a < -slack or b - a > self.lam + slack:
-                raise ParameterError("profile increments must lie in [0, lam]")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def period_length(self) -> int:
-        return len(self.values)
 
 
 def canonicalize(
@@ -165,39 +136,8 @@ def build_policy(
 
 def demand_profile(
     policy: FeeStructure, choice: ChoiceModel, lam: float
-) -> CumulativeDemandProfile:
-    """Cumulative express demand rates induced by a policy."""
-    values = []
-    running = 0.0
-    for fee in policy.fees:
-        express, _ = split_rates(choice, lam, fee)
-        running += express
-        values.append(running)
-    return CumulativeDemandProfile(lam, tuple(values))
-
-
-def profile_to_fees(
-    profile: CumulativeDemandProfile, choice: ChoiceModel
-) -> FeeStructure:
-    """Invert a demand profile back to a canonical fee vector.
-
-    Each increment demands take rate w = increment / lam; the linear part of
-    the take-rate curve is inverted exactly, with w = 1 pinned to u_min and
-    w = 0 pinned to the sentinel u_max.  Requires u_min < u_max and lam > 0.
-    """
-    if profile.lam <= 0.0:
-        raise ParameterError("profile inversion requires lam > 0")
-    span = choice.u_max - choice.u_min
-    if span <= 0.0:
-        raise ParameterError("profile inversion requires u_min < u_max")
-    fees = []
-    for a, b in zip((0.0,) + profile.values, profile.values):
-        w = min(max((b - a) / profile.lam, 0.0), 1.0)
-        if w >= 1.0:
-            fees.append(choice.u_min)
-        elif w <= 0.0:
-            fees.append(choice.u_max)
-        else:
-            fees.append(choice.u_min + (1.0 - w) * span)
-    return FeeStructure(profile.period_length, tuple(fees))
-
+) -> tuple[float, ...]:
+    """Cumulative express rates Lambda_0..Lambda_{T-1} a policy induces:
+    entry k is the running sum of the express rates of ages 0..k."""
+    rates = (split_rates(choice, lam, fee)[0] for fee in policy.fees)
+    return tuple(itertools.accumulate(rates))

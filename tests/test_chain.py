@@ -699,6 +699,31 @@ class TestAgeStepBackorders:
                 if fee >= choice.u_max:
                     assert np.array_equal(step.backorders_adjusted, step.backorders_raw)
 
+    def test_overshoot_halves_match_the_full_matrix(self, choice):
+        """The law's rejected and the step's overflow and raw backorders equal,
+        bit for bit, the products of the two (bound + 1)-row halves of the
+        full (2 bound + 1)-row (V - k)^+ matrix, k = bound..-bound."""
+
+        def halves(p, origin, bound):
+            k = np.arange(bound, -bound - 1, -1)
+            excess = np.maximum(np.arange(p.size) - origin - k[:, None], 0.0)
+            return excess[: bound + 1] @ p, excess[bound:] @ p
+
+        for rho in (0.85, 0.90, 0.95):
+            for scv in (0.25, 0.5, 1.0):
+                sc = sf.Scenario.from_utilization(8, 5.0, rho, scv, 20, choice, 8.0)
+                nb = sc.capacity.support_max
+                for bound in (0, 1, 3, 8, 20, 51):
+                    law = chain._workload_law.__wrapped__(sc.lam, sc.capacity, bound)
+                    shift, workload, _, rejected = law
+                    assert rejected == float(workload @ halves(shift, nb, bound)[0])
+                    ev = sf.PolicyEvaluator(sc, bound)
+                    for fee in (0.0, 1.3, 2.5):
+                        step = ev._step(fee)
+                        overflow, raw = halves(step.u, nb, bound)
+                        assert np.array_equal(step.overflow, overflow)
+                        assert np.array_equal(step.backorders_raw[:, 0], raw)
+
     def test_report_backorders_below_raw_exactly(self, choice):
         """No tolerance: E[M] <= raw E[M] on the what-if grid of rho x scv."""
         rng = np.random.default_rng(41)

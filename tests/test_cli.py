@@ -876,13 +876,15 @@ class TestModuleEntry:
 
 
 class TestVerify:
-    def test_property_suites_pass(self, capsys):
-        code, out, err = run_cli(capsys, "verify")
+    @pytest.mark.parametrize("seed", ["0", "1", "7"])
+    def test_property_suites_pass(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify", "--seed", seed)
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
         assert lines[-1] == "6/6 property suites passed"
         for ln in lines[:-1]:
             assert ln.startswith("PASS ")
+        assert lines[1].startswith("PASS demand-dominance: 100/100 dominated pairs")
 
 
 class TestTables:

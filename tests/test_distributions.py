@@ -74,8 +74,10 @@ class TestPoisson:
         assert sf.poisson_pmf(2.5).mean() == pytest.approx(2.5, abs=1e-9)
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(sf.ParameterError):
-            sf.poisson_pmf(-0.1)
+        for rate in (-0.1, float("nan"), "2.0"):
+            with pytest.raises(sf.ParameterError) as info:
+                sf.poisson_pmf(rate)
+            assert str(info.value) == f"poisson rate must be a number >= 0, got {rate!r}"
 
     def test_matches_independent_pmf(self):
         ours = sf.poisson_pmf(3.7).mass

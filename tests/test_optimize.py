@@ -341,14 +341,22 @@ class TestExhaustiveSearch:
 class TestDominance:
     def test_reflexive_equality(self, micro_scenario):
         pol = sf.FeeStructure(2, (1.5, 2.5))
-        record = sf.dominance_experiment(micro_scenario, pol, pol, bound=8)
-        assert record.backorders == record.backorders_prime
+        em, em_prime = sf.dominance_experiment(micro_scenario, pol, pol, bound=8)
+        assert em == em_prime
 
     def test_front_loading_beats_back_loading(self, micro_scenario):
         front = sf.FeeStructure(2, (0.8, 3.2))
         back = sf.FeeStructure(2, (3.2, 0.8))
-        record = sf.dominance_experiment(micro_scenario, front, back, bound=8)
-        assert record.backorders <= record.backorders_prime + 1e-9
+        em, em_prime = sf.dominance_experiment(micro_scenario, front, back, bound=8)
+        assert em <= em_prime + 1e-9
+
+    def test_returns_the_batch_backorders(self, make_scenario):
+        sc = make_scenario(0.9, 8.0)
+        f = sf.FeeStructure(8, (0.5, 1.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0))
+        f_p = sf.FeeStructure(8, (1.0, 3.5, 0.5, 4.0, 2.0, 3.0, 1.0, 2.5))
+        result = sf.dominance_experiment(sc, f, f_p, bound=30)
+        em = sf.PolicyEvaluator(sc, 30).profits_batch([f.fees, f_p.fees])[1]
+        assert type(result) is tuple and result == tuple(em)
 
     def test_violated_dominance_is_a_precondition_error(self, micro_scenario):
         front = sf.FeeStructure(2, (0.8, 3.2))

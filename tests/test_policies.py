@@ -133,28 +133,26 @@ class TestDemandProfile:
     def test_no_express_means_zero_profile(self, choice):
         pol = sf.build_policy("CSP", 4.0, 8, 4.0)
         prof = sf.demand_profile(pol, choice, 5.0)
-        assert prof.values == (0.0,) * 8
+        assert prof == (0.0,) * 8
 
     def test_constant_fee_is_linear(self, choice):
         prof = sf.demand_profile(sf.build_policy("CSP", 2.0, 8, 4.0), choice, 5.0)
-        for tau, val in enumerate(prof.values):
+        for tau, val in enumerate(prof):
             assert val == pytest.approx(2.5 * (tau + 1), abs=1e-12)
 
     def test_tsp_final_value(self, choice):
         pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
         prof = sf.demand_profile(pol, choice, 5.0)
-        assert prof.values[7] == pytest.approx(7 * 5 * 0.4 + 5 * 0.25, abs=1e-12)
+        assert prof[7] == pytest.approx(7 * 5 * 0.4 + 5 * 0.25, abs=1e-12)
 
-    def test_increments_validated(self):
-        with pytest.raises(sf.ParameterError):
-            sf.CumulativeDemandProfile(5.0, (2.0, 1.0))
-        with pytest.raises(sf.ParameterError):
-            sf.CumulativeDemandProfile(5.0, (2.0, 8.0))
-
-    def test_profile_to_fees_round_trip(self, choice):
-        pol = sf.build_policy("TSP", (2.4, 3.0, 5, 6), 8, 4.0)
-        back = sf.profile_to_fees(sf.demand_profile(pol, choice, 5.0), choice)
-        assert back.fees == pytest.approx(pol.fees, abs=1e-12)
+    def test_running_sum_of_express_rates(self, choice):
+        pol = sf.FeeStructure(6, (0.0, 1.3, 2.7, 0.4, 4.0, math.inf))
+        running, expected = 0.0, []
+        for fee in pol.fees:
+            running += sf.split_rates(choice, 5.0, fee)[0]
+            expected.append(running)
+        prof = sf.demand_profile(pol, choice, 5.0)
+        assert type(prof) is tuple and prof == tuple(expected)
 
 
 class TestMonotonicity:
