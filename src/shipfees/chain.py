@@ -45,18 +45,15 @@ padded to the size of V = demand - capacity, so every fee's step at one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .choice import ChoiceModel, split_rates
-from .distributions import CapacitySpec, Pmf, _poisson_mass, discretized_beta
+from .distributions import BOUND_CAP, CapacitySpec, Pmf, _poisson_mass, discretized_beta
 from .errors import CapacityInfeasibleError, NumericsError, ParameterError
-
-# Largest truncation bound, searched or pinned (a joint there holds 32 MB).
-BOUND_CAP = 2000
+from .errors import check_integer, check_real
 
 # Most joints of (bound + 1)^2 floats one policy (T) or one batch (its run
 # joints and pull stack) may hold; T = 100000 at bound 30 holds 769 MB.
@@ -82,18 +79,22 @@ class Scenario:
     rejection_threshold: float = REJECTION_THRESHOLD
 
     def __post_init__(self) -> None:
+        check_integer("period_length", self.period_length)
+        for name in ("lam", "penalty", "rejection_threshold"):
+            check_real(name, getattr(self, name))
         if self.period_length < 2:
             raise ParameterError("period_length must be at least 2")
-        for name in ("lam", "penalty", "rejection_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
         if self.lam < 0.0:
             raise ParameterError("arrival rate must be nonnegative")
         if self.penalty < 0.0:
             raise ParameterError("backorder penalty must be nonnegative")
         if not 0.0 < self.rejection_threshold <= 1.0:
             raise ParameterError("rejection_threshold must lie in (0, 1]")
-        _check_support(self.capacity.support_max)
+        if self.capacity.support_max > BOUND_CAP:
+            raise ParameterError(
+                f"capacity support must be at most {BOUND_CAP} (the cap of "
+                f"find_bound), got {self.capacity.support_max}"
+            )
         mean_cap = self.capacity.mean()
         if mean_cap <= 0.0:
             raise ParameterError("capacity must have positive mean")
@@ -115,10 +116,11 @@ class Scenario:
         rejection_threshold: float = REJECTION_THRESHOLD,
     ) -> "Scenario":
         """Build a scenario with discretized-Beta capacity hitting a target load."""
+        check_real("lam", lam)
+        check_real("utilization", utilization)
         if not 0.0 < utilization < 1.0:
             raise ParameterError("utilization must lie in (0, 1)")
         spec = CapacitySpec(capacity_support_max, lam / utilization, capacity_scv)
-        _check_support(spec.support_max)
         capacity = discretized_beta(spec)
         if not lam < capacity.mean():
             raise ParameterError(
@@ -134,14 +136,6 @@ class Scenario:
             choice,
             penalty,
             rejection_threshold,
-        )
-
-
-def _check_support(support_max: int) -> None:
-    if support_max > BOUND_CAP:
-        raise ParameterError(
-            f"capacity support must be at most {BOUND_CAP} (the cap of "
-            f"find_bound), got {support_max}"
         )
 
 
@@ -382,6 +376,8 @@ class PolicyEvaluator:
     def __init__(self, scenario: Scenario, bound: int | None):
         if bound is None:
             bound = find_bound(scenario)
+        check_integer("bound", bound)
+        bound = int(bound)  # numpy's fixed-width integers wrap in the sizes below
         if not 0 <= bound <= BOUND_CAP:
             raise ParameterError(f"bound must lie in 0..{BOUND_CAP}, got {bound}")
         T, joint_bytes = scenario.period_length, 8 * (bound + 1) ** 2
@@ -526,7 +522,7 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     a function of (lam, capacity, rejection_threshold, hard_cap) and serves
     every policy, penalty, choice model and cycle length; it is memoized by
     value on those four, and each probe is one memoized 1-D solve.  The
-    result never exceeds hard_cap, which must be an int of at least 1.
+    result never exceeds hard_cap, which must be an integer of at least 1.
     Exponential bracketing followed by bisection, which is exact because
     rejection is non-increasing in the bound.  Coupling proof:
     drive the walks x' = min((x + V)^+, b) and y' = min((y + V)^+, b + 1)
@@ -538,10 +534,12 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     long-run frequencies, which are the stationary probabilities.  Raises
     CapacityInfeasibleError if even hard_cap is not enough.
     """
-    if not isinstance(hard_cap, int) or hard_cap < 1:
-        raise ParameterError(f"hard_cap must be an int >= 1, got {hard_cap!r}")
+    check_integer("hard_cap", hard_cap)
+    if hard_cap < 1:
+        raise ParameterError(f"hard_cap must be at least 1, got {hard_cap!r}")
+    # an int key, or a numpy cap's numpy result would reach callers passing ints
     return _search_bound(
-        scenario.lam, scenario.capacity, scenario.rejection_threshold, hard_cap
+        scenario.lam, scenario.capacity, scenario.rejection_threshold, int(hard_cap)
     )
 
 

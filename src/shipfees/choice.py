@@ -8,10 +8,9 @@ arrival stream into independent express and regular streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 
 
 @dataclass(frozen=True)
@@ -24,8 +23,7 @@ class ChoiceModel:
 
     def __post_init__(self) -> None:
         for name in ("regular_price", "u_min", "u_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
+            check_real(name, getattr(self, name))
         if self.regular_price < 0.0:
             raise ParameterError("regular_price must be nonnegative")
         if not 0.0 <= self.u_min <= self.u_max:

@@ -19,16 +19,19 @@ exp(lgamma ...) difference, which cancels badly when a + b is large.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_integer, check_real, is_real
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
+
+# Largest capacity support and truncation bound, searched or pinned (a
+# joint there holds 32 MB): chain.find_bound's cap.
+BOUND_CAP = 2000
 
 # Largest Poisson rate the pmf recurrence takes: above it exp(-rate) is
 # subnormal, which truncates the pmf wrongly, or 0, on which it never ends.
@@ -57,7 +60,13 @@ class Pmf:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.mass, dtype=float).copy()
+        try:
+            arr = np.array(self.mass)
+        except ValueError:  # a ragged nesting
+            arr = np.array(None)
+        if arr.dtype.kind not in "iuf":
+            raise ParameterError(f"mass must hold real numbers, got {self.mass!r}")
+        arr = arr.astype(float, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("pmf must be a nonempty 1-D array")
         # NaN fails every comparison, so test membership, not violation
@@ -99,6 +108,7 @@ class Pmf:
 
     @classmethod
     def point_mass(cls, value: int) -> "Pmf":
+        check_integer("value", value)
         if value < 0:
             raise ParameterError("point mass location must be nonnegative")
         arr = np.zeros(value + 1)
@@ -121,8 +131,14 @@ class CapacitySpec:
     scv: float
 
     def __post_init__(self) -> None:
-        if self.support_max < 1:
-            raise ParameterError("support_max must be a positive integer")
+        check_integer("support_max", self.support_max)
+        check_real("mean", self.mean)
+        check_real("scv", self.scv)
+        if not 1 <= self.support_max <= BOUND_CAP:
+            raise ParameterError(
+                f"support_max must be at least 1 and at most {BOUND_CAP} (the cap "
+                f"of find_bound), got {self.support_max}"
+            )
         if not 0.0 < self.mean < self.support_max:
             raise ParameterError(
                 f"mean must lie strictly between 0 and support_max={self.support_max}"
@@ -144,10 +160,12 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
     that is not a number >= 0, NaN included, or is over ``POISSON_RATE_MAX``
     is a ParameterError.
     """
-    if not (isinstance(rate, numbers.Real) and rate >= 0.0):
+    if not (is_real(rate, inf=True) and rate >= 0.0):
         raise ParameterError(f"poisson rate must be a number >= 0, got {rate!r}")
-    if not 0.0 < tail_eps <= 1e-6:
-        raise ParameterError("tail_eps must lie in (0, 1e-6]")
+    check_real("tail_eps", tail_eps)
+    # below 1e-12 the float sum can stall short of 1 - tail_eps (1e-15 hung at rate 700)
+    if not 1e-12 <= tail_eps <= 1e-6:
+        raise ParameterError("tail_eps must lie in [1e-12, 1e-6]")
     return Pmf(_poisson_mass(rate, tail_eps))
 
 

@@ -43,6 +43,19 @@ class PerformanceReport:
     bound: int
 
 
+def make_report(scenario: Scenario, **measures) -> PerformanceReport:
+    """The report of the measures, with the variable profit revenue - c E[M],
+    the fixed profit T lam p and the mean delay E[M] / lam (NaN at lam = 0)
+    derived from the scenario alike for the evaluator and the simulator."""
+    lam, em = scenario.lam, measures["expected_backorders"]
+    return PerformanceReport(
+        variable_profit=measures["revenue"] - scenario.penalty * em,
+        fixed_profit=scenario.period_length * lam * scenario.choice.regular_price,
+        mean_delay=em / lam if lam > 0.0 else math.nan,
+        **measures,
+    )
+
+
 def evaluate_policy(
     scenario: Scenario,
     policy: FeeStructure,
@@ -55,32 +68,20 @@ def evaluate_policy(
 def policy_report(ev: PolicyEvaluator, policy: FeeStructure) -> PerformanceReport:
     """Full stationary report for one policy from an existing evaluator,
     reusing the steps its earlier batches and reports built."""
-    scenario = ev.scenario
     fees = policy.fees
     J = ev.joints(fees)[-1]
     last = ev._step(fees[-1])
-    backorders_adj = float(np.sum(J * last.backorders_adjusted))
-    backorders_raw = float(np.sum(J * last.backorders_raw))
     rates = tuple(ev._step(fee).rate for fee in fees)
-    revenue = ev.revenue(fees)
     losses = {fee: ev.express_loss(fee) for fee in set(fees)}
     rates_adj = tuple(max(r - losses[fee], 0.0) for fee, r in zip(fees, rates))
-    revenue_adj = sum(fee * r for fee, r in zip(fees, rates_adj) if r > 0.0)
-    delay = (
-        backorders_adj / scenario.lam if scenario.lam > 0.0 else math.nan
-    )
-    return PerformanceReport(
-        expected_backorders=backorders_adj,
-        expected_backorders_raw=backorders_raw,
-        variable_profit=revenue - scenario.penalty * backorders_adj,
-        fixed_profit=scenario.period_length
-        * scenario.lam
-        * scenario.choice.regular_price,
-        revenue=revenue,
-        revenue_adjusted=revenue_adj,
+    return make_report(
+        ev.scenario,
+        expected_backorders=float(np.sum(J * last.backorders_adjusted)),
+        expected_backorders_raw=float(np.sum(J * last.backorders_raw)),
+        revenue=ev.revenue(fees),
+        revenue_adjusted=sum(fee * r for fee, r in zip(fees, rates_adj) if r > 0.0),
         rejection_probability=ev.rejection_probability(),
         expected_rejected_per_cycle=ev.expected_rejected_per_cycle(),
-        mean_delay=delay,
         per_age_express_rate=rates,
         per_age_express_rate_adjusted=rates_adj,
         bound=ev.bound,

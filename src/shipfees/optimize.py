@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, is_integer, real_tuple
 from .measures import PerformanceReport, policy_report
 from .policies import FeeStructure, demand_profile, two_level_fees
 
@@ -44,18 +44,19 @@ class SearchGrid:
     cutoff_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        fees = tuple(float(f) for f in self.fee_values)
+        fees = real_tuple("fee_values", self.fee_values)
         object.__setattr__(self, "fee_values", fees)
         cut = self.cutoff_range
-        if not isinstance(cut, (tuple, list)) or [type(c) for c in cut] != [int, int]:
+        kinds = [is_integer(c) for c in cut] if isinstance(cut, (tuple, list)) else []
+        if kinds != [True, True]:
             raise ParameterError(f"cutoff_range must be two integers, got {cut!r}")
         object.__setattr__(self, "cutoff_range", tuple(cut))
         if not fees:
             raise ParameterError("fee_values must not be empty")
         if any(b <= a for a, b in zip(fees, fees[1:])):
             raise ParameterError("fee_values must be strictly increasing")
-        if any(f < 0.0 or math.isinf(f) or math.isnan(f) for f in fees):
-            raise ParameterError("fee_values must be finite and nonnegative")
+        if fees[0] < 0.0:
+            raise ParameterError("fee_values must be nonnegative")
         lo, hi = self.cutoff_range
         if not 0 <= lo <= hi:
             raise ParameterError("cutoff_range must satisfy 0 <= lo <= hi")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 from .choice import ChoiceModel, split_rates
-from .errors import ParameterError
+from .errors import ParameterError, check_integer, check_real, real_tuple
 
 # family: its parameter names, in build_policy's params order
 FAMILIES = {
@@ -38,16 +37,16 @@ class FeeStructure:
     fees: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        check_integer("period_length", self.period_length)
         if self.period_length < 1:
             raise ParameterError("period_length must be at least 1")
-        fees = tuple(float(f) for f in self.fees)
+        fees = real_tuple("fees", self.fees, inf=True)
         if len(fees) != self.period_length:
             raise ParameterError(
                 f"expected {self.period_length} fees, got {len(fees)}"
             )
-        for f in fees:
-            if math.isnan(f) or f < 0.0:
-                raise ParameterError("fees must be nonnegative (or math.inf)")
+        if any(f < 0.0 for f in fees):
+            raise ParameterError("fees must be nonnegative (or math.inf)")
         object.__setattr__(self, "fees", fees)
 
 
@@ -61,15 +60,17 @@ def canonicalize(
     express at all.  Idempotent: a full-length input with cutoff
     period_length - 1 is returned unchanged.
     """
+    check_integer("cutoff", cutoff)
+    check_integer("period_length", period_length)
     if not 0 <= cutoff <= period_length - 1:
         raise ParameterError("cutoff must lie in 0..period_length-1")
-    fees = tuple(float(f) for f in partial_fees)
+    fees = real_tuple("partial_fees", partial_fees, inf=True)
     if len(fees) != cutoff + 1:
         raise ParameterError(
             f"cutoff {cutoff} requires {cutoff + 1} fees, got {len(fees)}"
         )
-    full = fees + (float(u_max),) * (period_length - 1 - cutoff)
-    return FeeStructure(period_length, full)
+    check_real("u_max", u_max, inf=True)
+    return FeeStructure(period_length, fees + (u_max,) * (period_length - 1 - cutoff))
 
 
 def cutoff_form(
@@ -100,33 +101,32 @@ def build_policy(
     TSP_CF: params is (f, cutoff_age), the point (f, f, tau_C, tau_C).
     TSP:    params is the point itself, with f_E < f_LE.
     """
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ParameterError(
             f"unknown policy family {family!r}; expected one of {tuple(FAMILIES)}"
         )
+    check_integer("period_length", period_length)
+    check_real("u_max", u_max)
     T = period_length
     names = FAMILIES[family]
     values = (params,) if family == "CSP" else params
     if not isinstance(values, (tuple, list)) or len(values) != len(names):
         raise ParameterError(f"{family} takes ({', '.join(names)}), got {params!r}")
     for name, val in zip(names, values):
-        real = isinstance(val, numbers.Real) and not isinstance(val, bool)
-        if name.endswith("fee") and not real:
-            raise ParameterError(f"{name} must be a real number, got {val!r}")
+        if name.endswith("fee"):
+            check_real(name, val)
     if family == "TSP":
         f_e, f_le, tau_f, tau_c = values
     else:
         f_e, tau_c = (params, T - 1) if family == "CSP" else values
         f_le, tau_f = f_e, tau_c
-    f_e, f_le = float(f_e), float(f_le)
     for fee in (f_e, f_le):
         if not 0.0 <= fee <= u_max:
             raise ParameterError(f"fee {fee!r} outside [0, u_max={u_max!r}]")
     if family == "TSP" and not f_le > f_e:
         raise ParameterError("lastminute_fee must exceed express_fee")
     for name, age in (("cutoff_age", tau_c), ("switch_age", tau_f)):
-        if not isinstance(age, int) or isinstance(age, bool):
-            raise ParameterError(f"{name} must be an integer, got {age!r}")
+        check_integer(name, age)
     if not 0 <= tau_c <= T - 1:
         raise ParameterError("cutoff_age must lie in 0..period_length-1")
     if not 0 <= tau_f <= tau_c:

@@ -44,8 +44,8 @@ import numpy as np
 
 from .chain import Scenario, find_bound
 from .choice import split_rates
-from .errors import ParameterError
-from .measures import PerformanceReport
+from .errors import ParameterError, check_integer
+from .measures import PerformanceReport, make_report
 from .policies import FeeStructure
 
 # Cycles pre-drawn per generator call; fixed so draws per seed never change.
@@ -78,11 +78,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("cycles", "warmup_cycles", "seed", "streams", "bound"):
-            value = getattr(self, name)
-            if name == "bound" and value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if name != "bound" or self.bound is not None:
+                check_integer(name, getattr(self, name))
         if self.warmup_cycles < 0:
             raise ParameterError("warmup_cycles must be nonnegative")
         if self.cycles <= self.warmup_cycles:
@@ -178,11 +175,13 @@ def simulate(
     if bound is None:
         bound = find_bound(scenario)
     T = scenario.period_length
-    measured = config.cycles - config.warmup_cycles
-    streams = min(config.streams, measured)
+    # as Python ints, on which the size checks below cannot wrap around
+    warmup = int(config.warmup_cycles)
+    measured = int(config.cycles) - warmup
+    streams = min(int(config.streams), measured)
     per_stream = measured // streams
     total_measured = per_stream * streams
-    cycles_per_stream = config.warmup_cycles + per_stream
+    cycles_per_stream = warmup + per_stream
 
     # Every intermediate lies in [-B, bound + E + R]; the arrival rate is
     # below the mean of an array-backed capacity pmf, so the draws are far
@@ -310,25 +309,20 @@ def simulate(
                 np.minimum(nxt, top, out=nxt)
                 np.maximum(nxt, zero, out=nxt)
             # warm-up cycles need only the walk
-            k0 = min(max(config.warmup_cycles - start, 0), n_cyc)
+            k0 = min(max(warmup - start, 0), n_cyc)
             if k0 < n_cyc:
                 for job in [pool.submit(tally, lo, hi, k0 * T, n) for lo, hi in blocks]:
                     job.result()
 
-    lam = scenario.lam
-    mean_m = float(sum_m.sum()) / total_measured
-    mean_rev = float(sum_rev.sum()) / total_measured
-    report = PerformanceReport(
-        expected_backorders=mean_m,
+    report = make_report(
+        scenario,
+        expected_backorders=float(sum_m.sum()) / total_measured,
         expected_backorders_raw=float(sum_m_raw.sum()) / total_measured,
-        variable_profit=mean_rev - scenario.penalty * mean_m,
-        fixed_profit=T * lam * scenario.choice.regular_price,
-        revenue=mean_rev,
+        revenue=float(sum_rev.sum()) / total_measured,
         revenue_adjusted=float(sum_rev_adj.sum()) / total_measured,
         rejection_probability=float(overflow_periods.sum())
         / (total_measured * T),
         expected_rejected_per_cycle=float(sum_rejected.sum()) / total_measured,
-        mean_delay=mean_m / lam if lam > 0.0 else math.nan,
         per_age_express_rate=tuple(float(v) for v in acc_e.sum(0) / total_measured),
         per_age_express_rate_adjusted=tuple(
             float(v) for v in acc_e_adj.sum(0) / total_measured
