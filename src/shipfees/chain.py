@@ -53,7 +53,7 @@ import numpy as np
 from .choice import ChoiceModel, split_rates
 from .distributions import BOUND_CAP, CapacitySpec, Pmf, _poisson_mass, discretized_beta
 from .errors import CapacityInfeasibleError, NumericsError, ParameterError
-from .errors import check_integer, check_real
+from .errors import check_integer, check_real, store
 
 # Most joints of (bound + 1)^2 floats one policy (T) or one batch (its run
 # joints and pull stack) may hold; T = 100000 at bound 30 holds 769 MB.
@@ -65,6 +65,18 @@ REJECTION_THRESHOLD = 0.023
 # Poisson supports are truncated at this residual tail mass (folded onto the
 # last support point), keeping every transition exactly mass-conserving.
 TAIL_EPS = 1e-12
+
+
+def check_period_length(name: str, value) -> int:
+    """value as an int, if it is an integer cycle length whose joints fit in
+    JOINT_BYTES_MAX at bound 0, where each age's joint is one float."""
+    T = check_integer(name, value)
+    if T > JOINT_BYTES_MAX // 8:
+        raise ParameterError(
+            f"{name} must be at most {JOINT_BYTES_MAX // 8}, the ages whose joints "
+            f"fit in the {JOINT_BYTES_MAX / 2**30:g} GiB limit at bound 0"
+        )
+    return T
 
 
 @dataclass(frozen=True)
@@ -79,9 +91,8 @@ class Scenario:
     rejection_threshold: float = REJECTION_THRESHOLD
 
     def __post_init__(self) -> None:
-        check_integer("period_length", self.period_length)
-        for name in ("lam", "penalty", "rejection_threshold"):
-            check_real(name, getattr(self, name))
+        store(self, check_period_length, "period_length")
+        store(self, check_real, "lam", "penalty", "rejection_threshold")
         if self.period_length < 2:
             raise ParameterError("period_length must be at least 2")
         if self.lam < 0.0:
@@ -116,8 +127,8 @@ class Scenario:
         rejection_threshold: float = REJECTION_THRESHOLD,
     ) -> "Scenario":
         """Build a scenario with discretized-Beta capacity hitting a target load."""
-        check_real("lam", lam)
-        check_real("utilization", utilization)
+        lam = check_real("lam", lam)
+        utilization = check_real("utilization", utilization)
         if not 0.0 < utilization < 1.0:
             raise ParameterError("utilization must lie in (0, 1)")
         spec = CapacitySpec(capacity_support_max, lam / utilization, capacity_scv)
@@ -376,8 +387,7 @@ class PolicyEvaluator:
     def __init__(self, scenario: Scenario, bound: int | None):
         if bound is None:
             bound = find_bound(scenario)
-        check_integer("bound", bound)
-        bound = int(bound)  # numpy's fixed-width integers wrap in the sizes below
+        bound = check_integer("bound", bound)
         if not 0 <= bound <= BOUND_CAP:
             raise ParameterError(f"bound must lie in 0..{BOUND_CAP}, got {bound}")
         T, joint_bytes = scenario.period_length, 8 * (bound + 1) ** 2
@@ -534,12 +544,11 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     long-run frequencies, which are the stationary probabilities.  Raises
     CapacityInfeasibleError if even hard_cap is not enough.
     """
-    check_integer("hard_cap", hard_cap)
+    hard_cap = check_integer("hard_cap", hard_cap)
     if hard_cap < 1:
         raise ParameterError(f"hard_cap must be at least 1, got {hard_cap!r}")
-    # an int key, or a numpy cap's numpy result would reach callers passing ints
     return _search_bound(
-        scenario.lam, scenario.capacity, scenario.rejection_threshold, int(hard_cap)
+        scenario.lam, scenario.capacity, scenario.rejection_threshold, hard_cap
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_real
+from .errors import ParameterError, check_real, store
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,7 @@ class ChoiceModel:
     u_max: float
 
     def __post_init__(self) -> None:
-        for name in ("regular_price", "u_min", "u_max"):
-            check_real(name, getattr(self, name))
+        store(self, check_real, "regular_price", "u_min", "u_max")
         if self.regular_price < 0.0:
             raise ParameterError("regular_price must be nonnegative")
         if not 0.0 <= self.u_min <= self.u_max:

@@ -34,6 +34,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -48,7 +49,7 @@ from .chain import (
 )
 from .choice import ChoiceModel
 from .distributions import Pmf
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, is_integer, is_real
 from .measures import evaluate_policy, policy_report
 from .optimize import (
     FAMILIES as SEARCH_FAMILIES,
@@ -123,11 +124,12 @@ FIELDS = {
     "simulate.streams": ("integer", SimConfig.streams, None),
 }
 
-# scalar kind: (the JSON values it takes, its name in a diagnostic); a null
-# fee is math.inf, express not offered
-SCALARS = {"number": ((int, float), "a number"), "integer": (int, "an integer"),
-           "string": (str, "a string"), "fee": ((int, float, type(None)), "a number"),
-           "family": (str, "CSP, TSP_CF, TSP, or vector")}
+# scalar kind: (the test of a JSON value, its name in a diagnostic); numbers
+# pass the library's input rule, and a null fee is math.inf, express not offered
+SCALARS = {"number": (is_real, "a number"), "integer": (is_integer, "an integer"),
+           "string": (lambda v: isinstance(v, str), "a string"),
+           "fee": (lambda v: v is None or is_real(v, inf=True), "a number"),
+           "family": (lambda v: isinstance(v, str), "CSP, TSP_CF, TSP, or vector")}
 # array shape: the lengths it admits
 SHAPES = {"an array": range(sys.maxsize), "a nonempty array": range(1, sys.maxsize),
           "[low, high]": range(2, 3)}
@@ -137,21 +139,16 @@ POLICY_FIELDS = {**FAMILIES, "vector": ("fees",)}
 
 
 def _check(val, kind, path: str):
-    """val (numbers as floats) if it is of the kind, else a ParameterError."""
+    """val (a null fee as math.inf) if it is of the kind, else a ParameterError."""
     if isinstance(kind, tuple):
         entry, shape = kind
         if not isinstance(val, list) or len(val) not in SHAPES[shape]:
             raise ParameterError(f"{path}: expected {shape}")
         return [_check(v, entry, f"{path}[{i}]") for i, v in enumerate(val)]
-    types, name = SCALARS[kind]
-    if isinstance(val, bool) or not isinstance(val, types):
-        raise ParameterError(f"{path}: expected {name}, got {val!r}")
-    if val is None:
-        return math.inf
-    try:
-        return float(val) if kind in ("number", "fee") else val
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ParameterError(f"{path}: {exc}") from exc
+    test, name = SCALARS[kind]
+    if not test(val):
+        raise ParameterError(f"{path}: expected {name}, got {reprlib.repr(val)}")
+    return math.inf if val is None else val
 
 
 def _parse(cfg: dict, block: str = "") -> dict:
@@ -182,7 +179,7 @@ def _parse(cfg: dict, block: str = "") -> dict:
 def _load_json(text: str, origin: str) -> dict:
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer of over 4300 digits
         raise ParameterError(f"{origin}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError(f"{origin}: top level must be an object")
@@ -290,7 +287,7 @@ class Experiment:
                 raise ParameterError(f"policy.{key}: not a field of the {family} family")
         params = [self.get(f"policy.{name}") for name in names]
         if family == "vector":
-            return _named("policy.fees", FeeStructure, T, tuple(params[0]))
+            return _named("policy.fees", FeeStructure, T, params[0])
         params = params[0] if family == "CSP" else params
         u_max = self.scenario.choice.u_max
         return _named("policy", build_policy, family, params, T, u_max)
@@ -571,10 +568,8 @@ def _verify_form_invariance(sc: Scenario, rng: np.random.Generator) -> tuple[boo
     ev = PolicyEvaluator(sc, None)
     worst = 0.0
     for _ in range(50):
-        cutoff = int(rng.integers(0, sc.period_length))
-        partial = tuple(
-            float(rng.uniform(0.2, 3.8)) for _ in range(cutoff + 1)
-        )
+        cutoff = rng.integers(0, sc.period_length)
+        partial = [rng.uniform(0.2, 3.8) for _ in range(cutoff + 1)]
         canon = canonicalize(cutoff, partial, sc.period_length, _CHOICE.u_max)
         cut = cutoff_form(cutoff, partial, sc.period_length)
         a, b = (_flat(asdict(policy_report(ev, p))) for p in (canon, cut))
@@ -589,16 +584,15 @@ def _verify_dominance(rng: np.random.Generator) -> tuple[bool, str]:
     failures = 0
     total = 100
     for i in range(total):
-        T = int(rng.integers(2, 5))
-        lam = float(rng.uniform(1.0, 3.0))
+        T = rng.integers(2, 5)
         sc = Scenario.from_utilization(
-            T, lam, float(rng.uniform(0.8, 0.95)), 0.5, 10, _CHOICE, 8.0
+            T, rng.uniform(1.0, 3.0), rng.uniform(0.8, 0.95), 0.5, 10, _CHOICE, 8.0
         )
         # the fee of take rate w; ascending fees front-load express demand
         w = rng.uniform(0.0, 1.0, size=T)
         fees = _CHOICE.u_min + (1.0 - w) * (_CHOICE.u_max - _CHOICE.u_min)
-        f = FeeStructure(T, tuple(np.sort(fees)))
-        f_p = FeeStructure(T, tuple(rng.permutation(fees)))
+        f = FeeStructure(T, np.sort(fees))
+        f_p = FeeStructure(T, rng.permutation(fees))
         try:
             dominance_experiment(sc, f, f_p)
         except NumericsError:
@@ -616,13 +610,8 @@ def _verify_monotone_grid(rng: np.random.Generator) -> tuple[bool, str]:
     total = 10
     for _ in range(total):
         sc = Scenario.from_utilization(
-            T,
-            float(rng.uniform(1.0, 3.0)),
-            float(rng.uniform(0.8, 0.95)),
-            0.5,
-            10,
-            _CHOICE,
-            float(rng.uniform(2.0, 15.0)),
+            T, rng.uniform(1.0, 3.0), rng.uniform(0.8, 0.95), 0.5, 10, _CHOICE,
+            rng.uniform(2.0, 15.0),
         )
         argmax = exhaustive_fee_vector_search(sc, grid)
         hits += any(is_weakly_monotone(p) for p in argmax)

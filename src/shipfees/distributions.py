@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, check_integer, check_real, is_real
+from .errors import NumericsError, ParameterError
+from .errors import check_integer, check_real, is_real, store
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
@@ -108,7 +109,7 @@ class Pmf:
 
     @classmethod
     def point_mass(cls, value: int) -> "Pmf":
-        check_integer("value", value)
+        value = check_integer("value", value)
         if value < 0:
             raise ParameterError("point mass location must be nonnegative")
         arr = np.zeros(value + 1)
@@ -131,9 +132,8 @@ class CapacitySpec:
     scv: float
 
     def __post_init__(self) -> None:
-        check_integer("support_max", self.support_max)
-        check_real("mean", self.mean)
-        check_real("scv", self.scv)
+        store(self, check_integer, "support_max")
+        store(self, check_real, "mean", "scv")
         if not 1 <= self.support_max <= BOUND_CAP:
             raise ParameterError(
                 f"support_max must be at least 1 and at most {BOUND_CAP} (the cap "
@@ -162,7 +162,7 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
     """
     if not (is_real(rate, inf=True) and rate >= 0.0):
         raise ParameterError(f"poisson rate must be a number >= 0, got {rate!r}")
-    check_real("tail_eps", tail_eps)
+    rate, tail_eps = check_real("rate", rate, inf=True), check_real("tail_eps", tail_eps)
     # below 1e-12 the float sum can stall short of 1 - tail_eps (1e-15 hung at rate 700)
     if not 1e-12 <= tail_eps <= 1e-6:
         raise ParameterError("tail_eps must lie in [1e-12, 1e-6]")

@@ -6,8 +6,8 @@ infeasible truncation) raise :class:`NumericsError` or a subclass.  The
 command line maps the former to exit code 1 and the latter to exit code 2.
 An integer input is a ``numbers.Integral`` that is not a bool; a real one
 is a ``numbers.Real`` that is not a bool and is finite as a float, or +-inf
-where the model reads inf (a fee: express not offered).  Nothing is
-coerced: a string is never read as a number.
+where the model reads inf (a fee: express not offered).  An accepted value
+is returned as a Python int or float; a string is never read as a number.
 """
 
 import math
@@ -40,14 +40,16 @@ def is_real(value, inf: bool = False) -> bool:
     return math.isfinite(x) or inf and not math.isnan(x)
 
 
-def check_integer(name: str, value) -> None:
+def check_integer(name: str, value) -> int:
     if not is_integer(value):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def check_real(name: str, value, inf: bool = False) -> None:
+def check_real(name: str, value, inf: bool = False) -> float:
     if not is_real(value, inf):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def real_tuple(name: str, values, inf: bool = False) -> tuple[float, ...]:
@@ -56,6 +58,10 @@ def real_tuple(name: str, values, inf: bool = False) -> tuple[float, ...]:
         values = tuple(values)
     except TypeError:  # not iterable
         raise ParameterError(f"{name} must be a sequence, got {values!r}") from None
-    for i, value in enumerate(values):
-        check_real(f"{name}[{i}]", value, inf)
-    return tuple(map(float, values))
+    return tuple(check_real(f"{name}[{i}]", value, inf) for i, value in enumerate(values))
+
+
+def store(obj, check, *names, **options) -> None:
+    """Set each named field of the frozen dataclass obj to check(name, value)."""
+    for name in names:
+        object.__setattr__(obj, name, check(name, getattr(obj, name), **options))

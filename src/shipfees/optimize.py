@@ -18,7 +18,8 @@ import numpy as np
 
 from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
-from .errors import NumericsError, ParameterError, is_integer, real_tuple
+from .errors import NumericsError, ParameterError
+from .errors import check_integer, is_integer, real_tuple, store
 from .measures import PerformanceReport, policy_report
 from .policies import FeeStructure, demand_profile, two_level_fees
 
@@ -44,20 +45,19 @@ class SearchGrid:
     cutoff_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        fees = real_tuple("fee_values", self.fee_values)
-        object.__setattr__(self, "fee_values", fees)
-        cut = self.cutoff_range
+        store(self, real_tuple, "fee_values")
+        fees, cut = self.fee_values, self.cutoff_range
         kinds = [is_integer(c) for c in cut] if isinstance(cut, (tuple, list)) else []
         if kinds != [True, True]:
             raise ParameterError(f"cutoff_range must be two integers, got {cut!r}")
-        object.__setattr__(self, "cutoff_range", tuple(cut))
+        lo, hi = (check_integer("cutoff_range", c) for c in cut)
+        object.__setattr__(self, "cutoff_range", (lo, hi))
         if not fees:
             raise ParameterError("fee_values must not be empty")
         if any(b <= a for a, b in zip(fees, fees[1:])):
             raise ParameterError("fee_values must be strictly increasing")
         if fees[0] < 0.0:
             raise ParameterError("fee_values must be nonnegative")
-        lo, hi = self.cutoff_range
         if not 0 <= lo <= hi:
             raise ParameterError("cutoff_range must satisfy 0 <= lo <= hi")
 
@@ -143,7 +143,7 @@ def _candidates(
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
     T = scenario.period_length
-    u_max = float(scenario.choice.u_max)
+    u_max = scenario.choice.u_max
     lo, hi = grid.cutoff_range
     count = len(grid.fee_values) * (hi - lo + 1)  # TSP_CF_star: fee x cutoff
     if family == "TSP":  # fee pairs x the tau_C switch ages of each cutoff tau_C

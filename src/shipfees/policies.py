@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .chain import check_period_length
 from .choice import ChoiceModel, split_rates
-from .errors import ParameterError, check_integer, check_real, real_tuple
+from .errors import ParameterError, check_integer, check_real, real_tuple, store
 
 # family: its parameter names, in build_policy's params order
 FAMILIES = {
@@ -37,17 +38,16 @@ class FeeStructure:
     fees: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        check_integer("period_length", self.period_length)
+        store(self, check_period_length, "period_length")
         if self.period_length < 1:
             raise ParameterError("period_length must be at least 1")
-        fees = real_tuple("fees", self.fees, inf=True)
-        if len(fees) != self.period_length:
+        store(self, real_tuple, "fees", inf=True)
+        if len(self.fees) != self.period_length:
             raise ParameterError(
-                f"expected {self.period_length} fees, got {len(fees)}"
+                f"expected {self.period_length} fees, got {len(self.fees)}"
             )
-        if any(f < 0.0 for f in fees):
+        if any(f < 0.0 for f in self.fees):
             raise ParameterError("fees must be nonnegative (or math.inf)")
-        object.__setattr__(self, "fees", fees)
 
 
 def canonicalize(
@@ -60,8 +60,8 @@ def canonicalize(
     express at all.  Idempotent: a full-length input with cutoff
     period_length - 1 is returned unchanged.
     """
-    check_integer("cutoff", cutoff)
-    check_integer("period_length", period_length)
+    cutoff = check_integer("cutoff", cutoff)
+    period_length = check_period_length("period_length", period_length)
     if not 0 <= cutoff <= period_length - 1:
         raise ParameterError("cutoff must lie in 0..period_length-1")
     fees = real_tuple("partial_fees", partial_fees, inf=True)
@@ -69,7 +69,7 @@ def canonicalize(
         raise ParameterError(
             f"cutoff {cutoff} requires {cutoff + 1} fees, got {len(fees)}"
         )
-    check_real("u_max", u_max, inf=True)
+    u_max = check_real("u_max", u_max, inf=True)
     return FeeStructure(period_length, fees + (u_max,) * (period_length - 1 - cutoff))
 
 
@@ -105,28 +105,25 @@ def build_policy(
         raise ParameterError(
             f"unknown policy family {family!r}; expected one of {tuple(FAMILIES)}"
         )
-    check_integer("period_length", period_length)
-    check_real("u_max", u_max)
-    T = period_length
+    T = check_period_length("period_length", period_length)
+    u_max = check_real("u_max", u_max)
     names = FAMILIES[family]
     values = (params,) if family == "CSP" else params
     if not isinstance(values, (tuple, list)) or len(values) != len(names):
         raise ParameterError(f"{family} takes ({', '.join(names)}), got {params!r}")
-    for name, val in zip(names, values):
-        if name.endswith("fee"):
-            check_real(name, val)
+    values = [check_real(n, v) if n.endswith("fee") else v for n, v in zip(names, values)]
     if family == "TSP":
         f_e, f_le, tau_f, tau_c = values
     else:
-        f_e, tau_c = (params, T - 1) if family == "CSP" else values
+        f_e, tau_c = (values[0], T - 1) if family == "CSP" else values
         f_le, tau_f = f_e, tau_c
     for fee in (f_e, f_le):
         if not 0.0 <= fee <= u_max:
             raise ParameterError(f"fee {fee!r} outside [0, u_max={u_max!r}]")
     if family == "TSP" and not f_le > f_e:
         raise ParameterError("lastminute_fee must exceed express_fee")
-    for name, age in (("cutoff_age", tau_c), ("switch_age", tau_f)):
-        check_integer(name, age)
+    tau_c = check_integer("cutoff_age", tau_c)
+    tau_f = check_integer("switch_age", tau_f)
     if not 0 <= tau_c <= T - 1:
         raise ParameterError("cutoff_age must lie in 0..period_length-1")
     if not 0 <= tau_f <= tau_c:

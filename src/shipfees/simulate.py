@@ -44,7 +44,7 @@ import numpy as np
 
 from .chain import Scenario, find_bound
 from .choice import split_rates
-from .errors import ParameterError, check_integer
+from .errors import ParameterError, check_integer, store
 from .measures import PerformanceReport, make_report
 from .policies import FeeStructure
 
@@ -77,9 +77,9 @@ class SimConfig:
     streams: int = 200
 
     def __post_init__(self) -> None:
-        for name in ("cycles", "warmup_cycles", "seed", "streams", "bound"):
-            if name != "bound" or self.bound is not None:
-                check_integer(name, getattr(self, name))
+        store(self, check_integer, "cycles", "warmup_cycles", "seed", "streams")
+        if self.bound is not None:
+            store(self, check_integer, "bound")
         if self.warmup_cycles < 0:
             raise ParameterError("warmup_cycles must be nonnegative")
         if self.cycles <= self.warmup_cycles:
@@ -175,10 +175,9 @@ def simulate(
     if bound is None:
         bound = find_bound(scenario)
     T = scenario.period_length
-    # as Python ints, on which the size checks below cannot wrap around
-    warmup = int(config.warmup_cycles)
-    measured = int(config.cycles) - warmup
-    streams = min(int(config.streams), measured)
+    warmup = config.warmup_cycles
+    measured = config.cycles - warmup
+    streams = min(config.streams, measured)
     per_stream = measured // streams
     total_measured = per_stream * streams
     cycles_per_stream = warmup + per_stream

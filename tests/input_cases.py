@@ -78,6 +78,18 @@ HOLES = [
     ("SearchGrid(('a',), (1, 1))", "fee_values", lambda: sf.SearchGrid(("a",), (1, 1))),
     ("FeeStructure(2, (b'1', 1.0))", "fees", lambda: sf.FeeStructure(2, (b"1", 1.0))),
     ("FeeStructure(8, ('2',) * 8)", "fees", lambda: sf.FeeStructure(8, ("2",) * 8)),
+    # a cycle whose ages' joints at bound 0 pass 1 GiB, refused before T fees
+    # are built (10**400 ended in an OverflowError building them)
+    ("Scenario(period_length=2**27 + 1)", "period_length must be at most 134217728",
+     lambda: sf.Scenario(2**27 + 1, 1.5, CAPACITY, CHOICE, 8.0)),
+    ("from_utilization(period_length=10**400)", "period_length must be at most",
+     lambda: from_utilization(period_length=10**400)),
+    ("build_policy('CSP', 2.0, 10**400, 4.0)", "period_length must be at most",
+     lambda: sf.build_policy("CSP", 2.0, 10**400, 4.0)),
+    ("canonicalize(0, (1.0,), 10**400, 4.0)", "period_length must be at most",
+     lambda: sf.canonicalize(0, (1.0,), 10**400, 4.0)),
+    ("FeeStructure(10**400, (2.0,))", "period_length must be at most",
+     lambda: sf.FeeStructure(10**400, (2.0,))),
 ]
 
 

@@ -244,7 +244,10 @@ class TestUnknownFields:
         cfg = {**SMALL_CONFIG, "penalty": 10**400}
         code, out, err = run_cli(capsys, "evaluate", "--config", write_config(tmp_path, cfg))
         assert code == 1
-        assert err == "error: penalty: int too large to convert to float\n"
+        assert err == (
+            "error: penalty: expected a number, got "
+            "100000000000000000...0000000000000000000\n"
+        )
         assert out == ""
 
 
@@ -275,7 +278,9 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize(
         "entry, message",
-        [("null", "scenario.capacity_pmf[1]: expected a number"), ("NaN", "finite")],
+        [("null", "scenario.capacity_pmf[1]: expected a number"),
+         pytest.param("NaN", "scenario.capacity_pmf[1]: expected a number, got nan",
+                      id="NaN")],
     )
     def test_non_finite_capacity_pmf(self, capsys, tmp_path, entry, message):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -290,6 +295,48 @@ class TestNonFiniteInput:
         assert err.startswith("error:") and message in err
         assert "utilization" not in err
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "path, literal, shown",
+        [
+            *(pytest.param(path, literal, shown, id=f"{path}-{literal}")
+              for path in ("penalty", "grid.fee_values[0]", "scenario.capacity_pmf[1]")
+              for literal, shown in (("NaN", "nan"), ("Infinity", "inf"),
+                                     ("-Infinity", "-inf"))),
+            pytest.param("penalty", "1" + "0" * 400,
+                         "100000000000000000...0000000000000000000", id="penalty-10**400"),
+        ],
+    )
+    def test_number_outside_the_rule_is_refused_at_its_path(
+        self, capsys, tmp_path, path, literal, shown
+    ):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        if path.startswith("scenario."):
+            del cfg["scenario"]["utilization"], cfg["scenario"]["scv"]
+            del cfg["scenario"]["capacity_support_max"]
+            cfg["scenario"]["capacity_pmf"] = [0.5, "@"]
+        elif path == "penalty":
+            cfg["penalty"] = "@"
+        else:
+            cfg["grid"]["fee_values"][0] = "@"
+        # json.dumps cannot write these literals, so splice them in as text
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg).replace('"@"', literal))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(config))
+        assert code == 1
+        assert err == f"error: {path}: expected a number, got {shown}\n"
+        assert out == ""
+
+    def test_integer_beyond_the_string_limit_is_invalid_json(self, capsys, tmp_path):
+        # Python reads at most 4300 digits of an integer literal
+        config = tmp_path / "config.json"
+        text = json.dumps({**SMALL_CONFIG, "penalty": "@"})
+        config.write_text(text.replace('"@"', "1" + "0" * 5000))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(config))
+        assert code == 1
+        assert err.startswith(f"error: {config}: invalid JSON: Exceeds the limit")
+        assert err.count("\n") == 1
         assert out == ""
 
 
@@ -517,6 +564,22 @@ class TestBoundedInput:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith(f"error: {message}")
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("T", [10**400, 10**9], ids=["1e400", "1e9"])
+    def test_cycle_beyond_any_evaluator_is_refused_where_it_enters(self, tmp_path, T):
+        # 10**9 fees would take 8 GB, 10**400 no tuple can hold: the scenario
+        # refuses a T over the ages of 1 GiB of joints at bound 0
+        cfg = load_preset("rho085_c8")
+        cfg["scenario"]["T"] = T
+        path = tmp_path / "long_cycle.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_under_memory_limit(["evaluate", "--config", str(path)], 2**30)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            "error: scenario: period_length must be at most 134217728, the ages "
+            "whose joints fit in the 1 GiB limit at bound 0\n"
+        )
         assert proc.stdout == ""
 
     def test_endless_simulation_is_refused_in_under_a_second(

@@ -87,8 +87,8 @@ CALLS = {
 }
 
 
-# a float32 lam over a utilization of 1e-300 is inf in float32, then refused
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+# a float32 lam is divided as a Python float, so no input warns
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=1500, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_any_input_succeeds_or_is_a_parameter_error(data):
@@ -155,3 +155,33 @@ class TestNumpyScalarsAreAccepted:
         scenario = sf.Scenario(2, np.float64(1.5), CAPACITY, CHOICE, np.float32(8.0))
         assert scenario.lam == 1.5
         assert sf.poisson_pmf(np.float64(1.5)) == sf.poisson_pmf(1.5)
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64])
+    def test_fields_are_held_as_python_numbers(self, kind):
+        scenario = sf.Scenario(np.int16(2), kind(1.5), CAPACITY, CHOICE, kind(8.0))
+        assert type(scenario.lam) is float and type(scenario.penalty) is float
+        assert type(scenario.period_length) is int
+        choice = sf.ChoiceModel(kind(4.0), kind(0.0), kind(4.0))
+        assert {type(v) for v in vars(choice).values()} == {float}
+        config = sf.SimConfig(np.int32(2000), np.int16(500), np.uint8(1), np.uint8(8))
+        assert {type(v) for v in vars(config).values()} == {int}
+        grid = sf.SearchGrid((kind(1.0),), (np.uint8(1), np.int8(1)))
+        held = (*grid.fee_values, *grid.cutoff_range)
+        assert [type(v) for v in held] == [float, int, int]
+
+    def test_narrow_integer_support_builds_the_same_capacity(self):
+        """support_max**2 = 400 wraps in uint8: the support is held as an int."""
+        spec = CapacitySpec(np.uint8(20), 5.88, 0.5)
+        assert type(spec.support_max) is int
+        exact = sf.discretized_beta(CapacitySpec(20, 5.88, 0.5))
+        assert sf.discretized_beta(spec) == exact
+
+    def test_narrow_integer_cycle_simulates_as_its_int(self):
+        """1024 cycles * T = 100 overflows int8: the cycle is held as an int."""
+        config = sf.SimConfig(1500, 500, 1, 8, 2)
+        reports = [
+            sf.simulate(sf.Scenario(T, 1.5, CAPACITY, CHOICE, 8.0),
+                        sf.build_policy("TSP", (1.0, 2.0, 40, 90), T, 4.0), config)
+            for T in (np.int8(100), 100)
+        ]
+        assert reports[0] == reports[1]
