@@ -51,9 +51,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .choice import ChoiceModel, split_rates
-from .distributions import BOUND_CAP, CapacitySpec, Pmf, _poisson_mass, discretized_beta
+from .distributions import BOUND_CAP, CapacitySpec, Pmf, _poisson_mass, check_bound
+from .distributions import discretized_beta
 from .errors import CapacityInfeasibleError, NumericsError, ParameterError
-from .errors import check_integer, check_real, store
+from .errors import check_instance, check_integer, check_real, store
 
 # Most joints of (bound + 1)^2 floats one policy (T) or one batch (its run
 # joints and pull stack) may hold; T = 100000 at bound 30 holds 769 MB.
@@ -67,15 +68,22 @@ REJECTION_THRESHOLD = 0.023
 TAIL_EPS = 1e-12
 
 
-def check_period_length(name: str, value) -> int:
-    """value as an int, if it is an integer cycle length whose joints fit in
-    JOINT_BYTES_MAX at bound 0, where each age's joint is one float."""
-    T = check_integer(name, value)
-    if T > JOINT_BYTES_MAX // 8:
+def check_joints(held: int, bound: int, what: str, remedy: str) -> None:
+    """Refuse held joints of (bound + 1)^2 floats past JOINT_BYTES_MAX."""
+    joint_bytes = 8 * (bound + 1) ** 2
+    if held * joint_bytes > JOINT_BYTES_MAX:
+        from decimal import Decimal  # the need as a float overflows at 10**400 ages
+        need, most = Decimal(held * joint_bytes) / 2**30, JOINT_BYTES_MAX // joint_bytes
         raise ParameterError(
-            f"{name} must be at most {JOINT_BYTES_MAX // 8}, the ages whose joints "
-            f"fit in the {JOINT_BYTES_MAX / 2**30:g} GiB limit at bound 0"
+            f"{what} need {need:.4g} GiB of joints at bound {bound}, over the "
+            f"{JOINT_BYTES_MAX / 2**30:g} GiB limit of {most} joints; {remedy}"
         )
+
+
+def check_period_length(name: str, value) -> int:
+    """value as an int, if it is an integer cycle whose joints fit at bound 0."""
+    T = check_integer(name, value)
+    check_joints(T, 0, f"the ages of {name}", "use a shorter cycle")
     return T
 
 
@@ -93,6 +101,9 @@ class Scenario:
     def __post_init__(self) -> None:
         store(self, check_period_length, "period_length")
         store(self, check_real, "lam", "penalty", "rejection_threshold")
+        check_instance("capacity", self.capacity, Pmf)
+        check_instance("choice", self.choice, ChoiceModel)
+        check_bound("capacity.support_max", self.capacity.support_max)
         if self.period_length < 2:
             raise ParameterError("period_length must be at least 2")
         if self.lam < 0.0:
@@ -101,11 +112,6 @@ class Scenario:
             raise ParameterError("backorder penalty must be nonnegative")
         if not 0.0 < self.rejection_threshold <= 1.0:
             raise ParameterError("rejection_threshold must lie in (0, 1]")
-        if self.capacity.support_max > BOUND_CAP:
-            raise ParameterError(
-                f"capacity support must be at most {BOUND_CAP} (the cap of "
-                f"find_bound), got {self.capacity.support_max}"
-            )
         mean_cap = self.capacity.mean()
         if mean_cap <= 0.0:
             raise ParameterError("capacity must have positive mean")
@@ -385,18 +391,10 @@ class PolicyEvaluator:
     """
 
     def __init__(self, scenario: Scenario, bound: int | None):
-        if bound is None:
-            bound = find_bound(scenario)
-        bound = check_integer("bound", bound)
-        if not 0 <= bound <= BOUND_CAP:
-            raise ParameterError(f"bound must lie in 0..{BOUND_CAP}, got {bound}")
-        T, joint_bytes = scenario.period_length, 8 * (bound + 1) ** 2
-        if T * joint_bytes > JOINT_BYTES_MAX:
-            raise ParameterError(
-                f"scenario.T: {T} ages need {T * joint_bytes / 2**30:.3g} GiB of "
-                f"joints at bound {bound}, over the {JOINT_BYTES_MAX / 2**30:g} "
-                f"GiB limit; use at most {JOINT_BYTES_MAX // joint_bytes} ages"
-            )
+        check_instance("scenario", scenario, Scenario)
+        bound = check_bound("bound", find_bound(scenario) if bound is None else bound)
+        T = scenario.period_length
+        check_joints(T, bound, f"the {T} ages of scenario.period_length", "use fewer ages")
         self.scenario = scenario
         self.bound = bound
         self._steps: dict[float, _AgeStep] = {}  # by express rate
@@ -486,13 +484,8 @@ class PolicyEvaluator:
             by_suffix.setdefault(tuple(fees[m:]), []).append((i, (fees[0], m)))
             run_length[fees[0]] = max(run_length.get(fees[0], 0), m)
         held = sum(run_length.values()) + T - 1  # run joints, then the pull stack
-        need = held * 8 * (self.bound + 1) ** 2
-        if need > JOINT_BYTES_MAX:
-            raise ParameterError(
-                f"a batch holding {held} joints at bound {self.bound} needs "
-                f"{need / 2**30:.4g} GiB, over the {JOINT_BYTES_MAX / 2**30:g} GiB "
-                "limit; use a smaller truncation bound or fee grid"
-            )
+        what = f"the {held} run joints and pulled matrices of a batch"
+        check_joints(held, self.bound, what, "use a smaller truncation bound or fee grid")
         runs: dict[tuple[float, int], np.ndarray] = {}
         for fee, longest in run_length.items():
             J = self._root
@@ -532,7 +525,7 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     a function of (lam, capacity, rejection_threshold, hard_cap) and serves
     every policy, penalty, choice model and cycle length; it is memoized by
     value on those four, and each probe is one memoized 1-D solve.  The
-    result never exceeds hard_cap, which must be an integer of at least 1.
+    result never exceeds hard_cap, an integer in 1..BOUND_CAP.
     Exponential bracketing followed by bisection, which is exact because
     rejection is non-increasing in the bound.  Coupling proof:
     drive the walks x' = min((x + V)^+, b) and y' = min((y + V)^+, b + 1)
@@ -544,9 +537,7 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     long-run frequencies, which are the stationary probabilities.  Raises
     CapacityInfeasibleError if even hard_cap is not enough.
     """
-    hard_cap = check_integer("hard_cap", hard_cap)
-    if hard_cap < 1:
-        raise ParameterError(f"hard_cap must be at least 1, got {hard_cap!r}")
+    hard_cap = check_bound("hard_cap", hard_cap, low=1)
     return _search_bound(
         scenario.lam, scenario.capacity, scenario.rejection_threshold, hard_cap
     )

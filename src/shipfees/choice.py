@@ -37,6 +37,7 @@ def take_rate(model: ChoiceModel, price: float) -> float:
     a point mass and the rate steps from 1 to 0 at the atom (0 at the atom
     itself).
     """
+    price = check_real("price", price, inf=True)
     if price >= model.regular_price + model.u_max:
         return 0.0
     if price <= model.regular_price + model.u_min:
@@ -51,6 +52,7 @@ def split_rates(model: ChoiceModel, lam: float, fee: float) -> tuple[float, floa
     Returns (express_rate, regular_rate); the two always sum to lam exactly.
     A fee of math.inf encodes "express not offered" and yields (0, lam).
     """
+    lam, fee = check_real("lam", lam), check_real("fee", fee, inf=True)
     if lam < 0.0:
         raise ParameterError("arrival rate must be nonnegative")
     w = take_rate(model, model.regular_price + fee)

@@ -42,13 +42,12 @@ from importlib import resources
 import numpy as np
 
 from .chain import (
-    BOUND_CAP,
     PolicyEvaluator,
     Scenario,
     _shift_matrix,
 )
 from .choice import ChoiceModel
-from .distributions import Pmf
+from .distributions import Pmf, check_bound
 from .errors import NumericsError, ParameterError, is_integer, is_real
 from .measures import evaluate_policy, policy_report
 from .optimize import (
@@ -87,41 +86,40 @@ PRESETS = (
 
 REQUIRED = object()  # the default of a field that must be given
 
-# dotted path: (kind, default, lowest).  A kind is "block", a key of SCALARS,
-# or (entry kind, shape) for an array.  A field with a lowest value, or an
-# array's support len - 1, must lie in lowest..BOUND_CAP; None is uncapped.
+# dotted path: (kind, default).  A kind is "block", a key of SCALARS, or
+# (entry kind, shape) for an array.
 FIELDS = {
-    "scenario": ("block", REQUIRED, None),
-    "scenario.T": ("integer", REQUIRED, None),
-    "scenario.lambda": ("number", REQUIRED, None),
-    "scenario.utilization": ("number", REQUIRED, None),
-    "scenario.scv": ("number", REQUIRED, None),
-    "scenario.capacity_support_max": ("integer", REQUIRED, 1),
-    "scenario.capacity_pmf": (("number", "a nonempty array"), REQUIRED, 0),
-    "scenario.truncation_bound": ("integer", None, 0),
-    "choice": ("block", REQUIRED, None),
-    "choice.regular_price": ("number", REQUIRED, None),
-    "choice.u_min": ("number", REQUIRED, None),
-    "choice.u_max": ("number", REQUIRED, None),
-    "penalty": ("number", REQUIRED, None),
-    "grid": ("block", None, None),
-    "grid.fee_values": (("number", "a nonempty array"), REQUIRED, None),
-    "grid.cutoff_range": (("integer", "[low, high]"), None, None),
-    "policy": ("block", REQUIRED, None),
-    "policy.family": ("family", REQUIRED, None),
-    "policy.fee": ("number", REQUIRED, None),
-    "policy.cutoff_age": ("integer", REQUIRED, None),
-    "policy.express_fee": ("number", REQUIRED, None),
-    "policy.lastminute_fee": ("number", REQUIRED, None),
-    "policy.switch_age": ("integer", REQUIRED, None),
-    "policy.fees": (("fee", "an array"), REQUIRED, None),
-    "optimize": ("block", None, None),
-    "optimize.family": ("string", "TSP", None),
-    "simulate": ("block", None, None),
-    "simulate.cycles": ("integer", 101_000, None),
-    "simulate.warmup_cycles": ("integer", SimConfig.warmup_cycles, None),
-    "simulate.seed": ("integer", SimConfig.seed, None),
-    "simulate.streams": ("integer", SimConfig.streams, None),
+    "scenario": ("block", REQUIRED),
+    "scenario.T": ("integer", REQUIRED),
+    "scenario.lambda": ("number", REQUIRED),
+    "scenario.utilization": ("number", REQUIRED),
+    "scenario.scv": ("number", REQUIRED),
+    "scenario.capacity_support_max": ("integer", REQUIRED),
+    "scenario.capacity_pmf": (("number", "a nonempty array"), REQUIRED),
+    "scenario.truncation_bound": ("integer", None),
+    "choice": ("block", REQUIRED),
+    "choice.regular_price": ("number", REQUIRED),
+    "choice.u_min": ("number", REQUIRED),
+    "choice.u_max": ("number", REQUIRED),
+    "penalty": ("number", REQUIRED),
+    "grid": ("block", None),
+    "grid.fee_values": (("number", "a nonempty array"), REQUIRED),
+    "grid.cutoff_range": (("integer", "[low, high]"), None),
+    "policy": ("block", REQUIRED),
+    "policy.family": ("family", REQUIRED),
+    "policy.fee": ("number", REQUIRED),
+    "policy.cutoff_age": ("integer", REQUIRED),
+    "policy.express_fee": ("number", REQUIRED),
+    "policy.lastminute_fee": ("number", REQUIRED),
+    "policy.switch_age": ("integer", REQUIRED),
+    "policy.fees": (("fee", "an array"), REQUIRED),
+    "optimize": ("block", None),
+    "optimize.family": ("string", "TSP"),
+    "simulate": ("block", None),
+    "simulate.cycles": ("integer", 101_000),
+    "simulate.warmup_cycles": ("integer", SimConfig.warmup_cycles),
+    "simulate.seed": ("integer", SimConfig.seed),
+    "simulate.streams": ("integer", SimConfig.streams),
 }
 
 # scalar kind: (the test of a JSON value, its name in a diagnostic); numbers
@@ -153,25 +151,19 @@ def _check(val, kind, path: str):
 
 def _parse(cfg: dict, block: str = "") -> dict:
     """{dotted path: value} of every field in cfg (a block's value is its
-    object), each of the kind and within the cap FIELDS gives it."""
+    object), each of the kind FIELDS gives it."""
     fields = {}
     for key, val in cfg.items():
         path = f"{block}.{key}" if block else key
         if "." in key or path not in FIELDS:
             raise ParameterError(f"{path}: unknown field")
-        kind, _, low = FIELDS[path]
+        kind = FIELDS[path][0]
         if kind != "block":
             val = _check(val, kind, path)
         elif isinstance(val, dict):
             fields.update(_parse(val, path))
         else:
             raise ParameterError(f"{path}: expected an object")
-        support = len(val) - 1 if isinstance(val, list) else val
-        if low is not None and not low <= support <= BOUND_CAP:
-            raise ParameterError(
-                f"{path}: must lie in {low}..{BOUND_CAP} (the cap of find_bound), "
-                f"got {support}"
-            )
         fields[path] = val
     return fields
 
@@ -244,7 +236,9 @@ class Experiment:
                 get("scenario.capacity_support_max"), choice, penalty,
                 rejection_threshold,
             )
-        self.bound = get("scenario.truncation_bound")
+        self.bound = bound = get("scenario.truncation_bound")
+        if bound is not None:
+            self.bound = _named("scenario.truncation_bound", check_bound, "bound", bound)
         self._grid = None  # no grid block: the default lattice, checked when read
         if "grid" in self.fields:
             rng = get("grid.cutoff_range") or SearchGrid.default(T).cutoff_range
@@ -257,9 +251,8 @@ class Experiment:
         the scenario, as only the searches read it."""
         if self._grid is not None:
             return self._grid
-        default = SearchGrid.default(self.scenario.period_length)
         path = "grid: the default lattice 0.2..3.8 (no grid block)"
-        return _named(path, _validated_grid, self.scenario, default)
+        return _named(path, _validated_grid, self.scenario, None)
 
     def get(self, path: str):
         """The value of the field at path, else its default; a missing
@@ -268,7 +261,7 @@ class Experiment:
             return self.fields[path]
         if "." in path:
             self.get(path.rpartition(".")[0])
-        kind, default, _ = FIELDS[path]
+        kind, default = FIELDS[path]
         if default is not REQUIRED:
             return default
         if isinstance(kind, tuple):

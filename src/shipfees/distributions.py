@@ -19,20 +19,30 @@ exp(lgamma ...) difference, which cancels badly when a + b is large.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .errors import check_integer, check_real, is_real, store
+from .errors import check_integer, check_real, is_real, real_tuple, store
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
 
 # Largest capacity support and truncation bound, searched or pinned (a
-# joint there holds 32 MB): chain.find_bound's cap.
+# joint there holds 32 MB): find_bound's cap, which check_bound enforces.
 BOUND_CAP = 2000
+
+
+def check_bound(name: str, value, low: int = 0) -> int:
+    """value as an int, if it is an integer in low..BOUND_CAP."""
+    value = check_integer(name, value)
+    if not low <= value <= BOUND_CAP:
+        cap = f"{low}..{BOUND_CAP} (the cap of find_bound)"
+        raise ParameterError(f"{name} must lie in {cap}, got {reprlib.repr(value)}")
+    return value
 
 # Largest Poisson rate the pmf recurrence takes: above it exp(-rate) is
 # subnormal, which truncates the pmf wrongly, or 0, on which it never ends.
@@ -65,8 +75,11 @@ class Pmf:
             arr = np.array(self.mass)
         except ValueError:  # a ragged nesting
             arr = np.array(None)
+        if arr.dtype.kind == "O" and arr.ndim == 1:  # an integer beyond int64, say
+            arr = np.array(real_tuple("mass", arr))
         if arr.dtype.kind not in "iuf":
-            raise ParameterError(f"mass must hold real numbers, got {self.mass!r}")
+            got = reprlib.repr(self.mass)
+            raise ParameterError(f"mass must hold real numbers, got {got}")
         arr = arr.astype(float, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("pmf must be a nonempty 1-D array")
@@ -132,13 +145,8 @@ class CapacitySpec:
     scv: float
 
     def __post_init__(self) -> None:
-        store(self, check_integer, "support_max")
+        store(self, check_bound, "support_max", low=1)
         store(self, check_real, "mean", "scv")
-        if not 1 <= self.support_max <= BOUND_CAP:
-            raise ParameterError(
-                f"support_max must be at least 1 and at most {BOUND_CAP} (the cap "
-                f"of find_bound), got {self.support_max}"
-            )
         if not 0.0 < self.mean < self.support_max:
             raise ParameterError(
                 f"mean must lie strictly between 0 and support_max={self.support_max}"
@@ -162,7 +170,7 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
     """
     if not (is_real(rate, inf=True) and rate >= 0.0):
         raise ParameterError(f"poisson rate must be a number >= 0, got {rate!r}")
-    rate, tail_eps = check_real("rate", rate, inf=True), check_real("tail_eps", tail_eps)
+    rate, tail_eps = float(rate), check_real("tail_eps", tail_eps)
     # below 1e-12 the float sum can stall short of 1 - tail_eps (1e-15 hung at rate 700)
     if not 1e-12 <= tail_eps <= 1e-6:
         raise ParameterError("tail_eps must lie in [1e-12, 1e-6]")

@@ -12,6 +12,7 @@ is returned as a Python int or float; a string is never read as a number.
 
 import math
 import numbers
+import reprlib
 
 
 class ParameterError(ValueError):
@@ -42,14 +43,19 @@ def is_real(value, inf: bool = False) -> bool:
 
 def check_integer(name: str, value) -> int:
     if not is_integer(value):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
 def check_real(name: str, value, inf: bool = False) -> float:
     if not is_real(value, inf):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
+        raise ParameterError(f"{name} must be a real number, got {reprlib.repr(value)}")
     return float(value)
+
+
+def check_instance(name: str, value, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be a {cls.__name__}, got {reprlib.repr(value)}")
 
 
 def real_tuple(name: str, values, inf: bool = False) -> tuple[float, ...]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import PolicyEvaluator, Scenario
+from .errors import check_instance
 from .policies import FeeStructure
 
 
@@ -68,6 +69,7 @@ def evaluate_policy(
 def policy_report(ev: PolicyEvaluator, policy: FeeStructure) -> PerformanceReport:
     """Full stationary report for one policy from an existing evaluator,
     reusing the steps its earlier batches and reports built."""
+    check_instance("policy", policy, FeeStructure)
     fees = policy.fees
     J = ev.joints(fees)[-1]
     last = ev._step(fees[-1])

@@ -19,7 +19,7 @@ import numpy as np
 from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
-from .errors import check_integer, is_integer, real_tuple, store
+from .errors import is_integer, real_tuple, store
 from .measures import PerformanceReport, policy_report
 from .policies import FeeStructure, demand_profile, two_level_fees
 
@@ -47,10 +47,10 @@ class SearchGrid:
     def __post_init__(self) -> None:
         store(self, real_tuple, "fee_values")
         fees, cut = self.fee_values, self.cutoff_range
-        kinds = [is_integer(c) for c in cut] if isinstance(cut, (tuple, list)) else []
-        if kinds != [True, True]:
+        pair = isinstance(cut, (tuple, list)) and len(cut) == 2
+        if not (pair and all(map(is_integer, cut))):
             raise ParameterError(f"cutoff_range must be two integers, got {cut!r}")
-        lo, hi = (check_integer("cutoff_range", c) for c in cut)
+        lo, hi = map(int, cut)
         object.__setattr__(self, "cutoff_range", (lo, hi))
         if not fees:
             raise ParameterError("fee_values must not be empty")

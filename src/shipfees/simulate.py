@@ -42,9 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import Scenario, find_bound
+from .chain import Scenario, check_bound, find_bound
 from .choice import split_rates
-from .errors import ParameterError, check_integer, store
+from .errors import ParameterError, check_instance, check_integer, store
 from .measures import PerformanceReport, make_report
 from .policies import FeeStructure
 
@@ -79,7 +79,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         store(self, check_integer, "cycles", "warmup_cycles", "seed", "streams")
         if self.bound is not None:
-            store(self, check_integer, "bound")
+            store(self, check_bound, "bound")
         if self.warmup_cycles < 0:
             raise ParameterError("warmup_cycles must be nonnegative")
         if self.cycles <= self.warmup_cycles:
@@ -88,8 +88,6 @@ class SimConfig:
             raise ParameterError("streams must be positive")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
-        if self.bound is not None and self.bound < 0:
-            raise ParameterError("bound must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,10 @@ def simulate(
     Draws, walk and tallies follow the module's contract, so a seed fixes
     the report bit for bit.  The pool lives for this call only.
     """
+    check_instance("policy", policy, FeeStructure)
     if policy.period_length != scenario.period_length:
         raise ParameterError("policy and scenario cycle lengths differ")
-    bound = config.bound
-    if bound is None:
-        bound = find_bound(scenario)
+    bound = find_bound(scenario) if config.bound is None else config.bound
     T = scenario.period_length
     warmup = config.warmup_cycles
     measured = config.cycles - warmup
@@ -182,14 +179,10 @@ def simulate(
     total_measured = per_stream * streams
     cycles_per_stream = warmup + per_stream
 
-    # Every intermediate lies in [-B, bound + E + R]; the arrival rate is
-    # below the mean of an array-backed capacity pmf, so the draws are far
-    # below 2**30 and int32 holds any bound below 2**30.
-    dtype = np.int32 if bound < 2**30 else np.int64
+    dtype = np.int32  # every value lies in [-B, bound + E + R], B and bound <= 2000
     rows = min(CHUNK_CYCLES, cycles_per_stream) * T
-    # per stream: rows entries in each of E, R, B, O, A and F (float), rows + 1 in X
-    size = np.dtype(dtype).itemsize
-    stream_bytes = rows * (5 * size + 8) + (rows + 1) * size
+    # per stream: rows int32s in each of E, R, B, O, A, rows floats in F, rows + 1 in X
+    stream_bytes = rows * (5 * 4 + 8) + (rows + 1) * 4
     periods = streams * cycles_per_stream * T
     if periods > SIM_PERIODS_MAX:
         raise ParameterError(

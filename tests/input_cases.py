@@ -1,20 +1,19 @@
 """Inputs the library entry points once took wrongly, each pinned to the
-ParameterError that names its parameter.
+ParameterError that names its parameter; ``tests/test_inputs.py`` runs them.
 
-Before the one input rule (``shipfees.errors``) these were accepted as a
-different model, coerced by float(), or ended in an OverflowError,
-TypeError or bare ValueError.  The module needs numpy alone, so the job
-without the test dependencies runs it as a script:
-
-    PYTHONPATH=src python tests/input_cases.py
-
-``tests/test_inputs.py`` runs the same cases under pytest.
+Before the one input rule (``shipfees.errors``) and the two caps (the
+bound cap and the joint-memory cap) these were accepted as a different
+model or a run past every evaluator, coerced by float(), or ended in an
+AttributeError, OverflowError, TypeError or bare ValueError.
 """
+
+import math
 
 import numpy as np
 
 import shipfees as sf
 from shipfees.distributions import CapacitySpec
+from shipfees.measures import policy_report
 
 CHOICE = sf.ChoiceModel(4.0, 0.0, 4.0)
 CAPACITY = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
@@ -80,36 +79,55 @@ HOLES = [
     ("FeeStructure(8, ('2',) * 8)", "fees", lambda: sf.FeeStructure(8, ("2",) * 8)),
     # a cycle whose ages' joints at bound 0 pass 1 GiB, refused before T fees
     # are built (10**400 ended in an OverflowError building them)
-    ("Scenario(period_length=2**27 + 1)", "period_length must be at most 134217728",
+    ("Scenario(period_length=2**27 + 1)",
+     "the ages of period_length need 1.000 GiB of joints at bound 0, over the 1 GiB "
+     "limit of 134217728 joints",
      lambda: sf.Scenario(2**27 + 1, 1.5, CAPACITY, CHOICE, 8.0)),
-    ("from_utilization(period_length=10**400)", "period_length must be at most",
+    ("from_utilization(period_length=10**400)", "the ages of period_length need",
      lambda: from_utilization(period_length=10**400)),
-    ("build_policy('CSP', 2.0, 10**400, 4.0)", "period_length must be at most",
+    ("build_policy('CSP', 2.0, 10**400, 4.0)", "the ages of period_length need",
      lambda: sf.build_policy("CSP", 2.0, 10**400, 4.0)),
-    ("canonicalize(0, (1.0,), 10**400, 4.0)", "period_length must be at most",
+    ("canonicalize(0, (1.0,), 10**400, 4.0)", "the ages of period_length need",
      lambda: sf.canonicalize(0, (1.0,), 10**400, 4.0)),
-    ("FeeStructure(10**400, (2.0,))", "period_length must be at most",
+    ("FeeStructure(10**400, (2.0,))", "the ages of period_length need",
      lambda: sf.FeeStructure(10**400, (2.0,))),
+    # sizes past the bound cap, refused where they enter (a hard cap of
+    # 10**6 probed bounds no evaluator accepts for minutes)
+    ("find_bound(scenario, hard_cap=10**6)", "hard_cap must lie in 1..2000",
+     lambda: sf.find_bound(SCENARIO, hard_cap=10**6)),
+    ("find_bound(scenario, hard_cap=2001)", "hard_cap must lie in 1..2000",
+     lambda: sf.find_bound(SCENARIO, hard_cap=2001)),
+    ("SimConfig(cycles=2000, bound=2001)", "bound must lie in 0..2000",
+     lambda: sf.SimConfig(cycles=2000, bound=2001)),
+    ("SimConfig(cycles=2000, bound=10**12)", "bound must lie in 0..2000",
+     lambda: sf.SimConfig(cycles=2000, bound=10**12)),
+    ("PolicyEvaluator(scenario, 2001)", "bound must lie in 0..2000",
+     lambda: sf.PolicyEvaluator(SCENARIO, 2001)),
+    # object arguments, which ended in an AttributeError
+    ("Scenario(capacity='x')", "capacity must be a Pmf",
+     lambda: sf.Scenario(2, 1.5, "x", CHOICE, 8.0)),
+    ("Scenario(choice=None)", "choice must be a ChoiceModel",
+     lambda: sf.Scenario(2, 1.5, CAPACITY, None, 8.0)),
+    ("PolicyEvaluator('x', 8)", "scenario must be a Scenario",
+     lambda: sf.PolicyEvaluator("x", 8)),
+    ("evaluate_policy(scenario, (1.0, 2.0))", "policy must be a FeeStructure",
+     lambda: sf.evaluate_policy(SCENARIO, (1.0, 2.0))),
+    ("policy_report(evaluator, (1.0, 2.0))", "policy must be a FeeStructure",
+     lambda: policy_report(sf.PolicyEvaluator(SCENARIO, 8), (1.0, 2.0))),
+    ("simulate(scenario, (1.0, 2.0), config)", "policy must be a FeeStructure",
+     lambda: sf.simulate(SCENARIO, (1.0, 2.0), sf.SimConfig(2000))),
+    # the choice functions, which returned NaN or ended in a TypeError
+    ("take_rate(choice, '5')", "price must be a real number",
+     lambda: sf.take_rate(CHOICE, "5")),
+    ("split_rates(choice, nan, 2.0)", "lam must be a real number",
+     lambda: sf.split_rates(CHOICE, math.nan, 2.0)),
+    ("split_rates(choice, 1.5, '2')", "fee must be a real number",
+     lambda: sf.split_rates(CHOICE, 1.5, "2")),
+    # a Python integer beyond int64 is a real number, and its mass is not in
+    # [0, 1]; one beyond the float range is not a real number
+    ("Pmf([0.5, 10**31])", "pmf entries must be finite and lie in",
+     lambda: sf.Pmf([0.5, 10**31])),
+    ("Pmf([0.5, 10**400])", r"mass\[1\] must be a real number, got 1000",
+     lambda: sf.Pmf([0.5, 10**400])),
 ]
 
-
-def main() -> int:
-    failures = 0
-    for text, name, call in HOLES:
-        try:
-            call()
-        except sf.ParameterError as exc:
-            ok = name in str(exc)
-            outcome = f"ParameterError: {exc}"[:120]
-        except Exception as exc:  # any other outcome fails the case
-            ok, outcome = False, f"{type(exc).__name__}: {exc}"[:120]
-        else:
-            ok, outcome = False, "accepted"
-        failures += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {text} -> {outcome}")
-    print(f"{len(HOLES) - failures}/{len(HOLES)} inputs refused by name")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

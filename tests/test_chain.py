@@ -448,10 +448,13 @@ class TestScenario:
         """Refused before any discretization: a 10**6 support would take
         seconds of incomplete-beta calls, and its kernels gigabytes."""
         big = chain.BOUND_CAP + 1
+        name, low = "support_max", 1
         if source == "pmf":
             capacity = sf.Pmf(np.eye(big + 1)[big])
+            name, low = "capacity.support_max", 0
         start = time.perf_counter()
-        with pytest.raises(sf.ParameterError, match=f"at most {chain.BOUND_CAP}"):
+        message = rf"^{name} must lie in {low}\.\.{chain.BOUND_CAP} \(the cap of find_bound\)"
+        with pytest.raises(sf.ParameterError, match=message):
             if source == "pmf":
                 sf.Scenario(8, 5.0, capacity, choice, 8.0)
             else:
@@ -485,7 +488,8 @@ class TestPolicyEvaluator:
         for T in (100_000, 139_664):
             sf.PolicyEvaluator(dataclasses.replace(micro_scenario, period_length=T), 30)
         long_cycle = dataclasses.replace(micro_scenario, period_length=139_665)
-        with pytest.raises(sf.ParameterError, match="scenario.T: 139665 ages need"):
+        message = "the 139665 ages of scenario.period_length need 1.000 GiB of joints"
+        with pytest.raises(sf.ParameterError, match=message):
             sf.PolicyEvaluator(long_cycle, 30)
 
     def test_batch_beyond_the_memory_limit_is_refused(self, micro_scenario, monkeypatch):
@@ -497,8 +501,13 @@ class TestPolicyEvaluator:
         sf.PolicyEvaluator(scenario, 8).profits_batch(vectors)
         monkeypatch.setattr(chain, "JOINT_BYTES_MAX", 8 * 8 * 81 - 1)
         ev = sf.PolicyEvaluator(scenario, 8)
-        with pytest.raises(sf.ParameterError, match="a batch holding 8 joints at bound 8"):
+        with pytest.raises(sf.ParameterError) as info:
             ev.profits_batch(vectors)
+        assert str(info.value) == (
+            "the 8 run joints and pulled matrices of a batch need 0.000004828 GiB of "
+            "joints at bound 8, over the 4.82704e-06 GiB limit of 7 joints; use a "
+            "smaller truncation bound or fee grid"
+        )
         assert not ev._steps  # refused before the first push
 
     def test_batch_matches_single_evaluations(self, micro_scenario):

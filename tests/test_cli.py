@@ -430,7 +430,7 @@ class TestBoundedInput:
         code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
         assert code == 1
         assert err == (
-            "error: scenario.truncation_bound: must lie in 0..2000 "
+            "error: scenario.truncation_bound: bound must lie in 0..2000 "
             "(the cap of find_bound), got 100000\n"
         )
         assert out == ""
@@ -477,12 +477,13 @@ class TestBoundedInput:
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
         assert code == 1
-        # a pmf's support is its length - 1
-        support = len(value) - 1 if key == "capacity_pmf" else value
-        # capacity_support_max starts at 1, a pmf's support at 0
-        low = 0 if key == "capacity_pmf" else 1
+        # the scenario refuses them: capacity_support_max as CapacitySpec's
+        # support_max, from 1, and a pmf by its support, its length - 1
+        name, low, support = "support_max", 1, value
+        if key == "capacity_pmf":
+            name, low, support = "capacity.support_max", 0, len(value) - 1
         assert err == (
-            f"error: scenario.{key}: must lie in {low}..2000 (the cap of "
+            f"error: scenario: {name} must lie in {low}..2000 (the cap of "
             f"find_bound), got {support}\n"
         )
         assert out == ""
@@ -511,8 +512,9 @@ class TestBoundedInput:
         proc = run_under_memory_limit(["optimize", "--config", str(path)], 2**30)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == (
-            "error: a batch holding 133 joints at bound 1004 needs 1.001 GiB, over "
-            "the 1 GiB limit; use a smaller truncation bound or fee grid\n"
+            "error: the 133 run joints and pulled matrices of a batch need 1.001 GiB "
+            "of joints at bound 1004, over the 1 GiB limit of 132 joints; use a "
+            "smaller truncation bound or fee grid\n"
         )
         assert proc.stdout == ""
 
@@ -542,7 +544,8 @@ class TestBoundedInput:
         [
             # 10**6 joints of 31 x 31 floats at the preset's bound 30: 7.2 GiB
             ("evaluate", 10**6, None,
-             "scenario.T: 1000000 ages need 7.16 GiB of joints at bound 30"),
+             "the 1000000 ages of scenario.period_length need 7.160 GiB of joints "
+             "at bound 30, over the 1 GiB limit of 139664 joints; use fewer ages"),
             # 955,500 TSP candidates of 50 fees each: within the budget of
             # 10**6 candidates at T <= 8, over the 160,000 it allows at T = 50
             ("optimize", 50, {"fee_values": [k / 10 for k in range(1, 41)],
@@ -566,8 +569,12 @@ class TestBoundedInput:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("T", [10**400, 10**9], ids=["1e400", "1e9"])
-    def test_cycle_beyond_any_evaluator_is_refused_where_it_enters(self, tmp_path, T):
+    @pytest.mark.parametrize(
+        "T, need", [(10**400, "7.451e+391"), (10**9, "7.451")], ids=["1e400", "1e9"]
+    )
+    def test_cycle_beyond_any_evaluator_is_refused_where_it_enters(
+        self, tmp_path, T, need
+    ):
         # 10**9 fees would take 8 GB, 10**400 no tuple can hold: the scenario
         # refuses a T over the ages of 1 GiB of joints at bound 0
         cfg = load_preset("rho085_c8")
@@ -577,8 +584,9 @@ class TestBoundedInput:
         proc = run_under_memory_limit(["evaluate", "--config", str(path)], 2**30)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == (
-            "error: scenario: period_length must be at most 134217728, the ages "
-            "whose joints fit in the 1 GiB limit at bound 0\n"
+            f"error: scenario: the ages of period_length need {need} GiB of joints "
+            "at bound 0, over the 1 GiB limit of 134217728 joints; use a shorter "
+            "cycle\n"
         )
         assert proc.stdout == ""
 

@@ -54,7 +54,8 @@ CALLS = {
         "regular_price": (4.0, REAL), "u_min": (0.0, REAL), "u_max": (4.0, REAL)}),
     "Scenario": (sf.Scenario, {
         "period_length": (2, INTEGER), "lam": (1.5, REAL),
-        "capacity": (CAPACITY, st.just(CAPACITY)), "choice": (CHOICE, st.just(CHOICE)),
+        "capacity": (CAPACITY, st.sampled_from(JUNK)),
+        "choice": (CHOICE, st.sampled_from(JUNK)),
         "penalty": (8.0, REAL), "rejection_threshold": (0.023, REAL)}),
     "Scenario.from_utilization": (sf.Scenario.from_utilization, {
         "period_length": (8, INTEGER), "lam": (5.0, REAL), "utilization": (0.85, REAL),
@@ -79,10 +80,13 @@ CALLS = {
         "cycles": (2000, INTEGER), "warmup_cycles": (500, INTEGER),
         "seed": (1, INTEGER), "bound": (None, INTEGER), "streams": (4, INTEGER)}),
     "PolicyEvaluator": (sf.PolicyEvaluator, {
-        "scenario": (SCENARIO, st.just(SCENARIO)),
+        "scenario": (SCENARIO, st.sampled_from(JUNK)),
         "bound": (8, st.one_of(st.none(), INTEGER))}),
     "find_bound": (sf.find_bound, {
         "scenario": (IDLE, st.just(IDLE)), "hard_cap": (2000, INTEGER)}),
+    "take_rate": (sf.take_rate, {"model": (CHOICE, st.just(CHOICE)), "price": (5.0, FEE)}),
+    "split_rates": (sf.split_rates, {
+        "model": (CHOICE, st.just(CHOICE)), "lam": (1.5, REAL), "fee": (2.0, FEE)}),
     "poisson_pmf": (sf.poisson_pmf, {"rate": (1.5, REAL), "tail_eps": (1e-12, REAL)}),
 }
 

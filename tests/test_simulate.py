@@ -201,7 +201,8 @@ class TestLoopOracle:
     VECTOR = (0.0, 4.0, 2.5, math.inf, 1.3, 3.9, 0.2, 2.2)
 
     @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("bound", [0, 3, 30, 50, 2**40])
+    # 2000, the bound cap, is a bound these workloads never reach
+    @pytest.mark.parametrize("bound", [0, 3, 30, 50, 2000])
     @pytest.mark.parametrize("rho", [0.85, 0.90, 0.95])
     def test_presets(self, make_scenario, rho, bound, seed):
         scenario = make_scenario(rho, 8.0)
