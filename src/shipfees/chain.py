@@ -537,6 +537,7 @@ def find_bound(scenario: Scenario, hard_cap: int = BOUND_CAP) -> int:
     long-run frequencies, which are the stationary probabilities.  Raises
     CapacityInfeasibleError if even hard_cap is not enough.
     """
+    check_instance("scenario", scenario, Scenario)
     hard_cap = check_bound("hard_cap", hard_cap, low=1)
     return _search_bound(
         scenario.lam, scenario.capacity, scenario.rejection_threshold, hard_cap

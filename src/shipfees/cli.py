@@ -34,7 +34,6 @@ import io
 import json
 import math
 import os
-import reprlib
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -48,7 +47,7 @@ from .chain import (
 )
 from .choice import ChoiceModel
 from .distributions import Pmf, check_bound
-from .errors import NumericsError, ParameterError, is_integer, is_real
+from .errors import NumericsError, ParameterError, is_integer, is_real, shown
 from .measures import evaluate_policy, policy_report
 from .optimize import (
     FAMILIES as SEARCH_FAMILIES,
@@ -114,7 +113,7 @@ FIELDS = {
     "policy.switch_age": ("integer", REQUIRED),
     "policy.fees": (("fee", "an array"), REQUIRED),
     "optimize": ("block", None),
-    "optimize.family": ("string", "TSP"),
+    "optimize.family": ("search", "TSP"),
     "simulate": ("block", None),
     "simulate.cycles": ("integer", 101_000),
     "simulate.warmup_cycles": ("integer", SimConfig.warmup_cycles),
@@ -122,18 +121,20 @@ FIELDS = {
     "simulate.streams": ("integer", SimConfig.streams),
 }
 
+# the policy block's fields of each family, in build_policy's params order
+POLICY_FIELDS = {**FAMILIES, "vector": ("fees",)}
+
 # scalar kind: (the test of a JSON value, its name in a diagnostic); numbers
 # pass the library's input rule, and a null fee is math.inf, express not offered
 SCALARS = {"number": (is_real, "a number"), "integer": (is_integer, "an integer"),
-           "string": (lambda v: isinstance(v, str), "a string"),
            "fee": (lambda v: v is None or is_real(v, inf=True), "a number"),
-           "family": (lambda v: isinstance(v, str), "CSP, TSP_CF, TSP, or vector")}
+           "family": (lambda v: isinstance(v, str) and v in POLICY_FIELDS,
+                      "CSP, TSP_CF, TSP, or vector"),
+           "search": (lambda v: isinstance(v, str) and v in SEARCH_FAMILIES,
+                      " or ".join(SEARCH_FAMILIES))}
 # array shape: the lengths it admits
 SHAPES = {"an array": range(sys.maxsize), "a nonempty array": range(1, sys.maxsize),
           "[low, high]": range(2, 3)}
-
-# the policy block's fields of each family, in build_policy's params order
-POLICY_FIELDS = {**FAMILIES, "vector": ("fees",)}
 
 
 def _check(val, kind, path: str):
@@ -145,7 +146,7 @@ def _check(val, kind, path: str):
         return [_check(v, entry, f"{path}[{i}]") for i, v in enumerate(val)]
     test, name = SCALARS[kind]
     if not test(val):
-        raise ParameterError(f"{path}: expected {name}, got {reprlib.repr(val)}")
+        raise ParameterError(f"{path}: expected {name}, got {shown(val)}")
     return math.inf if val is None else val
 
 
@@ -182,7 +183,7 @@ def load_preset(name: str) -> dict:
     """Parsed config of one bundled preset."""
     if name not in PRESETS:
         raise ParameterError(
-            f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
+            f"unknown preset {shown(name)}; available: {', '.join(PRESETS)}"
         )
     text = resources.files("shipfees").joinpath(
         "presets", f"{name}.json"
@@ -271,9 +272,6 @@ class Experiment:
     def policy(self) -> FeeStructure:
         T = self.scenario.period_length
         family = self.get("policy.family")
-        if family not in POLICY_FIELDS:
-            families = SCALARS["family"][1]
-            raise ParameterError(f"policy.family: expected {families}, got {family!r}")
         names = POLICY_FIELDS[family]
         for key in self.get("policy"):
             if key not in ("family", *names):
@@ -414,11 +412,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     exp = _experiments(args)[0]
-    family = exp.get("optimize.family")
-    if family not in SEARCH_FAMILIES:
-        families = " or ".join(SEARCH_FAMILIES)
-        raise ParameterError(f"optimize.family: expected {families}, got {family!r}")
-    opt = optimize_family(exp.scenario, family, exp.grid, bound=exp.bound)
+    opt = optimize_family(exp.scenario, exp.get("optimize.family"), exp.grid, bound=exp.bound)
     params, report = _opt_params(opt), opt.report
     keys = ("evaluations", "runner_up_gap", "tie_broken")
     tail = {key: getattr(opt, key) for key in keys}
@@ -699,7 +693,7 @@ def cmd_verify(args) -> int:
 
 def _seed(text: str) -> int:
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {shown(text)}")
     return int(text)
 
 

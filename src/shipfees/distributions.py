@@ -19,14 +19,13 @@ exp(lgamma ...) difference, which cancels badly when a + b is large.
 from __future__ import annotations
 
 import math
-import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .errors import check_integer, check_real, is_real, real_tuple, store
+from .errors import check_integer, check_real, is_real, real_tuple, shown, store
 
 # Mass-conservation slack accepted on construction.
 MASS_TOL = 1e-12
@@ -41,7 +40,7 @@ def check_bound(name: str, value, low: int = 0) -> int:
     value = check_integer(name, value)
     if not low <= value <= BOUND_CAP:
         cap = f"{low}..{BOUND_CAP} (the cap of find_bound)"
-        raise ParameterError(f"{name} must lie in {cap}, got {reprlib.repr(value)}")
+        raise ParameterError(f"{name} must lie in {cap}, got {shown(value)}")
     return value
 
 # Largest Poisson rate the pmf recurrence takes: above it exp(-rate) is
@@ -62,28 +61,18 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 class Pmf:
     """Probability mass function on {0, ..., support_max}.
 
-    The mass array is copied and frozen on construction; entries must be
-    finite, in [0, 1], and sum to one within ``MASS_TOL``.  Pmfs compare
-    and hash by value (support and masses, with -0.0 equal to 0.0), so a
-    pmf can key a cache.
+    Masses pass the input rule as mass[0], mass[1], ... (a bool is not
+    one), lie in [0, 1], sum to one within ``MASS_TOL`` and are held as a
+    frozen float array.  Pmfs compare and hash by value (support and
+    masses, with -0.0 equal to 0.0), so a pmf can key a cache.
     """
 
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.array(self.mass)
-        except ValueError:  # a ragged nesting
-            arr = np.array(None)
-        if arr.dtype.kind == "O" and arr.ndim == 1:  # an integer beyond int64, say
-            arr = np.array(real_tuple("mass", arr))
-        if arr.dtype.kind not in "iuf":
-            got = reprlib.repr(self.mass)
-            raise ParameterError(f"mass must hold real numbers, got {got}")
-        arr = arr.astype(float, copy=False)
-        if arr.ndim != 1 or arr.size == 0:
+        arr = np.array(real_tuple("mass", self.mass))
+        if arr.size == 0:
             raise ParameterError("pmf must be a nonempty 1-D array")
-        # NaN fails every comparison, so test membership, not violation
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ParameterError("pmf entries must be finite and lie in [0, 1]")
         total = float(arr.sum())
@@ -122,12 +111,7 @@ class Pmf:
 
     @classmethod
     def point_mass(cls, value: int) -> "Pmf":
-        value = check_integer("value", value)
-        if value < 0:
-            raise ParameterError("point mass location must be nonnegative")
-        arr = np.zeros(value + 1)
-        arr[value] = 1.0
-        return cls(arr)
+        return cls([0.0] * check_bound("value", value) + [1.0])
 
 
 @dataclass(frozen=True)
@@ -169,7 +153,7 @@ def poisson_pmf(rate: float, tail_eps: float = 1e-12) -> Pmf:
     is a ParameterError.
     """
     if not (is_real(rate, inf=True) and rate >= 0.0):
-        raise ParameterError(f"poisson rate must be a number >= 0, got {rate!r}")
+        raise ParameterError(f"poisson rate must be a number >= 0, got {shown(rate)}")
     rate, tail_eps = float(rate), check_real("tail_eps", tail_eps)
     # below 1e-12 the float sum can stall short of 1 - tail_eps (1e-15 hung at rate 700)
     if not 1e-12 <= tail_eps <= 1e-6:

@@ -27,6 +27,15 @@ class CapacityInfeasibleError(NumericsError):
     """No admissible truncation bound exists below the hard cap."""
 
 
+def shown(value) -> str:
+    """value on one line for a message: reprlib's repr, or its type and size."""
+    try:
+        return reprlib.repr(value).replace("\n", " ")
+    except ValueError:  # repr stops at 4300 digits, in value or in an entry of it
+        size = f"{value.bit_length()} bits" if is_integer(value) else f"length {len(value)}"
+        return f"{type(value).__name__} of {size}"
+
+
 def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -43,19 +52,19 @@ def is_real(value, inf: bool = False) -> bool:
 
 def check_integer(name: str, value) -> int:
     if not is_integer(value):
-        raise ParameterError(f"{name} must be an integer, got {reprlib.repr(value)}")
+        raise ParameterError(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
 def check_real(name: str, value, inf: bool = False) -> float:
     if not is_real(value, inf):
-        raise ParameterError(f"{name} must be a real number, got {reprlib.repr(value)}")
+        raise ParameterError(f"{name} must be a real number, got {shown(value)}")
     return float(value)
 
 
 def check_instance(name: str, value, cls: type) -> None:
     if not isinstance(value, cls):
-        raise ParameterError(f"{name} must be a {cls.__name__}, got {reprlib.repr(value)}")
+        raise ParameterError(f"{name} must be a {cls.__name__}, got {shown(value)}")
 
 
 def real_tuple(name: str, values, inf: bool = False) -> tuple[float, ...]:
@@ -63,7 +72,7 @@ def real_tuple(name: str, values, inf: bool = False) -> tuple[float, ...]:
     try:
         values = tuple(values)
     except TypeError:  # not iterable
-        raise ParameterError(f"{name} must be a sequence, got {values!r}") from None
+        raise ParameterError(f"{name} must be a sequence, got {shown(values)}") from None
     return tuple(check_real(f"{name}[{i}]", value, inf) for i, value in enumerate(values))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
-from .errors import is_integer, real_tuple, store
+from .errors import check_instance, is_integer, real_tuple, shown, store
 from .measures import PerformanceReport, policy_report
 from .policies import FeeStructure, demand_profile, two_level_fees
 
@@ -49,7 +49,7 @@ class SearchGrid:
         fees, cut = self.fee_values, self.cutoff_range
         pair = isinstance(cut, (tuple, list)) and len(cut) == 2
         if not (pair and all(map(is_integer, cut))):
-            raise ParameterError(f"cutoff_range must be two integers, got {cut!r}")
+            raise ParameterError(f"cutoff_range must be two integers, got {shown(cut)}")
         lo, hi = map(int, cut)
         object.__setattr__(self, "cutoff_range", (lo, hi))
         if not fees:
@@ -107,8 +107,10 @@ def revenue_max_fee(choice: ChoiceModel) -> float:
 def _validated_grid(
     scenario: Scenario, grid: SearchGrid | None
 ) -> SearchGrid:
+    check_instance("scenario", scenario, Scenario)
     if grid is None:
         grid = SearchGrid.default(scenario.period_length)
+    check_instance("grid", grid, SearchGrid)
     choice = scenario.choice
     if grid.fee_values[0] < choice.u_min or grid.fee_values[-1] > choice.u_max:
         raise ParameterError(
@@ -141,7 +143,7 @@ def _candidates(
     itertools.combinations gives f_E < f_LE, so no point needs a check.
     """
     if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise ParameterError(f"unknown family {shown(family)}; expected one of {FAMILIES}")
     T = scenario.period_length
     u_max = scenario.choice.u_max
     lo, hi = grid.cutoff_range

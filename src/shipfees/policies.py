@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .chain import check_period_length
 from .choice import ChoiceModel, split_rates
-from .errors import ParameterError, check_integer, check_real, real_tuple, store
+from .errors import ParameterError, check_integer, check_real, real_tuple, shown, store
 
 # family: its parameter names, in build_policy's params order
 FAMILIES = {
@@ -103,14 +103,14 @@ def build_policy(
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise ParameterError(
-            f"unknown policy family {family!r}; expected one of {tuple(FAMILIES)}"
+            f"unknown policy family {shown(family)}; expected one of {tuple(FAMILIES)}"
         )
     T = check_period_length("period_length", period_length)
     u_max = check_real("u_max", u_max)
     names = FAMILIES[family]
     values = (params,) if family == "CSP" else params
     if not isinstance(values, (tuple, list)) or len(values) != len(names):
-        raise ParameterError(f"{family} takes ({', '.join(names)}), got {params!r}")
+        raise ParameterError(f"{family} takes ({', '.join(names)}), got {shown(params)}")
     values = [check_real(n, v) if n.endswith("fee") else v for n, v in zip(names, values)]
     if family == "TSP":
         f_e, f_le, tau_f, tau_c = values
@@ -119,7 +119,7 @@ def build_policy(
         f_le, tau_f = f_e, tau_c
     for fee in (f_e, f_le):
         if not 0.0 <= fee <= u_max:
-            raise ParameterError(f"fee {fee!r} outside [0, u_max={u_max!r}]")
+            raise ParameterError(f"fee {shown(fee)} outside [0, u_max={shown(u_max)}]")
     if family == "TSP" and not f_le > f_e:
         raise ParameterError("lastminute_fee must exceed express_fee")
     tau_c = check_integer("cutoff_age", tau_c)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .chain import Scenario, check_bound, find_bound
 from .choice import split_rates
-from .errors import ParameterError, check_instance, check_integer, store
+from .errors import ParameterError, check_instance, check_integer, shown, store
 from .measures import PerformanceReport, make_report
 from .policies import FeeStructure
 
@@ -167,7 +167,9 @@ def simulate(
     Draws, walk and tallies follow the module's contract, so a seed fixes
     the report bit for bit.  The pool lives for this call only.
     """
+    check_instance("scenario", scenario, Scenario)
     check_instance("policy", policy, FeeStructure)
+    check_instance("config", config, SimConfig)
     if policy.period_length != scenario.period_length:
         raise ParameterError("policy and scenario cycle lengths differ")
     bound = find_bound(scenario) if config.bound is None else config.bound
@@ -186,9 +188,9 @@ def simulate(
     periods = streams * cycles_per_stream * T
     if periods > SIM_PERIODS_MAX:
         raise ParameterError(
-            f"simulate.cycles: {streams} streams of {cycles_per_stream} cycles "
-            f"at T = {T} are {periods} cycle-periods, over the {SIM_PERIODS_MAX} "
-            "limit; use fewer cycles"
+            f"simulate.cycles: {shown(streams)} streams of {shown(cycles_per_stream)} "
+            f"cycles at T = {T} are {shown(periods)} cycle-periods, over the "
+            f"{SIM_PERIODS_MAX} limit; use fewer cycles"
         )
     if streams * stream_bytes > CHUNK_BYTES_MAX:
         raise ParameterError(

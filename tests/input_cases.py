@@ -4,7 +4,8 @@ ParameterError that names its parameter; ``tests/test_inputs.py`` runs them.
 Before the one input rule (``shipfees.errors``) and the two caps (the
 bound cap and the joint-memory cap) these were accepted as a different
 model or a run past every evaluator, coerced by float(), or ended in an
-AttributeError, OverflowError, TypeError or bare ValueError.
+AttributeError, OverflowError, TypeError or bare ValueError.  Every one
+now ends in a ParameterError of one line under 300 characters.
 """
 
 import math
@@ -18,6 +19,7 @@ from shipfees.measures import policy_report
 CHOICE = sf.ChoiceModel(4.0, 0.0, 4.0)
 CAPACITY = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))
 SCENARIO = sf.Scenario(2, 1.5, CAPACITY, CHOICE, 8.0)
+POLICY = sf.FeeStructure(2, (1.5, 2.5))
 # Scenario.from_utilization's arguments at the benchmark design point
 DESIGN = (8, 5.0, 0.85, 0.5, 20, CHOICE, 8.0)
 
@@ -116,6 +118,19 @@ HOLES = [
      lambda: policy_report(sf.PolicyEvaluator(SCENARIO, 8), (1.0, 2.0))),
     ("simulate(scenario, (1.0, 2.0), config)", "policy must be a FeeStructure",
      lambda: sf.simulate(SCENARIO, (1.0, 2.0), sf.SimConfig(2000))),
+    ("simulate('x', policy, config)", "scenario must be a Scenario",
+     lambda: sf.simulate("x", POLICY, sf.SimConfig(2000))),
+    ("simulate(scenario, policy, 2000)", "config must be a SimConfig, got 2000",
+     lambda: sf.simulate(SCENARIO, POLICY, 2000)),
+    ("find_bound('x')", "scenario must be a Scenario", lambda: sf.find_bound("x")),
+    ("optimize_family(scenario, 'TSP', 'x')", "grid must be a SearchGrid",
+     lambda: sf.optimize_family(SCENARIO, "TSP", "x")),
+    ("optimize_family('x', 'TSP')", "scenario must be a Scenario",
+     lambda: sf.optimize_family("x", "TSP")),
+    ("optimize_families(scenario, [('TSP', (1.0, 2.0))])", "grid must be a SearchGrid",
+     lambda: sf.optimize_families(SCENARIO, [("TSP", (1.0, 2.0))])),
+    ("exhaustive_fee_vector_search(scenario, 'x')", "grid must be a SearchGrid",
+     lambda: sf.exhaustive_fee_vector_search(SCENARIO, "x")),
     # the choice functions, which returned NaN or ended in a TypeError
     ("take_rate(choice, '5')", "price must be a real number",
      lambda: sf.take_rate(CHOICE, "5")),
@@ -129,5 +144,41 @@ HOLES = [
      lambda: sf.Pmf([0.5, 10**31])),
     ("Pmf([0.5, 10**400])", r"mass\[1\] must be a real number, got 1000",
      lambda: sf.Pmf([0.5, 10**400])),
+    # masses pass the input rule entry by entry: a bool is not a mass, and a
+    # point mass's support is capped like any other
+    ("Pmf([True, 0.0])", r"^mass\[0\] must be a real number, got True$",
+     lambda: sf.Pmf([True, 0.0])),
+    # an entry whose repr spans two lines is shown on one
+    ("Pmf(np.zeros((1, 2, 1)))",
+     r"^mass\[0\] must be a real number, got array\(\[\[0\.\], +\[0\.\]\]\)$",
+     lambda: sf.Pmf(np.zeros((1, 2, 1)))),
+    ("Pmf.point_mass(2001)", r"^value must lie in 0\.\.2000 \(the cap of find_bound\)",
+     lambda: sf.Pmf.point_mass(2001)),
+    # values repr cannot print (an int past 4300 digits), shown by type and
+    # size; each ended in a ValueError from int's str conversion limit
+    ("poisson_pmf(10**5000)", "poisson rate must be a number >= 0, got int of",
+     lambda: sf.poisson_pmf(10**5000)),
+    ("FeeStructure(2, 10**5000)", "fees must be a sequence, got int of 16610 bits",
+     lambda: sf.FeeStructure(2, 10**5000)),
+    ("SearchGrid((1.0,), 10**5000)", "cutoff_range must be two integers, got int of",
+     lambda: sf.SearchGrid((1.0,), 10**5000)),
+    ("build_policy('CSP', (10**5000,), 8, 4.0)",
+     "fee must be a real number, got tuple of length 1",
+     lambda: sf.build_policy("CSP", (10**5000,), 8, 4.0)),
+    ("ChoiceModel(10**5000, 0, 4)", "regular_price must be a real number, got int of",
+     lambda: sf.ChoiceModel(10**5000, 0, 4)),
+    ("take_rate(choice, 10**5000)", "price must be a real number, got int of",
+     lambda: sf.take_rate(CHOICE, 10**5000)),
+    ("PolicyEvaluator(scenario, 10**5000)", "bound must lie in 0..2000 .* got int of",
+     lambda: sf.PolicyEvaluator(SCENARIO, 10**5000)),
+    ("simulate(cycles=10**5000)", "simulate.cycles: 200 streams of int of",
+     lambda: sf.simulate(SCENARIO, POLICY, sf.SimConfig(cycles=10**5000, bound=30))),
+    # long values, shortened by reprlib (their reprs ran to 300,000 characters)
+    ("SearchGrid((1.0,), [0] * 100000)",
+     r"cutoff_range must be two integers, got \[0, 0, 0, 0, 0, 0, \.\.\.\]$",
+     lambda: sf.SearchGrid((1.0,), [0] * 100000)),
+    ("build_policy(['x'] * 100000, 2.0, 8, 4.0)",
+     r"unknown policy family \['x', 'x', 'x', 'x', 'x', 'x', \.\.\.\]; expected",
+     lambda: sf.build_policy(["x"] * 100000, 2.0, 8, 4.0)),
 ]
 

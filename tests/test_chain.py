@@ -434,6 +434,18 @@ class TestScenario:
         with pytest.raises(sf.ParameterError, match=field):
             sf.Scenario(**kwargs)
 
+    def test_negative_arrival_rate_rejected(self, micro_scenario):
+        with pytest.raises(sf.ParameterError, match="^arrival rate must be nonnegative$"):
+            sf.Scenario(2, -0.5, micro_scenario.capacity, micro_scenario.choice, 8.0)
+
+    @pytest.mark.parametrize("lam, load", [(1.9, "1"), (3.8, "2")])
+    def test_capacity_at_or_over_full_load_rejected(self, micro_scenario, lam, load):
+        """A pmf given directly must carry more than lam on average; the
+        micro capacity's mean is 1.9."""
+        message = rf"^utilization lam/E\[B\] = {load} must be < 1$"
+        with pytest.raises(sf.ParameterError, match=message):
+            sf.Scenario(2, lam, micro_scenario.capacity, micro_scenario.choice, 8.0)
+
     def test_utilization_missed_by_discretization(self, choice):
         """Asking for 0.999 must not end in 'utilization 1.002 must be < 1'."""
         with pytest.raises(sf.ParameterError) as info:
@@ -491,6 +503,13 @@ class TestPolicyEvaluator:
         message = "the 139665 ages of scenario.period_length need 1.000 GiB of joints"
         with pytest.raises(sf.ParameterError, match=message):
             sf.PolicyEvaluator(long_cycle, 30)
+
+    @pytest.mark.parametrize("fees", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_joints_of_a_vector_of_another_length_are_refused(self, micro_scenario, fees):
+        ev = sf.PolicyEvaluator(micro_scenario, 8)
+        message = "^fee vector length must equal period_length$"
+        with pytest.raises(sf.ParameterError, match=message):
+            ev.joints(fees)
 
     def test_batch_beyond_the_memory_limit_is_refused(self, micro_scenario, monkeypatch):
         """A batch holds its run joints and at most T - 1 pulled matrices:

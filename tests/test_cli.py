@@ -215,6 +215,28 @@ class TestUnknownFields:
         assert err == f"error: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "block, value, message",
+        [
+            ("policy", "x", "policy.family: expected CSP, TSP_CF, TSP, or vector, got 'x'"),
+            ("policy", ["CSP"], "policy.family: expected CSP, TSP_CF, TSP, or vector, "
+             "got ['CSP']"),
+            ("optimize", "x", "optimize.family: expected TSP_CF_star or TSP, got 'x'"),
+            ("optimize", 5, "optimize.family: expected TSP_CF_star or TSP, got 5"),
+            ("optimize", ["TSP"], "optimize.family: expected TSP_CF_star or TSP, "
+             "got ['TSP']"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_unknown_family_is_refused_where_it_is_read(
+        self, capsys, tmp_path, command, block, value, message
+    ):
+        """Both family fields are judged with the config, whichever command
+        runs; a list is refused as a value, never hashed."""
+        cfg = {**SMALL_CONFIG, block: {**SMALL_CONFIG[block], "family": value}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("key", ["scv", "capacity_support_max"])
     def test_utilization_field_beside_capacity_pmf(self, capsys, tmp_path, key):
         scenario = {"T": 4, "lambda": 2.0, "capacity_pmf": [0.0, 0.1, 0.2, 0.3, 0.4]}

@@ -107,6 +107,13 @@ class TestOptimizeFamily:
         with pytest.raises(sf.ParameterError):
             sf.optimize_family(micro_scenario, "CSP_star", GRID, bound=8)
 
+    @pytest.mark.parametrize("fees, cutoffs", [((2.0,), (1, 1)), ((1.0, 2.0), (0, 0))])
+    def test_grid_without_a_tsp_candidate_is_empty(self, micro_scenario, fees, cutoffs):
+        """TSP needs two fees f_E < f_LE and a switch age below the cutoff."""
+        grid = sf.SearchGrid(fees, cutoffs)
+        with pytest.raises(sf.ParameterError, match="^parameter grid is empty$"):
+            sf.optimize_family(micro_scenario, "TSP", grid, bound=8)
+
     def test_grid_must_fit_choice_range(self, micro_scenario):
         with pytest.raises(sf.ParameterError):
             sf.optimize_family(
