@@ -9,7 +9,6 @@ from .choice import ChoiceModel, split_rates, take_rate
 from .distributions import (
     CapacitySpec,
     Pmf,
-    beta_shape_parameters,
     discretized_beta,
     poisson_pmf,
 )
@@ -24,7 +23,6 @@ from .optimize import (
     SearchGrid,
     dominance_experiment,
     exhaustive_fee_vector_search,
-    is_weakly_monotone,
     optimize_families,
     optimize_family,
     revenue_max_fee,
@@ -35,7 +33,6 @@ from .policies import (
     build_policy,
     canonicalize,
     cutoff_form,
-    demand_profile,
 )
 
 __all__ = [
@@ -56,14 +53,11 @@ __all__ = [
     "build_policy",
     "canonicalize",
     "cutoff_form",
-    "demand_profile",
-    "beta_shape_parameters",
     "discretized_beta",
     "dominance_experiment",
     "evaluate_policy",
     "exhaustive_fee_vector_search",
     "find_bound",
-    "is_weakly_monotone",
     "optimize_families",
     "optimize_family",
     "poisson_pmf",

@@ -53,10 +53,10 @@ from .optimize import (
     FAMILIES as SEARCH_FAMILIES,
     Optimum,
     SearchGrid,
+    _is_weakly_monotone,
     _validated_grid,
     dominance_experiment,
     exhaustive_fee_vector_search,
-    is_weakly_monotone,
     optimize_families,
     optimize_family,
     revenue_max_fee,
@@ -601,7 +601,7 @@ def _verify_monotone_grid(rng: np.random.Generator) -> tuple[bool, str]:
             rng.uniform(2.0, 15.0),
         )
         argmax = exhaustive_fee_vector_search(sc, grid)
-        hits += any(is_weakly_monotone(p) for p in argmax)
+        hits += any(_is_weakly_monotone(p) for p in argmax)
     return hits == total, (
         f"monotone-grid: {hits}/{total} argmax sets contain a weakly monotone "
         f"vector (T={T})"

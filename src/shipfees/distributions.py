@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_instance
 from .errors import check_integer, check_real, is_real, real_tuple, shown, store
 
 # Mass-conservation slack accepted on construction.
@@ -182,7 +182,7 @@ def _poisson_mass(rate: float, tail_eps: float) -> np.ndarray:
     return arr
 
 
-def beta_shape_parameters(spec: CapacitySpec) -> tuple[float, float]:
+def _beta_shape_parameters(spec: CapacitySpec) -> tuple[float, float]:
     """Beta(alpha, beta) shape parameters matching spec.mean and spec.scv on [0, 1].
 
     Closed-form moment match for the continuous density: with m and v the
@@ -215,8 +215,9 @@ def discretized_beta(spec: CapacitySpec) -> Pmf:
     capacity regimes), so callers that care should read the achieved values
     back off the returned pmf via mean() and scv().
     """
+    check_instance("spec", spec, CapacitySpec)
     n = spec.support_max
-    alpha, beta = beta_shape_parameters(spec)
+    alpha, beta = _beta_shape_parameters(spec)
     edges = np.clip((np.arange(n + 2) - 0.5) / n, 0.0, 1.0)
     masses = np.diff([_betainc(alpha, beta, float(x)) for x in edges])
     masses = np.clip(masses, 0.0, None)

@@ -19,9 +19,9 @@ import numpy as np
 from .chain import PolicyEvaluator, Scenario
 from .choice import ChoiceModel
 from .errors import NumericsError, ParameterError
-from .errors import check_instance, is_integer, real_tuple, shown, store
+from .errors import check_instance, check_integer, is_integer, real_tuple, shown, store
 from .measures import PerformanceReport, policy_report
-from .policies import FeeStructure, demand_profile, two_level_fees
+from .policies import FeeStructure, _demand_profile, two_level_fees
 
 # Profits closer than this are treated as tied and go to the preference order.
 PROFIT_TIE_TOL = 1e-9
@@ -65,7 +65,7 @@ class SearchGrid:
     def default(cls, period_length: int) -> SearchGrid:
         """0.2 lattice from 0.2 to 3.8 with cutoffs 1..T-1."""
         fees = tuple(round(0.2 * k, 10) for k in range(1, 20))
-        return cls(fees, (1, max(period_length - 1, 1)))
+        return cls(fees, (1, max(check_integer("period_length", period_length) - 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def revenue_max_fee(choice: ChoiceModel) -> float:
     The linear take rate makes revenue a downward parabola in the fee with
     vertex u_max / 2; the argmax over admissible fees is the clamped vertex.
     """
+    check_instance("choice", choice, ChoiceModel)
     return min(max(0.5 * choice.u_max, choice.u_min), choice.u_max)
 
 
@@ -198,6 +199,9 @@ def optimize_families(
     that evaluator.  Within each search, profit ties within PROFIT_TIE_TOL
     go to the latest cutoff, then the latest switch, then the cheapest fees.
     """
+    if not isinstance(searches, (list, tuple)) or any(
+            not isinstance(s, (list, tuple)) or len(s) != 2 for s in searches):
+        raise ParameterError(f"searches must be (family, grid) pairs, got {shown(searches)}")
     found = [
         _candidates(scenario, family, _validated_grid(scenario, grid))
         for family, grid in searches
@@ -229,7 +233,7 @@ def optimize_family(
     return optimize_families(scenario, [(family, grid)], bound)[0]
 
 
-def is_weakly_monotone(policy: FeeStructure) -> bool:
+def _is_weakly_monotone(policy: FeeStructure) -> bool:
     """True iff fees never decrease age over age (ties allowed)."""
     return all(a <= b for a, b in zip(policy.fees, policy.fees[1:]))
 
@@ -274,8 +278,11 @@ def dominance_experiment(
     Raises a numerics error if the backorder inequality itself fails beyond
     PROFIT_TIE_TOL.
     """
-    prof = demand_profile(policy, scenario.choice, scenario.lam)
-    prof_prime = demand_profile(policy_prime, scenario.choice, scenario.lam)
+    check_instance("scenario", scenario, Scenario)
+    check_instance("policy", policy, FeeStructure)
+    check_instance("policy_prime", policy_prime, FeeStructure)
+    prof = _demand_profile(policy, scenario.choice, scenario.lam)
+    prof_prime = _demand_profile(policy_prime, scenario.choice, scenario.lam)
     slack = 1e-9
     if any(a < b - slack for a, b in zip(prof, prof_prime)):
         raise ParameterError(

@@ -131,7 +131,7 @@ def build_policy(
     return FeeStructure(T, two_level_fees(f_e, f_le, tau_f, tau_c, T, u_max))
 
 
-def demand_profile(
+def _demand_profile(
     policy: FeeStructure, choice: ChoiceModel, lam: float
 ) -> tuple[float, ...]:
     """Cumulative express rates Lambda_0..Lambda_{T-1} a policy induces:

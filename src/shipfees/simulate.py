@@ -16,10 +16,11 @@ Reproducibility contract: identical seeds give bit-identical reports.
   inverts to B (the numbers ``Generator.choice(p=mass)`` gives).
 - The pool.  A thread pool with one contiguous block of streams per worker
   (as many workers as CPUs the process may use, at most one per stream)
-  draws each chunk and forms its increments E + R - B, then, after the
-  walk, its tallies.  A block writes only its own streams' rows and
-  columns, and every stream owns its generator, so which thread runs a
-  block, and when, cannot change a variate or a sum.
+  draws each chunk and writes its increments E + R - B into the walk's
+  array, then, after the walk, tallies it ``TALLY_CYCLES`` cycles at a
+  time, so only the draws and the walk span a chunk.  A block writes only
+  its own streams' rows and columns, and every stream owns its generator,
+  so which thread runs a block, and when, cannot change a variate or a sum.
 - One sequential state.  The total workload x_s is the only quantity
   carried from period to period: its reflected walk
   x_s' = clamp(x_s + E + R - B, 0, bound) is the one loop over time, run
@@ -28,8 +29,8 @@ Reproducibility contract: identical seeds give bit-identical reports.
   tallies are computed from that path, vectorized over (cycle, stream).
 - Time-ordered sums.  Counts are exact integer sums.  The two revenue sums
   are floats and are reduced per stream in time order, one period after
-  the other (a running accumulate, never a pairwise sum), so they equal a
-  period-by-period loop bit for bit.
+  the other (a running accumulate seeded with the total so far, never a
+  pairwise sum), so they equal a period-by-period loop bit for bit.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ from .policies import FeeStructure
 # Cycles pre-drawn per generator call; fixed so draws per seed never change.
 CHUNK_CYCLES = 1024
 
+# Cycles tallied at a time, the span of the overflow and revenue buffers.
+TALLY_CYCLES = 128
+
 # Largest chunk working set (the per-period arrays of all streams) a run
-# may allocate; 200 streams at T = 8 take 52 MB.
+# may allocate; 200 streams at T = 8 take 29 MB.
 CHUNK_BYTES_MAX = 2**30
 
 # Most cycle-periods (streams x warm-up plus measured cycles x T) a run may
@@ -183,8 +187,10 @@ def simulate(
 
     dtype = np.int32  # every value lies in [-B, bound + E + R], B and bound <= 2000
     rows = min(CHUNK_CYCLES, cycles_per_stream) * T
-    # per stream: rows int32s in each of E, R, B, O, A, rows floats in F, rows + 1 in X
-    stream_bytes = rows * (5 * 4 + 8) + (rows + 1) * 4
+    cols = min(TALLY_CYCLES * T, rows)
+    # per stream: int32 E, R, B and X (one more row) over a chunk, and int32
+    # O, A and float F over a tally block
+    stream_bytes = 16 * rows + 4 + 16 * cols
     periods = streams * cycles_per_stream * T
     if periods > SIM_PERIODS_MAX:
         raise ParameterError(
@@ -212,30 +218,24 @@ def simulate(
     edges = [streams * k // workers for k in range(workers + 1)]
     blocks = list(zip(edges, edges[1:]))
 
-    # the walk's clamp limits as array scalars, not converted on every call
+    # the clamp limits as array scalars, not converted on every call
     top, zero = dtype(bound), dtype(0)
-    # Per-period arrays are stream-major (column j = cycle * T + age), so
-    # each stream's draws fill one contiguous row; O holds first the
-    # increments E + R - B, then the overflow, A the adjusted express
-    # counts, F the revenue terms.  The walk runs time-major: row X[j] holds
-    # every stream's x_s at the opening of period j of the chunk.
-    E, R, B, O, A = (np.empty((streams, rows), dtype) for _ in range(5))
-    F = np.empty((streams, rows))
+    # Draws are stream-major (column j = cycle * T + age), a row per stream;
+    # the walk is time-major, X[j] every stream's x_s at the opening of
+    # period j.  O, A and F hold a tally block's overflow, adjusted express
+    # counts and revenue terms, each worker in its streams' rows.
+    E, R, B = (np.empty((streams, rows), dtype) for _ in range(3))
+    O, A = (np.empty((streams, cols), dtype) for _ in range(2))
+    F = np.empty((streams, cols))
     X = np.zeros((rows + 1, streams), dtype)
-    X_rows = list(X)
 
-    sum_m = np.zeros(streams, np.int64)
-    sum_m_raw = np.zeros(streams, np.int64)
-    sum_rejected = np.zeros(streams, np.int64)
-    overflow_periods = np.zeros(streams, np.int64)
-    acc_e = np.zeros((streams, T), np.int64)
-    acc_e_adj = np.zeros((streams, T), np.int64)
-    sum_rev = np.zeros(streams)
-    sum_rev_adj = np.zeros(streams)
+    sum_m, sum_m_raw, sum_rejected, overflow_periods = np.zeros((4, streams), np.int64)
+    acc_e, acc_e_adj = np.zeros((2, streams, T), np.int64)
+    sum_rev, sum_rev_adj = np.zeros((2, streams))
 
     def draw(lo: int, hi: int, n_cyc: int) -> None:
         # one block of streams, each filling its own rows in stream order,
-        # then the block's increments E + R - B into O and X's columns
+        # then their increments E + R - B into X's columns
         n = n_cyc * T
         for g, e_s, r_s, b_s in zip(
             gens[lo:hi], E[lo:hi, :n], R[lo:hi, :n], B[lo:hi, :n]
@@ -243,51 +243,50 @@ def simulate(
             e_s[:] = g.poisson(e_rates, size=(n_cyc, T)).ravel()
             r_s[:] = g.poisson(r_rates, size=(n_cyc, T)).ravel()
             draw_capacity(g, b_s)
-        d = O[lo:hi, :n]
-        np.add(E[lo:hi, :n], R[lo:hi, :n], out=d)
-        np.subtract(d, B[lo:hi, :n], out=d)
-        # 32 columns at a time; one whole transposing copy is several times
-        # slower
-        for s0 in range(lo, hi, 32):
-            s1 = min(s0 + 32, hi)
-            X[1 : n + 1, s0:s1] = O[s0:s1, :n].T
+        d = X[1 : n + 1, lo:hi]
+        np.add(E[lo:hi, :n].T, R[lo:hi, :n].T, out=d)
+        np.subtract(d, B[lo:hi, :n].T, out=d)
 
     def tally(lo: int, hi: int, j0: int, n: int) -> None:
-        # one block's measured periods j0..n of the chunk
-        e, r, b, o, a = (buf[lo:hi, j0:n] for buf in (E, R, B, O, A))
-        xs = X[j0:n, lo:hi].T
-        # overflow O = (x_s + E + R - B - bound)^+, the increments being in o
-        o += xs
-        o -= bound
-        np.maximum(o, 0, out=o)
-        # adjusted express E - (O - R)^+
-        np.subtract(o, r, out=a)
-        np.maximum(a, 0, out=a)
-        np.subtract(e, a, out=a)
+        # one block's measured periods j0..n of the chunk, TALLY_CYCLES
+        # cycles at a time in the block's rows of O, A and F
+        for c0 in range(j0, n, cols):
+            c1 = min(c0 + cols, n)
+            e, r, b = (buf[lo:hi, c0:c1] for buf in (E, R, B))
+            o, a, terms = (buf[lo:hi, : c1 - c0] for buf in (O, A, F))
+            xs = X[c0:c1, lo:hi].T
+            # overflow O = (x_s + E + R - B - bound)^+
+            np.subtract(xs, top, out=o)
+            o += e
+            o += r
+            o -= b
+            np.maximum(o, 0, out=o)
+            # adjusted express E - (O - R)^+
+            np.subtract(o, r, out=a)
+            np.maximum(a, 0, out=a)
+            np.subtract(e, a, out=a)
 
-        # x_c restarts at each cycle's opening x_s; m_raw reads the last age
-        xc = xs[:, ::T].copy()
-        for t in range(T):
-            if t == T - 1:
-                m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
-            xc += a[:, t::T]
-            xc -= b[:, t::T]
-            np.maximum(xc, 0, out=xc)
+            # x_c restarts at each cycle's opening x_s; m_raw reads the last age
+            xc = xs[:, ::T].copy()
+            for t in range(T):
+                if t == T - 1:
+                    m_raw = np.maximum(xc + e[:, t::T] - b[:, t::T], 0)
+                xc += a[:, t::T]
+                xc -= b[:, t::T]
+                np.maximum(xc, 0, out=xc)
 
-        sum_m[lo:hi] += xc.sum(axis=1, dtype=np.int64)
-        sum_m_raw[lo:hi] += m_raw.sum(axis=1, dtype=np.int64)
-        sum_rejected[lo:hi] += o.sum(axis=1, dtype=np.int64)
-        overflow_periods[lo:hi] += np.count_nonzero(o, axis=1)
-        terms = F[lo:hi, : n - j0]
-        for counts, acc, total in ((e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)):
-            by_age = counts.reshape(hi - lo, -1, T)
-            acc[lo:hi] += by_age.sum(axis=1, dtype=np.int64)
-            # running revenue: seed the first term, then accumulate in
-            # time order
-            np.multiply(by_age, fee_weights, out=terms.reshape(hi - lo, -1, T))
-            terms[:, 0] += total[lo:hi]
-            np.add.accumulate(terms, axis=1, out=terms)
-            total[lo:hi] = terms[:, -1]
+            sum_m[lo:hi] += xc.sum(axis=1, dtype=np.int64)
+            sum_m_raw[lo:hi] += m_raw.sum(axis=1, dtype=np.int64)
+            sum_rejected[lo:hi] += o.sum(axis=1, dtype=np.int64)
+            overflow_periods[lo:hi] += np.count_nonzero(o, axis=1)
+            for counts, acc, total in ((e, acc_e, sum_rev), (a, acc_e_adj, sum_rev_adj)):
+                by_age = counts.reshape(hi - lo, -1, T)
+                acc[lo:hi] += by_age.sum(axis=1, dtype=np.int64)
+                # running revenue: seed the first term, accumulate in time order
+                np.multiply(by_age, fee_weights, out=terms.reshape(hi - lo, -1, T))
+                terms[:, 0] += total[lo:hi]
+                np.add.accumulate(terms, axis=1, out=terms)
+                total[lo:hi] = terms[:, -1]
 
     n = 0
     with ThreadPoolExecutor(workers) as pool:
@@ -298,15 +297,14 @@ def simulate(
             for job in [pool.submit(draw, lo, hi, n_cyc) for lo, hi in blocks]:
                 job.result()
             # the walk: X[j + 1] = clamp(X[j] + E[j] + R[j] - B[j], 0, bound)
-            for cur, nxt in zip(X_rows[:n], X_rows[1 : n + 1]):
+            for cur, nxt in zip(X[:n], X[1 : n + 1]):
                 np.add(cur, nxt, out=nxt)
                 np.minimum(nxt, top, out=nxt)
                 np.maximum(nxt, zero, out=nxt)
             # warm-up cycles need only the walk
-            k0 = min(max(warmup - start, 0), n_cyc)
-            if k0 < n_cyc:
-                for job in [pool.submit(tally, lo, hi, k0 * T, n) for lo, hi in blocks]:
-                    job.result()
+            j0 = max(warmup - start, 0) * T
+            for job in [pool.submit(tally, lo, hi, j0, n) for lo, hi in blocks]:
+                job.result()
 
     report = make_report(
         scenario,

@@ -131,6 +131,23 @@ HOLES = [
      lambda: sf.optimize_families(SCENARIO, [("TSP", (1.0, 2.0))])),
     ("exhaustive_fee_vector_search(scenario, 'x')", "grid must be a SearchGrid",
      lambda: sf.exhaustive_fee_vector_search(SCENARIO, "x")),
+    ("revenue_max_fee('x')", "choice must be a ChoiceModel",
+     lambda: sf.revenue_max_fee("x")),
+    ("discretized_beta('x')", "spec must be a CapacitySpec",
+     lambda: sf.discretized_beta("x")),
+    ("SearchGrid.default('x')", "period_length must be an integer",
+     lambda: sf.SearchGrid.default("x")),
+    ("dominance_experiment('x', policy, policy)", "scenario must be a Scenario",
+     lambda: sf.dominance_experiment("x", POLICY, POLICY)),
+    ("dominance_experiment(scenario, 'x', policy)", "policy must be a FeeStructure",
+     lambda: sf.dominance_experiment(SCENARIO, "x", POLICY)),
+    ("dominance_experiment(scenario, policy, (1.5, 2.5))",
+     "policy_prime must be a FeeStructure",
+     lambda: sf.dominance_experiment(SCENARIO, POLICY, (1.5, 2.5))),
+    ("optimize_families(scenario, [('TSP',)])", "searches must be .family, grid. pairs",
+     lambda: sf.optimize_families(SCENARIO, [("TSP",)])),
+    ("optimize_families(scenario, 'TSP')", "searches must be .family, grid. pairs",
+     lambda: sf.optimize_families(SCENARIO, "TSP")),
     # the choice functions, which returned NaN or ended in a TypeError
     ("take_rate(choice, '5')", "price must be a real number",
      lambda: sf.take_rate(CHOICE, "5")),

@@ -28,10 +28,10 @@ from shipfees import (
     evaluate_policy,
     exhaustive_fee_vector_search,
     find_bound,
-    is_weakly_monotone,
     optimize_family,
     simulate,
 )
+from shipfees.optimize import _is_weakly_monotone
 from shipfees.policies import FeeStructure
 
 from kernel_oracle import build_kernel
@@ -360,7 +360,7 @@ def test_criterion_7_monotone_optimum_grid():
         penalty = float(rng.uniform(2.0, 12.0))
         sc = Scenario(3, lam, capacity, CHOICE, penalty)
         argmax = exhaustive_fee_vector_search(sc, grid)
-        assert any(is_weakly_monotone(p) for p in argmax), (
+        assert any(_is_weakly_monotone(p) for p in argmax), (
             f"case {case}: no monotone vector among "
             f"{[p.fees for p in argmax]}"
         )

@@ -159,6 +159,22 @@ class TestConfigHandling:
         assert code == 1
         assert "--config" in err and "--preset" in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"rho085_c8"'])
+    def test_config_top_level_must_be_an_object(self, capsys, tmp_path, text):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: top level must be an object\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_one_error_line(self, capsys, tmp_path, kind):
+        path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config {path}: [Errno ")
+        assert err.endswith("\n") and err.count("\n") == 1
+
 
 def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
@@ -512,8 +528,8 @@ class TestBoundedInput:
 
     def test_oversized_simulation_is_refused_before_allocating(self, tmp_path):
         # 10**9 streams, capped at the 100,000 measured cycles, would need
-        # about 27 GiB of chunk arrays; the refusal must come before any of
-        # it is allocated, so a 1.5 GB address-space limit holds
+        # about 13.5 GiB of chunk arrays; the refusal must come before any
+        # of it is allocated, so a 1.5 GB address-space limit holds
         cfg = load_preset("rho085_c8")
         cfg["simulate"] = {"cycles": 101_000, "streams": 10**9}
         path = tmp_path / "huge_streams.json"

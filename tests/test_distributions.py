@@ -11,7 +11,9 @@ from scipy import special
 
 import shipfees as sf
 from shipfees.cli import PRESETS, Experiment, load_preset
-from shipfees.distributions import POISSON_RATE_MAX, CapacitySpec, _betainc
+from shipfees.distributions import (
+    POISSON_RATE_MAX, CapacitySpec, _beta_shape_parameters, _betainc,
+)
 
 from bruteforce import poisson_masses
 
@@ -150,7 +152,7 @@ class TestDiscretizedBeta:
     @pytest.mark.parametrize("mean", [1e-300, 1e-170])
     def test_underflowing_variance_is_a_parameter_error(self, mean):
         with pytest.raises(sf.ParameterError, match="not finite and positive"):
-            sf.beta_shape_parameters(CapacitySpec(20, mean, 0.5))
+            _beta_shape_parameters(CapacitySpec(20, mean, 0.5))
 
     def test_inadmissible_variance_names_feasible_range(self):
         with pytest.raises(sf.ParameterError, match="scv"):
@@ -170,7 +172,7 @@ def cell_edges(n):
 
 def scipy_discretized_beta(spec):
     """The cell masses of ``discretized_beta`` with scipy's incomplete beta."""
-    alpha, beta = sf.beta_shape_parameters(spec)
+    alpha, beta = _beta_shape_parameters(spec)
     cdf = special.betainc(alpha, beta, cell_edges(spec.support_max))
     masses = np.clip(np.diff(cdf), 0.0, None)
     return masses / masses.sum()
@@ -201,7 +203,7 @@ class TestIncompleteBeta:
         # scv log-uniform from 1e-4 up to its cap (1 - m)/m
         scv = 1e-4 * ((1.0 - m) / m / 1e-4) ** u
         try:
-            a, b = sf.beta_shape_parameters(CapacitySpec(n, n * m, scv))
+            a, b = _beta_shape_parameters(CapacitySpec(n, n * m, scv))
         except sf.ParameterError:  # shapes lost to rounding at the cap
             return
         edges = cell_edges(n)

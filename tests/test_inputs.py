@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import shipfees as sf
 from shipfees.distributions import CapacitySpec
 
-from input_cases import CAPACITY, CHOICE, HOLES, SCENARIO
+from input_cases import CAPACITY, CHOICE, HOLES, POLICY, SCENARIO
 
 simulation = importlib.import_module("shipfees.simulate")
 
@@ -88,6 +88,19 @@ CALLS = {
     "split_rates": (sf.split_rates, {
         "model": (CHOICE, st.just(CHOICE)), "lam": (1.5, REAL), "fee": (2.0, FEE)}),
     "poisson_pmf": (sf.poisson_pmf, {"rate": (1.5, REAL), "tail_eps": (1e-12, REAL)}),
+    "revenue_max_fee": (sf.revenue_max_fee, {"choice": (CHOICE, st.sampled_from(JUNK))}),
+    "discretized_beta": (sf.discretized_beta, {
+        "spec": (CapacitySpec(20, 5.88, 0.5), st.sampled_from(JUNK))}),
+    "SearchGrid.default": (sf.SearchGrid.default, {"period_length": (8, INTEGER)}),
+    "dominance_experiment": (sf.dominance_experiment, {
+        "scenario": (SCENARIO, st.sampled_from(JUNK)),
+        "policy": (POLICY, st.sampled_from(JUNK)),
+        "policy_prime": (POLICY, st.sampled_from(JUNK)), "bound": (8, st.just(8))}),
+    "optimize_families": (sf.optimize_families, {
+        "scenario": (SCENARIO, st.just(SCENARIO)),
+        "searches": ([("TSP_CF_star", None)], st.one_of(
+            st.sampled_from(JUNK), st.lists(st.sampled_from(JUNK), max_size=2))),
+        "bound": (8, st.just(8))}),
 }
 
 

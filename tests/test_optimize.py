@@ -10,7 +10,7 @@ import pytest
 import shipfees as sf
 from shipfees.cli import Experiment, load_preset
 from shipfees import optimize
-from shipfees.optimize import FAMILIES, _candidates, _tie_break
+from shipfees.optimize import FAMILIES, _candidates, _is_weakly_monotone, _tie_break
 from shipfees.policies import two_level_fees
 
 import kernel_oracle as ko
@@ -309,7 +309,7 @@ class TestExhaustiveSearch:
     def test_argmax_contains_weakly_monotone_vector(self, micro_scenario):
         grid = sf.SearchGrid((0.5, 1.25, 2.0, 2.75, 3.5), (1, 1))
         best = sf.exhaustive_fee_vector_search(micro_scenario, grid, bound=8)
-        assert any(sf.is_weakly_monotone(pol) for pol in best)
+        assert any(_is_weakly_monotone(pol) for pol in best)
 
     def test_zero_penalty_keeps_revenue_max_vector(self, choice):
         capacity = sf.Pmf(np.array([0.1, 0.2, 0.4, 0.3]))

@@ -5,6 +5,8 @@ import math
 import pytest
 
 import shipfees as sf
+from shipfees.optimize import _is_weakly_monotone
+from shipfees.policies import _demand_profile
 
 
 class TestCanonicalize:
@@ -132,17 +134,17 @@ class TestBuildPolicy:
 class TestDemandProfile:
     def test_no_express_means_zero_profile(self, choice):
         pol = sf.build_policy("CSP", 4.0, 8, 4.0)
-        prof = sf.demand_profile(pol, choice, 5.0)
+        prof = _demand_profile(pol, choice, 5.0)
         assert prof == (0.0,) * 8
 
     def test_constant_fee_is_linear(self, choice):
-        prof = sf.demand_profile(sf.build_policy("CSP", 2.0, 8, 4.0), choice, 5.0)
+        prof = _demand_profile(sf.build_policy("CSP", 2.0, 8, 4.0), choice, 5.0)
         for tau, val in enumerate(prof):
             assert val == pytest.approx(2.5 * (tau + 1), abs=1e-12)
 
     def test_tsp_final_value(self, choice):
         pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
-        prof = sf.demand_profile(pol, choice, 5.0)
+        prof = _demand_profile(pol, choice, 5.0)
         assert prof[7] == pytest.approx(7 * 5 * 0.4 + 5 * 0.25, abs=1e-12)
 
     def test_running_sum_of_express_rates(self, choice):
@@ -151,7 +153,7 @@ class TestDemandProfile:
         for fee in pol.fees:
             running += sf.split_rates(choice, 5.0, fee)[0]
             expected.append(running)
-        prof = sf.demand_profile(pol, choice, 5.0)
+        prof = _demand_profile(pol, choice, 5.0)
         assert type(prof) is tuple and prof == tuple(expected)
 
 
@@ -159,19 +161,19 @@ class TestMonotonicity:
     def test_flat_prefix_is_not_strict(self):
         pol = sf.build_policy("TSP", (2.4, 3.0, 6, 7), 8, 4.0)
         assert pol.fees[0] == pol.fees[1]
-        assert sf.is_weakly_monotone(pol) is True
+        assert _is_weakly_monotone(pol) is True
 
     def test_strictly_increasing(self):
-        assert sf.is_weakly_monotone(sf.FeeStructure(4, (1.0, 2.0, 3.0, 4.0))) is True
+        assert _is_weakly_monotone(sf.FeeStructure(4, (1.0, 2.0, 3.0, 4.0))) is True
 
     def test_canonical_tail_ties_break_strictness(self):
         # one sentinel age: a last offered fee at u_max ties with the tail
         below = sf.build_policy("TSP", (1.0, 2.0, 0, 1), 3, 4.0)
         at_max = sf.build_policy("TSP", (1.0, 4.0, 0, 1), 3, 4.0)
         assert below.fees[1] < below.fees[2] and at_max.fees[1] == at_max.fees[2]
-        assert sf.is_weakly_monotone(below) is True
-        assert sf.is_weakly_monotone(at_max) is True
+        assert _is_weakly_monotone(below) is True
+        assert _is_weakly_monotone(at_max) is True
 
     def test_weak_allows_ties_but_not_decreases(self):
-        assert sf.is_weakly_monotone(sf.FeeStructure(3, (1.0, 1.0, 2.0))) is True
-        assert sf.is_weakly_monotone(sf.FeeStructure(3, (1.0, 0.5, 2.0))) is False
+        assert _is_weakly_monotone(sf.FeeStructure(3, (1.0, 1.0, 2.0))) is True
+        assert _is_weakly_monotone(sf.FeeStructure(3, (1.0, 0.5, 2.0))) is False

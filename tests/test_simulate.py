@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -217,6 +218,31 @@ class TestLoopOracle:
         for policy in policies:
             assert_same_as_oracle(scenario, policy, cfg)
 
+    @pytest.mark.parametrize(
+        "T, warmup, per_stream, streams",
+        [
+            # the warm-up ends 72 cycles past a multiple of 128, so the tally
+            # blocks, which start at the first measured cycle, are off that
+            # grid and the chunk's last one holds 56 cycles
+            (8, 200, 900, 3),
+            # the measured range ends 44 cycles into a tally block of the
+            # second chunk, 300 cycles into that chunk
+            (2, 0, 1324, 2),
+            # T = 3 and 7 do not divide the 1024 cycles of a chunk
+            (3, 517, 700, 4),
+            (7, 1000, 300, 2),
+        ],
+        ids=["warmup-inside-block", "end-inside-block", "T3", "T7"],
+    )
+    def test_tally_block_edges(self, make_scenario, T, warmup, per_stream, streams):
+        assert (simulation.CHUNK_CYCLES, simulation.TALLY_CYCLES) == (1024, 128)
+        base = make_scenario(0.95, 8.0)
+        scenario = sf.Scenario(T, base.lam, base.capacity, base.choice, 8.0)
+        policy = sf.FeeStructure(T, self.VECTOR[:T])
+        cfg = sf.SimConfig(cycles=warmup + per_stream * streams, warmup_cycles=warmup,
+                           seed=T, bound=30, streams=streams)
+        assert_same_as_oracle(scenario, policy, cfg)
+
     @settings(max_examples=30, deadline=None)
     @example(T=2, weights=[0, 0, 1], load=0.0, fees=[2.0, 2.0], bound=1,
              warmup=100, measured=400, streams=4, seed=0)
@@ -261,6 +287,59 @@ class TestLoopOracle:
         cfg = sf.SimConfig(cycles=warmup + measured, warmup_cycles=warmup,
                            seed=seed, bound=bound, streams=streams)
         assert_same_as_oracle(scenario, policy, cfg)
+
+
+class TestChunkMemory:
+    """The chunk-memory cap counts the arrays a run holds: per stream, the
+    draws E, R, B and the walk X (one more row) in int32 over a chunk, and
+    the overflow O, adjusted express counts A (int32) and revenue terms F
+    (float) over a tally block."""
+
+    T, STREAMS = 4, 32
+
+    def run(self):
+        scenario = sf.Scenario(self.T, 1.5, sf.Pmf([0.1, 0.2, 0.4, 0.3]),
+                               sf.ChoiceModel(4.0, 0.0, 4.0), 8.0)
+        policy = sf.FeeStructure(self.T, (1.5, 2.5, 3.0, math.inf))
+        # 1000 warm-up and 100 measured cycles per stream: one full chunk
+        cfg = sf.SimConfig(cycles=1000 + 100 * self.STREAMS, warmup_cycles=1000,
+                           seed=2, bound=8, streams=self.STREAMS)
+        return sf.simulate(scenario, policy, cfg)
+
+    def estimate(self):
+        rows, cols = 1024 * self.T, 128 * self.T
+        return self.STREAMS * (3 * 4 * rows + 4 * (rows + 1) + (4 + 4 + 8) * cols)
+
+    def test_the_cap_is_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(simulation, "CHUNK_BYTES_MAX", self.estimate())
+        self.run()
+        monkeypatch.setattr(simulation, "CHUNK_BYTES_MAX", self.estimate() - 1)
+        with pytest.raises(sf.ParameterError, match=(
+            r"^simulate\.streams: 32 streams need .* GiB of chunk arrays at T = 4, "
+            r"over the .* GiB limit; use at most 31 streams$"
+        )):
+            self.run()
+
+    def test_a_run_allocates_the_estimate(self, monkeypatch):
+        """The traced peak (numpy reports its buffers to tracemalloc) lies
+        between the estimate and the estimate plus a slack for what a run
+        holds only for a moment or that is no array of periods: one
+        worker's draws of one stream (the int64 Poisson counts, or the
+        uniforms, their scaled copy and their bucket indices), the tally's
+        per-block temporaries and reduction buffers, a generator per stream
+        and the pool.  They came to 269 kB here against a slack of 393 kB;
+        O, A or F held for a whole chunk would add 458 kB or more."""
+        monkeypatch.setattr(simulation, "_draw_workers", lambda: 1)
+        self.run()  # one-off costs of a first call
+        slack = 48 * 1024 * self.T + 4096 * self.STREAMS + 65536
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            self.run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert self.estimate() <= peak <= self.estimate() + slack
 
 
 class TestCapacityDraws:
