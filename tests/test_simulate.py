@@ -327,8 +327,8 @@ class TestChunkMemory:
         worker's draws of one stream (the int64 Poisson counts, or the
         uniforms, their scaled copy and their bucket indices), the tally's
         per-block temporaries and reduction buffers, a generator per stream
-        and the pool.  They came to 269 kB here against a slack of 393 kB;
-        O, A or F held for a whole chunk would add 458 kB or more."""
+        and the pool: 269 kB with numpy 2.4 on Linux, against a slack of
+        393 kB.  O, A or F held for a whole chunk would add 458 kB or more."""
         monkeypatch.setattr(simulation, "_draw_workers", lambda: 1)
         self.run()  # one-off costs of a first call
         slack = 48 * 1024 * self.T + 4096 * self.STREAMS + 65536
